@@ -213,6 +213,8 @@ def stft_power(clip: AudioClip, window_length: int, hop: int, n_fft: int) -> np.
     """
     if window_length > n_fft:
         raise ConfigError(f"window_length {window_length} exceeds n_fft {n_fft}")
+    if window_length < 1:
+        raise ConfigError(f"window_length must be >= 1 sample, got {window_length}")
     if hop < 1:
         raise ConfigError(f"hop must be >= 1, got {hop}")
     x = clip.samples

@@ -8,10 +8,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .audio import extract_features, load_wav
+from .audio import AudioConfig, extract_features, load_wav
 from .config import load_config
 from .errors import DataError
 from .fileformats import read_wtf1, write_wtf1
@@ -68,18 +69,23 @@ def cmd_extract(args) -> int:
     return EXIT_WARNINGS if skipped else EXIT_OK
 
 
-def _load_items(feature_dir: Path, corpus, expected_bands: int) -> list:
+def _load_items(feature_dir: Path, corpus, audio: AudioConfig) -> list:
     items = []
     for entry in corpus.entries:
         path = feature_dir / (Path(entry.file_name).stem + ".wtf1")
         if not path.exists():
             raise DataError(f"no feature file for {entry.file_name}: expected {path}")
         fm = read_wtf1(path)
-        if fm.num_bands != expected_bands:
-            raise DataError(
-                f"{path}: {fm.num_bands} mel bands but the encoder is configured "
-                f"for {expected_bands}"
-            )
+        for name, found, expected in (
+            ("mel band count", fm.num_bands, audio.n_mels),
+            ("sample rate", fm.sample_rate, audio.sample_rate),
+            ("hop", fm.frame_hop, audio.hop),
+            ("window length", fm.window_length, audio.window_length),
+        ):
+            if found != expected:
+                raise DataError(
+                    f"{path}: {name} is {found:g} but the [audio] config gives {expected:g}"
+                )
         items.append((entry, fm))
     return items
 
@@ -88,14 +94,15 @@ def cmd_train(args) -> int:
     from .text import build_vocab, encode
 
     cfg = load_config(args.config, overrides={
-        "seed": args.seed, "mode": args.mode, "max_epochs": args.max_epochs,
+        ("run", "seed"): args.seed, ("encoder", "mode"): args.mode,
+        ("train", "max_epochs"): args.max_epochs,
     })
     feature_dir = Path(args.features)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     corpus = load_caption_csv(args.captions)
-    pairs = _load_items(feature_dir, corpus, cfg.encoder.n_mels)
+    pairs = _load_items(feature_dir, corpus, cfg.audio)
 
     vocab = build_vocab(corpus.all_token_lists())
     if cfg.val_size > 0:
@@ -124,7 +131,7 @@ def cmd_train(args) -> int:
     train_items = to_items(train_corpus)
     val_items = to_items(val_corpus)
 
-    dec_cfg = cfg.decoder_config(vocab.size)
+    dec_cfg = replace(cfg.decoder, vocab_size=vocab.size)
     model = CaptionModel(cfg.encoder, dec_cfg, seed=cfg.seed)
     print(f"training: {len(train_items)} items, {len(val_items)} validation, "
           f"{model.params.count()} parameters, mode={cfg.encoder.mode}")
@@ -156,7 +163,7 @@ def cmd_train(args) -> int:
 def cmd_caption(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model, vocab = ckpt.build_model()
-    cfg = load_config(args.config, overrides={"beam": args.beam})
+    cfg = load_config(args.config, overrides={("decode", "beam_size"): args.beam})
     feature_dir = Path(args.features)
     files = sorted(feature_dir.glob("*.wtf1"))
     if not files:

@@ -1,16 +1,19 @@
 """Run configuration: one flat `key = value` file with section headers.
 
-Sections map onto the module configs ([audio], [encoder], [decoder],
-[train], [decode], [run]); keys are the dataclass field names.  Unknown
-sections or keys are rejected so typos cannot silently fall back to
-defaults.  Defaults follow the published hyper-parameters wherever a value
-is stated; everything else is a documented engineering choice.
+`SECTIONS` is the whole file format: each section names the dataclass it
+fills and the keys a file may set, each key being one field of that
+dataclass ([run] keys are fields of `RunConfig` itself).  Unknown sections
+or keys are rejected so typos cannot silently fall back to defaults.
+Fields listed in `DERIVED` are worked out from another key, never read, so
+no value can be set in two places.  Defaults follow the published
+hyper-parameters wherever a value is stated; everything else is a
+documented engineering choice.
 """
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .audio import AudioConfig
 from .decoder import DecoderConfig
@@ -23,154 +26,93 @@ WT_SEED_ENV = "WT_SEED"
 
 
 @dataclass
-class RunPaths:
-    data_dir: str = "."
-    feature_dir: str = "features"
-    checkpoint_dir: str = "checkpoints"
-    output_dir: str = "out"
-
-
-@dataclass
 class RunConfig:
     audio: AudioConfig = field(default_factory=AudioConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    decoder_blocks: int = 3
-    decoder_heads: int = 4
-    decoder_dropout: float = 0.25
-    decoder_max_len: int = 128
+    decoder: DecoderConfig = field(default_factory=DecoderConfig)  # vocab_size: from the corpus
     train: TrainConfig = field(default_factory=TrainConfig)
     decode: DecodeConfig = field(default_factory=DecodeConfig)
-    paths: RunPaths = field(default_factory=RunPaths)
     seed: int = 0
     val_size: int = 100
     rarity_threshold: int = 10
 
-    def decoder_config(self, vocab_size: int) -> DecoderConfig:
-        return DecoderConfig(
-            vocab_size=vocab_size,
-            n_blocks=self.decoder_blocks,
-            n_heads=self.decoder_heads,
-            d_model=self.encoder.channels,
-            dropout=self.decoder_dropout,
-            max_len=self.decoder_max_len,
-        )
+
+# section -> (dataclass it fills, keys a config file may set)
+SECTIONS = {
+    "audio": (AudioConfig, ("sample_rate", "window_ms", "n_fft", "hop", "n_mels",
+                            "f_min", "f_max")),
+    "encoder": (EncoderConfig, ("n_temp_blocks", "n_tf_blocks", "channels", "pcnn_kernel",
+                                "pool_factors", "dropout_tf", "mode")),
+    "decoder": (DecoderConfig, ("n_blocks", "n_heads", "dropout", "max_len")),
+    "train": (TrainConfig, ("batch_size", "lr", "beta1", "beta2", "eps", "clip_norm",
+                            "patience", "max_epochs")),
+    "decode": (DecodeConfig, ("max_words", "beam_size", "length_norm_alpha")),
+    "run": (RunConfig, ("seed", "val_size", "rarity_threshold")),
+}
+
+# (section, field) <- (section, key): fields set from another key's value
+DERIVED = {
+    ("encoder", "n_mels"): ("audio", "n_mels"),
+    ("decoder", "d_model"): ("encoder", "channels"),
+    ("train", "seed"): ("run", "seed"),
+}
 
 
-def _parse_value(raw: str, current):
-    if isinstance(current, bool):
-        low = raw.strip().lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    if isinstance(current, int):
+def _parse_value(raw: str, default):
+    if isinstance(default, int):
         return int(raw)
-    if isinstance(current, float):
+    if isinstance(default, float) or default is None:  # None: optional float (f_max)
         return float(raw)
-    if isinstance(current, tuple):
+    if isinstance(default, tuple):
         return tuple(int(p.strip()) for p in raw.split(",") if p.strip())
-    if current is None:  # optional float (f_max)
-        return float(raw)
     return raw.strip()
 
 
-def _apply_section(obj, section: str, items) -> None:
-    known = {f.name for f in fields(obj)}
-    for key, raw in items:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        try:
-            value = _parse_value(raw, getattr(obj, key))
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from None
-        setattr(obj, key, value)
-
-
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from defaults, an optional file, and overrides.
+    """Build a RunConfig from defaults, an optional file, WT_SEED and overrides.
 
-    The WT_SEED environment variable, when set, wins over both the file
-    and the defaults (but not explicit CLI overrides applied later).
+    Each source wins over the ones before it: the file over the defaults,
+    the WT_SEED environment variable over the file, and `overrides`
+    ({(section, key): value}, None meaning unset) over everything.  Every
+    dataclass is constructed once from the merged values, so its own
+    checks validate the result.
     """
-    cfg = RunConfig()
-    sections = {
-        "audio": cfg.audio,
-        "encoder": cfg.encoder,
-        "train": cfg.train,
-        "decode": cfg.decode,
-        "paths": cfg.paths,
-    }
+    settings = []  # (where, section, key, raw)
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        read = parser.read(path, encoding="utf-8")
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         if not read:
             raise ConfigError(f"config file not found: {path}")
         for section in parser.sections():
-            if section in sections:
-                _apply_section(sections[section], section, parser.items(section))
-            elif section == "decoder":
-                _apply_decoder_section(cfg, parser.items(section))
-            elif section == "run":
-                _apply_run_section(cfg, parser.items(section))
-            else:
+            if section not in SECTIONS:
                 raise ConfigError(f"unknown config section [{section}]")
-        # re-validate cross-field invariants after the file edits
-        cfg.encoder.__post_init__()
-        cfg.train.__post_init__()
-        cfg.decode.__post_init__()
+            settings += [(f"[{section}] {key}", section, key, raw)
+                         for key, raw in parser.items(section)]
     env_seed = os.environ.get(WT_SEED_ENV)
     if env_seed is not None:
+        settings.append((WT_SEED_ENV, "run", "seed", env_seed))
+    settings += [(f"[{section}] {key}", section, key, str(value))
+                 for (section, key), value in (overrides or {}).items() if value is not None]
+
+    values = {section: {} for section in SECTIONS}
+    for where, section, key, raw in settings:
+        cls, keys = SECTIONS[section]
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in section [{section}]")
         try:
-            cfg.seed = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"{WT_SEED_ENV} must be an integer, got {env_seed!r}") from None
-        cfg.train.seed = cfg.seed
-    if overrides:
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            _apply_override(cfg, key, value)
-    return cfg
-
-
-_DECODER_KEYS = {
-    "n_blocks": "decoder_blocks",
-    "n_heads": "decoder_heads",
-    "dropout": "decoder_dropout",
-    "max_len": "decoder_max_len",
-}
-
-_RUN_KEYS = ("seed", "val_size", "rarity_threshold")
-
-
-def _apply_decoder_section(cfg: RunConfig, items) -> None:
-    for key, raw in items:
-        if key not in _DECODER_KEYS:
-            raise ConfigError(f"unknown key {key!r} in section [decoder]")
-        attr = _DECODER_KEYS[key]
-        setattr(cfg, attr, _parse_value(raw, getattr(cfg, attr)))
-
-
-def _apply_run_section(cfg: RunConfig, items) -> None:
-    for key, raw in items:
-        if key not in _RUN_KEYS:
-            raise ConfigError(f"unknown key {key!r} in section [run]")
-        setattr(cfg, key, _parse_value(raw, getattr(cfg, key)))
-    cfg.train.seed = cfg.seed
-
-
-def _apply_override(cfg: RunConfig, key: str, value) -> None:
-    if key == "seed":
-        cfg.seed = int(value)
-        cfg.train.seed = cfg.seed
-    elif key == "mode":
-        cfg.encoder.mode = value
-        cfg.encoder.__post_init__()
-    elif key == "beam":
-        cfg.decode.beam_size = int(value)
-        cfg.decode.__post_init__()
-    elif key == "max_epochs":
-        cfg.train.max_epochs = int(value)
-    else:
-        raise ConfigError(f"unknown override {key!r}")
+            values[section][key] = _parse_value(raw, getattr(cls, key))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    for (section, name), (source, key) in DERIVED.items():
+        values[section][name] = values[source].get(key, getattr(SECTIONS[source][0], key))
+    parts = {}
+    for section, (cls, _) in SECTIONS.items():
+        if cls is not RunConfig:
+            try:
+                parts[section] = cls(**values[section])
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {exc}") from None
+    return RunConfig(**parts, **values["run"])

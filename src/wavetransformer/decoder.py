@@ -23,20 +23,19 @@ from .tensor import ops
 
 @dataclass
 class DecoderConfig:
-    vocab_size: int
+    vocab_size: int | None = None  # set from the corpus; a model needs it
     n_blocks: int = 3
     n_heads: int = 4
     d_model: int = 128
     dropout: float = 0.25
     max_len: int = 128
-    dropout_embeddings: bool = True  # dropout also on embeddings + PE
 
     def __post_init__(self):
         if self.d_model % self.n_heads:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
-        if self.vocab_size < 4:
+        if self.vocab_size is not None and self.vocab_size < 4:
             raise ConfigError("vocabulary must include reserved tokens plus words")
         if self.max_len < 2:
             raise ConfigError("max_len must cover at least <sos> + one token")
@@ -150,8 +149,7 @@ class Decoder:
         emb = ops.embedding(tokens, self.emb_weight, self.emb_bias)
         emb = ops.scale(emb, math.sqrt(self.cfg.d_model))
         x = ops.add_const(emb, self.pe[:length])
-        if self.cfg.dropout_embeddings:
-            x = ops.dropout(x, self.cfg.dropout, training, rng)
+        x = ops.dropout(x, self.cfg.dropout, training, rng)
         self_mask = ops.causal_mask(length, dtype=x.dtype)
         for block in self.blocks:
             x = block(x, z, self_mask, cross_mask, training, rng)

@@ -39,9 +39,6 @@ class EncoderConfig:
     dropout_tf: float = 0.25
     mode: str = "full"
     n_mels: int = 64             # F of the input features
-    # the block equations end in BN -> pool -> dropout with no extra ReLU;
-    # the prose variant (ReLU after the second BN) is available but off
-    tf_post_relu: bool = False
 
     def __post_init__(self):
         self.pool_factors = tuple(int(p) for p in self.pool_factors)
@@ -113,12 +110,11 @@ class TFBlock:
     S-CNN is one (5,5) kernel per input channel (groups = C_in); the
     "pointwise-role" P-CNN mixes channels with a wider-than-1x1 square
     kernel.  Following the block equations literally there is no extra
-    ReLU between the second batch norm and the pooling; `post_relu`
-    exposes the prose variant.
+    ReLU between the second batch norm and the pooling.
     """
 
     def __init__(self, space: ModelSpace, name: str, c_in: int, c_out: int,
-                 pcnn_kernel: int, pool: int, dropout: float, post_relu: bool = False):
+                 pcnn_kernel: int, pool: int, dropout: float):
         self.scnn = Conv2d(space, f"{name}.scnn", c_in, c_in, k=5, padding=2, groups=c_in)
         self.bn_a = BatchNorm(space, f"{name}.bn_a", c_in)
         self.pcnn = Conv2d(space, f"{name}.pcnn", c_in, c_out, k=pcnn_kernel,
@@ -126,14 +122,11 @@ class TFBlock:
         self.bn_b = BatchNorm(space, f"{name}.bn_b", c_out)
         self.pool = pool
         self.dropout = dropout
-        self.post_relu = post_relu
 
     def __call__(self, h_prev: Tensor, training: bool, rng: RngState | None = None) -> Tensor:
         x, squeeze = _as_batched(h_prev, 4)
         s = self.pcnn(self.bn_a(ops.leaky_relu(self.scnn(x)), training, channel_axis=1))
         out = self.bn_b(s, training, channel_axis=1)
-        if self.post_relu:
-            out = ops.relu(out)
         out = ops.max_pool_freq(out, self.pool)
         out = ops.dropout(out, self.dropout, training, rng)
         return ops.reshape(out, out.shape[1:]) if squeeze else out
@@ -185,7 +178,7 @@ class Encoder:
             for i, pool in enumerate(cfg.pool_factors):
                 self.tf_blocks.append(
                     TFBlock(space, f"{name}.tf.block{i + 1}", c_in, cfg.channels,
-                            cfg.pcnn_kernel, pool, cfg.dropout_tf, cfg.tf_post_relu)
+                            cfg.pcnn_kernel, pool, cfg.dropout_tf)
                 )
                 c_in = cfg.channels
         if cfg.mode == "full":

@@ -38,7 +38,6 @@ class Hypothesis:
 
     tokens: list[int]
     log_prob: float
-    finished: bool = False
 
     def emitted(self) -> int:
         """Tokens generated so far (everything after <sos>)."""
@@ -90,13 +89,13 @@ def beam_search(z: Tensor, model, vocab: Vocabulary, cfg: DecodeConfig) -> list[
         next_live = []
         for score, tokens in candidates[: cfg.beam_size]:
             if tokens[-1] == vocab.eos:
-                finished.append(Hypothesis(tokens, score, finished=True))
+                finished.append(Hypothesis(tokens, score))
             else:
                 next_live.append(Hypothesis(tokens, score))
         live = next_live
         if not live:
             break
-    finished.extend(Hypothesis(h.tokens, h.log_prob, finished=True) for h in live)
+    finished.extend(live)
     best = min(
         finished,
         key=lambda h: (-h.normalized_score(cfg.length_norm_alpha), h.tokens),

@@ -203,7 +203,7 @@ def assemble_report(corpus: list[EvalPair], spice: float | None = None) -> Score
     )
     if spice is not None:
         report.spice = spice
-        report.spider = (c + spice) / 2.0
+        report.spider = spider_from_scores(c, spice)
     return report
 
 

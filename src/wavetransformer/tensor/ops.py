@@ -40,15 +40,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return apply_op(out, (a, b), vjp)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
-
-    return apply_op(out, (a, b), vjp)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
@@ -119,10 +110,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, a.shape).copy(),)
 
     return apply_op(out, (a,), vjp)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return scale(tensor_sum(a), 1.0 / a.size)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -213,8 +213,8 @@ class Checkpoint:
         )
 
     def build_model(self) -> tuple[CaptionModel, Vocabulary]:
-        enc_cfg = EncoderConfig(**self.encoder_config)
-        dec_cfg = DecoderConfig(**self.decoder_config)
+        enc_cfg = _stored_config(EncoderConfig, self.encoder_config, "encoder_config")
+        dec_cfg = _stored_config(DecoderConfig, self.decoder_config, "decoder_config")
         model = CaptionModel(enc_cfg, dec_cfg, seed=self.train_config.get("seed", 0))
         model.load_state_arrays({
             n: a for n, a in self.arrays.items() if not n.startswith("adam.")
@@ -230,6 +230,16 @@ class Checkpoint:
             elif name.startswith("adam.v."):
                 state.v[name[len("adam.v."):]] = arr.copy()
         return state
+
+
+def _stored_config(cls, stored: dict, name: str):
+    """Rebuild a config from checkpoint metadata holding exactly its fields."""
+    expected = {f.name for f in fields(cls)}
+    unknown, missing = sorted(set(stored) - expected), sorted(expected - set(stored))
+    if unknown or missing:
+        raise CheckpointError(f"checkpoint {name} does not fit {cls.__name__}: "
+                              f"unknown keys {unknown}, missing keys {missing}")
+    return cls(**stored)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

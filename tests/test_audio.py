@@ -80,6 +80,15 @@ class TestStft:
         power = stft_power(AudioClip(np.zeros(4000), 8000), 256, 128, 256)
         np.testing.assert_array_equal(power, 0.0)
 
+    def test_zero_length_window_rejected(self):
+        clip = AudioClip(np.ones(4000) * 0.1, 8000)
+        with pytest.raises(ConfigError, match="window_length"):
+            stft_power(clip, 0, 128, 256)
+        # under half a sample period rounds to a zero-sample window
+        with pytest.raises(ConfigError, match="window_length"):
+            extract_features(clip, AudioConfig(sample_rate=8000, window_ms=0.05, n_fft=256,
+                                               hop=128, n_mels=8))
+
     def test_frame_count_formula(self):
         for n in (4000, 4095, 4096, 4097):
             clip = AudioClip(np.ones(n) * 0.1, 8000)

@@ -7,8 +7,12 @@ import pytest
 
 from wavetransformer.cli import main
 from wavetransformer.audio import write_wav
-from wavetransformer.config import load_config
+from wavetransformer.config import SECTIONS, load_config
 from wavetransformer.errors import ConfigError
+from wavetransformer.fileformats import read_wtf1
+from wavetransformer.training import load_checkpoint
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 TINY_CONFIG = """
@@ -25,7 +29,6 @@ n_tf_blocks = 2
 channels = 8
 pool_factors = 2, 2
 dropout_tf = 0.0
-n_mels = 4
 
 [decoder]
 n_blocks = 1
@@ -84,9 +87,9 @@ class TestConfigDefaults:
         assert cfg.encoder.n_temp_blocks == 4
         assert cfg.encoder.n_tf_blocks == 3
         assert cfg.encoder.channels == 128
-        assert cfg.decoder_blocks == 3
-        assert cfg.decoder_heads == 4
-        assert cfg.decoder_dropout == 0.25
+        assert cfg.decoder.n_blocks == 3
+        assert cfg.decoder.n_heads == 4
+        assert cfg.decoder.dropout == 0.25
         assert cfg.encoder.dropout_tf == 0.25
         assert cfg.train.batch_size == 12
         assert cfg.train.clip_norm == 1.0
@@ -123,6 +126,91 @@ class TestConfigDefaults:
         assert load_config(good).encoder.pool_factors == (8, 8)
 
 
+def write_cfg(tmp_path: Path, text: str) -> Path:
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    return path
+
+
+class TestConfigTable:
+    def test_readme_block_lists_every_key_at_its_default(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("WT_SEED", raising=False)
+        block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        documented, section = set(), None
+        for line in block.splitlines():
+            line = line.lstrip("# ")
+            if line.startswith("["):
+                section = line.strip("[]")
+            elif "=" in line:
+                documented.add((section, line.split("=", 1)[0].strip()))
+        table = {(s, k) for s, (_, keys) in SECTIONS.items() for k in keys}
+        assert len(table) == 32
+        assert documented == table
+        assert load_config(write_cfg(tmp_path, block)) == load_config()
+
+    def test_n_mels_set_once_under_audio(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, "[audio]\nn_mels = 32\n[encoder]\n"
+                                              "n_tf_blocks = 2\npool_factors = 4, 8\n"))
+        assert cfg.audio.n_mels == cfg.encoder.n_mels == 32
+
+    def test_n_mels_checked_against_pool_factors_at_load(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"\[encoder\].*F=32"):
+            load_config(write_cfg(tmp_path, "[audio]\nn_mels = 32\n"))
+
+    def test_decoder_heads_checked_against_encoder_width_at_load(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"\[decoder\].*n_heads=3"):
+            load_config(write_cfg(tmp_path, "[decoder]\nn_heads = 3\n"))
+        cfg = load_config(write_cfg(tmp_path, "[encoder]\nchannels = 96\n[decoder]\nn_heads = 3\n"))
+        assert cfg.decoder.d_model == 96
+
+    @pytest.mark.parametrize("order", ["[run]\nseed = 5\n[train]\nlr = 0.01\n",
+                                       "[train]\nlr = 0.01\n[run]\nseed = 5\n"])
+    def test_one_seed_whatever_the_section_order(self, tmp_path, monkeypatch, order):
+        monkeypatch.delenv("WT_SEED", raising=False)
+        path = write_cfg(tmp_path, order)
+        cfg = load_config(path)
+        assert cfg.seed == cfg.train.seed == 5
+        monkeypatch.setenv("WT_SEED", "6")
+        cfg = load_config(path)
+        assert cfg.seed == cfg.train.seed == 6
+        cfg = load_config(path, overrides={("run", "seed"): 7})
+        assert cfg.seed == cfg.train.seed == 7
+
+    @pytest.mark.parametrize("text", [
+        "[train]\nseed = 5\n",
+        "[encoder]\nn_mels = 64\n",
+        "[encoder]\ntf_post_relu = true\n",
+        "[paths]\ndata_dir = data\n",
+        "[paths]\n",
+    ])
+    def test_removed_keys_and_sections_rejected(self, tmp_path, text):
+        with pytest.raises(ConfigError, match="unknown"):
+            load_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("section,key", [
+        ("audio", "hop"), ("audio", "f_max"), ("encoder", "channels"),
+        ("encoder", "pool_factors"), ("decoder", "n_blocks"), ("train", "lr"),
+        ("decode", "beam_size"), ("run", "val_size"),
+    ])
+    def test_malformed_value_names_section_and_key(self, tmp_path, section, key):
+        path = write_cfg(tmp_path, f"[{section}]\n{key} = abc\n")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}:"):
+            load_config(path)
+
+    def test_malformed_wt_seed_named(self, monkeypatch):
+        monkeypatch.setenv("WT_SEED", "x")
+        with pytest.raises(ConfigError, match="WT_SEED"):
+            load_config()
+
+    def test_out_of_range_value_names_section(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"\[train\] batch_size"):
+            load_config(write_cfg(tmp_path, "[train]\nbatch_size = 0\n"))
+
+    def test_unparsable_file_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="hop"):
+            load_config(write_cfg(tmp_path, "[audio]\nhop = 1\nhop = 2\n"))
+
+
 class TestPipeline:
     def test_extract_train_caption_evaluate(self, tmp_path):
         audio_dir, caps, cfg = make_corpus_dir(tmp_path)
@@ -151,6 +239,39 @@ class TestPipeline:
 
         assert main(["evaluate", "--predictions", str(preds),
                      "--references", str(caps)]) == 0
+
+    def test_band_count_set_only_under_audio(self, tmp_path):
+        audio_dir, caps, cfg = make_corpus_dir(tmp_path)
+        cfg.write_text(TINY_CONFIG.replace("n_fft = 128", "n_fft = 512")
+                       .replace("n_mels = 4", "n_mels = 32")
+                       .replace("pool_factors = 2, 2", "pool_factors = 4, 8")
+                       .replace("max_epochs = 3", "max_epochs = 1"))
+        feat_dir, run_dir = tmp_path / "features", tmp_path / "run"
+        assert main(["extract", "--audio-dir", str(audio_dir),
+                     "--out-dir", str(feat_dir), "--config", str(cfg)]) == 0
+        assert read_wtf1(feat_dir / "clip_a.wtf1").num_bands == 32
+        assert main(["train", "--features", str(feat_dir), "--captions", str(caps),
+                     "--out", str(run_dir), "--config", str(cfg)]) == 0
+        assert load_checkpoint(run_dir / "best.wtck").encoder_config["n_mels"] == 32
+        assert main(["caption", "--features", str(feat_dir),
+                     "--checkpoint", str(run_dir / "best.wtck"),
+                     "--out", str(tmp_path / "preds.csv"), "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("old,new,name", [
+        ("sample_rate = 8000", "sample_rate = 16000", "sample rate is 8000"),
+        ("hop = 64", "hop = 32", "hop is 64"),
+        ("window_ms = 16", "window_ms = 8", "window length is 128"),
+    ])
+    def test_train_rejects_feature_geometry_mismatch(self, tmp_path, capsys, old, new, name):
+        audio_dir, caps, cfg = make_corpus_dir(tmp_path)
+        feat_dir = tmp_path / "features"
+        assert main(["extract", "--audio-dir", str(audio_dir),
+                     "--out-dir", str(feat_dir), "--config", str(cfg)]) == 0
+        cfg.write_text(TINY_CONFIG.replace(old, new))
+        assert main(["train", "--features", str(feat_dir), "--captions", str(caps),
+                     "--out", str(tmp_path / "run"), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "clip_a.wtf1" in err and name in err
 
     def test_extract_skips_corrupt_file_with_warning(self, tmp_path, capsys):
         audio_dir, _, cfg = make_corpus_dir(tmp_path)
@@ -182,7 +303,6 @@ class TestPipeline:
         assert main(["train", "--features", str(feat_dir), "--captions", str(caps),
                      "--out", str(run_dir), "--config", str(cfg),
                      "--mode", "temp", "--max-epochs", "1"]) == 0
-        from wavetransformer.training import load_checkpoint
         ckpt = load_checkpoint(run_dir / "best.wtck")
         assert not any(".tf." in n or ".merge." in n for n in ckpt.arrays)
         assert any(".temp." in n for n in ckpt.arrays)

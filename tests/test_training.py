@@ -274,6 +274,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="decoder"):
             ckpt.build_model()
 
+    def test_unknown_and_missing_config_keys_named(self, tmp_path):
+        from wavetransformer.cli import main
+
+        _, _, _, _, result = self._trained(epochs=1)
+        ckpt = result.final_checkpoint
+        ckpt.encoder_config["warp_drive"] = 1
+        del ckpt.encoder_config["mode"]
+        with pytest.raises(CheckpointError, match=r"unknown keys \['warp_drive'\].*"
+                                                  r"missing keys \['mode'\]"):
+            ckpt.build_model()
+        # the caption command reports it as a hard error, not a traceback
+        path = tmp_path / "odd.wtck"
+        save_checkpoint(path, ckpt)
+        code = main(["caption", "--features", str(tmp_path), "--checkpoint", str(path),
+                     "--out", str(tmp_path / "preds.csv")])
+        assert code == 2
+
     def test_truncation_detected(self, tmp_path):
         _, _, _, _, result = self._trained()
         path = tmp_path / "e.wtck"
