@@ -55,11 +55,15 @@ def cmd_extract(args) -> int:
             fm = extract_features(clip, cfg.audio)
         except ValueError as exc:
             print(f"warning: skipping {wav.name}: {exc}", file=sys.stderr)
-            skipped.append(wav.name)
+            skipped.append(f"{wav.name}: {exc}")
             continue
         target = out_dir / (wav.stem + ".wtf1")
         write_wtf1(target, fm)
         written.append((wav.name, target.name, fm.num_frames))
+    if not written:
+        print(f"error: none of {len(wavs)} files extracted; first failure: {skipped[0]}",
+              file=sys.stderr)
+        return EXIT_ERROR
     manifest = out_dir / "features_manifest.csv"
     with open(manifest, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

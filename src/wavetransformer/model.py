@@ -15,6 +15,11 @@ from .errors import CheckpointError
 from .layers import ModelSpace
 from .tensor import ParameterStore, RngState, Tensor
 from .tensor import ops
+from .text import PAD, RESERVED, SOS
+
+# Vocabulary pins the reserved tokens to its first indices; these two are
+# never a caption word, so decoding may not emit them
+NEVER_EMITTED = [RESERVED.index(SOS), RESERVED.index(PAD)]
 
 
 class CaptionModel:
@@ -53,11 +58,15 @@ class CaptionModel:
         return self.decoder.forward(tokens_in, z, cross_mask, training, rng)
 
     def step_logprobs(self, prefix: list[int], z: Tensor) -> np.ndarray:
-        """Next-token log-probabilities after `prefix` (eval mode, no tape)."""
+        """Next-token log-probabilities after `prefix` (eval mode, no tape).
+
+        `<sos>` and `<pad>` get probability 0 (log-probability -inf).
+        """
         tokens = np.asarray(prefix, dtype=np.int64)
         logits = self.decoder.forward(tokens, z, training=False)
-        last = Tensor(logits.data[-1])
-        return ops.log_softmax(last, axis=-1).data
+        last = logits.data[-1].copy()
+        last[NEVER_EMITTED] = -np.inf
+        return ops.log_softmax(Tensor(last), axis=-1).data
 
     # ----- state -----------------------------------------------------------
 

@@ -1,10 +1,12 @@
 """Differentiable operations.
 
 Every function computes a forward value in numpy and registers a
-vector-Jacobian product on the active tape.  Convolutions are written as
-im2col slicing plus matmul: kernel taps map to strided slices, so the
-backward scatter is also plain slice arithmetic with a fixed accumulation
-order, which keeps results bit-reproducible run to run.
+vector-Jacobian product on the active tape.  conv1d and conv2d share one
+tap-loop kernel: the frequency taps are copied once into a buffer k times
+the input, and each time tap is a batched matmul on a window of its rows.
+Taps map to plain slices, so the backward scatter is slice arithmetic too,
+with a fixed accumulation order that keeps results bit-reproducible run to
+run.
 """
 from __future__ import annotations
 
@@ -302,50 +304,7 @@ def conv1d(
     dilation: int = 1,
 ) -> Tensor:
     """Cross-correlation along the last axis; input (C, T) or (B, C, T)."""
-    squeeze = x.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 3:
-        raise DimensionError(f"conv1d expects (C,T) or (B,C,T), got {x.shape}")
-    b, c_in, t = xd.shape
-    c_out, w_cin, k = weight.shape
-    if w_cin != c_in:
-        raise DimensionError(f"conv1d channels: input {c_in} vs weight {w_cin}")
-    t_out = conv1d_out_length(t, k, stride, padding, dilation)
-    if t_out < 1:
-        raise DimensionError(
-            f"conv1d: empty output for T={t}, k={k}, stride={stride}, "
-            f"pad={padding}, dilation={dilation}"
-        )
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding)))
-    # tap j reads the strided slice starting at j*dilation
-    cols = np.stack(
-        [xp[:, :, j * dilation : j * dilation + stride * t_out : stride] for j in range(k)],
-        axis=2,
-    )  # (B, C, k, T')
-    cols2 = cols.reshape(b, c_in * k, t_out)
-    w2 = weight.data.reshape(c_out, c_in * k)
-    out = np.matmul(w2, cols2)
-    if bias is not None:
-        out = out + bias.data[:, None]
-    if squeeze:
-        out = out[0]
-
-    def vjp(g):
-        g3 = g[None] if squeeze else g
-        gw = np.matmul(g3, cols2.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        gcols = np.matmul(w2.T, g3).reshape(b, c_in, k, t_out)
-        gxp = np.zeros_like(xp)
-        for j in range(k):
-            gxp[:, :, j * dilation : j * dilation + stride * t_out : stride] += gcols[:, :, j]
-        gx = gxp[:, :, padding : padding + t] if padding else gxp
-        if squeeze:
-            gx = gx[0]
-        if bias is None:
-            return gx, gw
-        return gx, gw, g3.sum(axis=(0, 2))
-
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return apply_op(out, inputs, vjp)
+    return _conv_taps(1, x, weight, bias, stride, padding, dilation, 1)
 
 
 def conv2d(
@@ -360,52 +319,79 @@ def conv2d(
 
     groups == C_in with C_out == C_in is the depthwise case.
     """
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4:
-        raise DimensionError(f"conv2d expects (C,H,W) or (B,C,H,W), got {x.shape}")
-    b, c_in, h, w = xd.shape
-    c_out, w_cg, kh, kw = weight.shape
-    if c_in % groups or c_out % groups:
+    return _conv_taps(2, x, weight, bias, stride, padding, 1, groups)
+
+
+def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> Tensor:
+    """The one convolution kernel, for 1D (weight (C_out, C_in, k)) and 2D
+    (weight (C_out, C_in/groups, kh, kw)); a 1D input is a 2D one of width 1.
+
+    The kw frequency taps are copied once into `cols` (B, groups,
+    C_in/groups * kw, H + 2*pad, W_out), kw times the input and the only
+    array the tape keeps.  Time tap i (dilated in 1D) is a window of rows of
+    `cols` and one batched matmul, the groups a batch axis; a stride > 1
+    window is a copy.  Taps accumulate in index order, forward and backward.
+    """
+    name = f"conv{spatial}d"
+    if x.ndim not in (spatial + 1, spatial + 2) or weight.ndim != spatial + 2:
+        raise DimensionError(f"{name}: bad input {x.shape} or weight {weight.shape} rank")
+    x4 = x.data.reshape(-1, *x.shape[x.ndim - spatial - 1 :], *[1] * (2 - spatial))
+    w4 = weight.data.reshape(*weight.shape, *[1] * (2 - spatial))
+    b, c_in, h, w = x4.shape
+    c_out, cg, kh, kw = w4.shape
+    if c_in % groups or c_out % groups or cg != c_in // groups:
         raise DimensionError(
-            f"conv2d: channels ({c_in} in, {c_out} out) not divisible by groups={groups}"
+            f"{name}: input {c_in} channels, weight {weight.shape}, groups={groups}"
         )
-    if w_cg != c_in // groups:
-        raise DimensionError(
-            f"conv2d: weight group width {w_cg} != C_in/groups = {c_in // groups}"
-        )
-    h_out = conv1d_out_length(h, kh, stride, padding, 1)
-    w_out = conv1d_out_length(w, kw, stride, padding, 1)
-    if h_out < 1 or w_out < 1:
-        raise DimensionError("conv2d: empty output")
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((b, c_in, kh, kw, h_out, w_out), dtype=xd.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
-    cg = c_in // groups
     og = c_out // groups
-    colg = cols.reshape(b, groups, cg * kh * kw, h_out * w_out)
-    wg = weight.data.reshape(groups, og, cg * kh * kw)
-    out = np.einsum("gop,bgpn->bgon", wg, colg, optimize=True)
-    out = out.reshape(b, c_out, h_out, w_out)
+    ph, pw = (padding, padding if spatial == 2 else 0)
+    h_out = conv1d_out_length(h, kh, stride, ph, dilation)
+    w_out = conv1d_out_length(w, kw, stride, pw, 1)
+    if h_out < 1 or w_out < 1:
+        raise DimensionError(
+            f"{name}: empty output for input {x.shape}, kernel {weight.shape}, "
+            f"stride={stride}, pad={padding}, dilation={dilation}"
+        )
+    hp = h + 2 * ph
+    xp = np.pad(x4, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = np.empty((b, c_in, kw, hp, w_out), dtype=x4.dtype)
+    for j in range(kw):
+        cols[:, :, j] = xp[:, :, :, j : j + stride * w_out : stride]
+    del xp  # not needed by the matmuls; free it before they allocate
+    cols = cols.reshape(b, groups, cg * kw, hp, w_out)
+    # (kh, groups, og, cg * kw): the weights of time tap i
+    wt = np.ascontiguousarray(
+        w4.reshape(groups, og, cg, kh, kw).transpose(3, 0, 1, 2, 4)
+    ).reshape(kh, groups, og, cg * kw)
+    rows = [slice(i * dilation, i * dilation + stride * h_out, stride) for i in range(kh)]
+
+    def window(i):
+        return cols[:, :, :, rows[i]].reshape(b, groups, cg * kw, h_out * w_out)
+
+    out = np.matmul(wt[0], window(0))
+    tap = np.empty_like(out)
+    for i in range(1, kh):
+        out += np.matmul(wt[i], window(i), out=tap)
+    out = out.reshape(b, c_out, h_out * w_out)
     if bias is not None:
-        out = out + bias.data[:, None, None]
-    if squeeze:
-        out = out[0]
+        out += bias.data[:, None]
+    out = out.reshape((*x.shape[: x.ndim - spatial - 1], c_out, h_out, w_out)[: x.ndim])
 
     def vjp(g):
-        g4 = (g[None] if squeeze else g).reshape(b, groups, og, h_out * w_out)
-        gw = np.einsum("bgon,bgpn->gop", g4, colg, optimize=True).reshape(weight.shape)
-        gcols = np.einsum("gop,bgon->bgpn", wg, g4, optimize=True)
-        gcols = gcols.reshape(b, c_in, kh, kw, h_out, w_out)
-        gxp = np.zeros_like(xp)
+        g4 = g.reshape(b, groups, og, h_out * w_out)
+        gw = np.empty_like(wt)
+        gcols = np.zeros_like(cols)
+        gwin = np.empty((b, groups, cg * kw, h_out, w_out), dtype=cols.dtype)
         for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += gcols[:, :, i, j]
-        gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
-        if squeeze:
-            gx = gx[0]
+            gw[i] = np.matmul(g4, window(i).swapaxes(-1, -2)).sum(axis=0)
+            np.matmul(wt[i].swapaxes(-1, -2), g4, out=gwin.reshape(b, groups, cg * kw, -1))
+            gcols[:, :, :, rows[i]] += gwin
+        gcols = gcols.reshape(b, c_in, kw, hp, w_out)
+        gxp = np.zeros((b, c_in, hp, w + 2 * pw), dtype=gcols.dtype)
+        for j in range(kw):
+            gxp[:, :, :, j : j + stride * w_out : stride] += gcols[:, :, j]
+        gx = gxp[:, :, ph : ph + h, pw : pw + w].reshape(x.shape)
+        gw = gw.reshape(kh, groups, og, cg, kw).transpose(1, 2, 3, 0, 4).reshape(weight.shape)
         if bias is None:
             return gx, gw
         return gx, gw, g4.sum(axis=(0, 3)).reshape(-1)
@@ -417,8 +403,8 @@ def conv2d(
 def max_pool_freq(x: Tensor, pool: int) -> Tensor:
     """Max over non-overlapping windows along the last (frequency) axis.
 
-    Ties route the gradient to the lowest index in the window (argmax picks
-    the first maximum), keeping backward deterministic.
+    Ties route the gradient to the lowest index in the window (the first
+    maximum), keeping backward deterministic.
     """
     f = x.shape[-1]
     if pool < 1 or f % pool:
@@ -426,13 +412,19 @@ def max_pool_freq(x: Tensor, pool: int) -> Tensor:
     if pool == 1:
         return apply_op(x.data.copy(), (x,), lambda g: (g,))
     windows = x.data.reshape(*x.shape[:-1], f // pool, pool)
-    arg = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    out = windows[..., 0].copy()
+    for j in range(1, pool):
+        np.maximum(out, windows[..., j], out=out)
 
     def vjp(g):
-        gw = np.zeros_like(windows)
-        np.put_along_axis(gw, arg[..., None], g[..., None], axis=-1)
-        return (gw.reshape(x.shape),)
+        gx = np.zeros_like(windows)
+        taken = np.zeros(out.shape, dtype=bool)
+        for j in range(pool):
+            hit = windows[..., j] == out
+            hit &= ~taken
+            np.multiply(g, hit, out=gx[..., j])
+            taken |= hit
+        return (gx.reshape(x.shape),)
 
     return apply_op(out, (x,), vjp)
 
@@ -495,17 +487,20 @@ def batch_norm(
 
         return apply_op(out.astype(x.data.dtype), (x, gamma, beta), vjp)
 
+    # eval mode: the running statistics fold into one scale and one shift
     inv = 1.0 / np.sqrt(running_var + eps)
-    xhat = (x.data - running_mean.reshape(bshape)) * inv.reshape(bshape)
-    out = gd * xhat + bd
+    scale_c = (gamma.data * inv).reshape(bshape)
+    shift_c = bd - running_mean.reshape(bshape) * scale_c
+    out = x.data * scale_c
+    out += shift_c
 
     def vjp(g):
-        gx = g * gd * inv.reshape(bshape)
-        ggamma = (g * xhat).sum(axis=axes)
+        gx = g * scale_c
+        ggamma = (g * (x.data - running_mean.reshape(bshape))).sum(axis=axes) * inv
         gbeta = g.sum(axis=axes)
         return gx.astype(x.data.dtype), ggamma, gbeta
 
-    return apply_op(out.astype(x.data.dtype), (x, gamma, beta), vjp)
+    return apply_op(out.astype(x.data.dtype, copy=False), (x, gamma, beta), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

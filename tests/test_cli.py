@@ -284,6 +284,17 @@ class TestPipeline:
         assert "broken.wav" in err
         assert len(list(feat_dir.glob("*.wtf1"))) == 4
 
+    def test_extract_with_nothing_extracted_is_an_error(self, tmp_path, capsys):
+        audio_dir, _, cfg = make_corpus_dir(tmp_path)
+        cfg.write_text(TINY_CONFIG.replace("window_ms = 16", "window_ms = 0"))
+        feat_dir = tmp_path / "features"
+        code = main(["extract", "--audio-dir", str(audio_dir),
+                     "--out-dir", str(feat_dir), "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "none of 4 files extracted" in err and "clip_a.wav" in err
+        assert not list(feat_dir.glob("*.wtf1"))
+
     def test_extract_deterministic_bytes(self, tmp_path):
         audio_dir, _, cfg = make_corpus_dir(tmp_path)
         d1, d2 = tmp_path / "f1", tmp_path / "f2"

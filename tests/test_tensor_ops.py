@@ -5,6 +5,8 @@ direct-summation reference implementations in helpers.py.  Gradients are
 checked against central finite differences in float64 mode, where the
 1e-3 tolerance is meaningful.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,49 @@ class TestConv2d:
         out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, padding=1, groups=2)
         ref = conv2d_reference(x, w, b, stride=2, padding=1, groups=2)
         np.testing.assert_allclose(out.data, ref, rtol=1e-5, atol=1e-6)
+
+    # the TF branch's geometry: (B, C, T, F) with T != F, 5x5 kernels, padding 2
+    MODEL_CASES = {"depthwise": (3, 3, 3), "dense_1_to_c": (1, 3, 1), "dense_c_to_c": (3, 3, 1)}
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("case", sorted(MODEL_CASES))
+    def test_model_geometry_matches_reference(self, case, stride):
+        c_in, c_out, groups = self.MODEL_CASES[case]
+        rng = RngState(50 + c_in + stride)
+        x = rng.uniform(-1, 1, (2, c_in, 11, 6))
+        w = rng.uniform(-1, 1, (c_out, c_in // groups, 5, 5))
+        b = rng.uniform(-1, 1, (c_out,))
+        out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=2, groups=groups)
+        for i in range(2):
+            ref = conv2d_reference(x[i], w, b, stride=stride, padding=2, groups=groups)
+            np.testing.assert_allclose(out.data[i], ref, rtol=1e-5, atol=1e-6)
+
+    def test_batched_equals_per_sample(self):
+        rng = RngState(6)
+        x = rng.uniform(-1, 1, (3, 4, 9, 5))
+        for w, groups in ((rng.uniform(-1, 1, (4, 1, 5, 5)), 4), (rng.uniform(-1, 1, (2, 4, 5, 5)), 1)):
+            b = rng.uniform(-1, 1, (w.shape[0],))
+            batched = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=2, groups=groups)
+            for i in range(3):
+                single = ops.conv2d(Tensor(x[i]), Tensor(w), Tensor(b), padding=2, groups=groups)
+                np.testing.assert_array_equal(batched.data[i], single.data)
+
+    @pytest.mark.parametrize("groups", [16, 1])
+    def test_tape_keeps_less_than_12x_the_input(self, groups):
+        # the conv keeps a buffer of its 5 frequency taps, not of all 25 taps
+        rng = RngState(8)
+        x = Tensor(rng.uniform(-1, 1, (1, 16, 64, 16)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (16, 16 // groups, 5, 5)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(16, dtype=np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = ops.conv2d(x, w, b, padding=2, groups=groups)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1 and out.shape == (1, 16, 64, 16)
+        assert held <= 12 * x.data.nbytes, f"{held / x.data.nbytes:.1f}x the input"
 
     def test_indivisible_groups_raise(self):
         with pytest.raises(DimensionError):
@@ -247,6 +292,16 @@ class TestMaxPoolFreq:
         backward(loss, tape)
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 0.0, 0.0]])
 
+    def test_tie_gradient_goes_to_first_maximum_in_every_window(self):
+        # the first maximum sits at index 1, 0, 2 and 0 of its window
+        x = Tensor(np.array([[1.0, 3.0, 3.0, 0.0, 5.0, 5.0, 5.0, 5.0,
+                              0.0, 1.0, 2.0, 2.0, 4.0, 0.0, 0.0, 4.0]]), requires_grad=True)
+        with Tape() as tape:
+            loss = ops.tensor_sum(ops.max_pool_freq(x, 4))
+        backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
+                                                0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
+
 
 class TestPositionalEncoding:
     def test_row_zero(self):
@@ -288,6 +343,15 @@ class TestGradients:
             w = randt(rng, 4, 2, 3, 3)
             b = randt(rng, 4)
             gradcheck(lambda: ops.tensor_sum(ops.sigmoid(ops.conv2d(x, w, b, padding=1, groups=2))), [x, w, b])
+
+    @pytest.mark.parametrize("c_in,c_out,groups", [(3, 3, 3), (1, 3, 1), (3, 3, 1)])
+    def test_conv2d_model_geometry_grad(self, c_in, c_out, groups):
+        with default_dtype(np.float64):
+            rng = RngState(42 + c_in + groups)
+            x = randt(rng, 2, c_in, 7, 4)
+            w = randt(rng, c_out, c_in // groups, 5, 5)
+            b = randt(rng, c_out)
+            gradcheck(lambda: ops.tensor_sum(ops.sigmoid(ops.conv2d(x, w, b, padding=2, groups=groups))), [x, w, b])
 
     def test_linear_grad(self):
         with default_dtype(np.float64):
