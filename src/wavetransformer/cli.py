@@ -174,16 +174,14 @@ def cmd_caption(args) -> int:
         print(f"error: no .wtf1 files in {feature_dir}", file=sys.stderr)
         return EXIT_ERROR
     named = [(f.stem + ".wav", read_wtf1(f).values) for f in files]
-    manifest = caption_corpus(named, model, vocab, cfg.decode)
+    manifest = caption_corpus(named, model, vocab, cfg.decode,
+                              log=print if args.verbose else None)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["file_name", "caption_predicted"])
         writer.writerows(manifest)
-    if args.verbose:
-        for name, caption in manifest:
-            print(f"{name}: {caption}")
     print(f"captioned {len(manifest)} files -> {out}")
     return EXIT_OK
 
@@ -262,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--beam", type=int, default=None, help="1 = greedy")
     p.add_argument("--config", default=None)
-    p.add_argument("--verbose", action="store_true")
+    p.add_argument("--verbose", action="store_true",
+                   help="print each caption with its encode and decode time")
     p.set_defaults(func=cmd_caption)
 
     p = sub.add_parser("evaluate", help="score predictions against references")

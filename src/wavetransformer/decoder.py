@@ -7,6 +7,13 @@ the model width.  Token embedding is a time-shared linear map on one-hot
 rows, scaled by sqrt(d_model) before the sinusoidal positional encoding is
 added.  Dropout hits the embedding sum and each sublayer output before its
 residual addition.
+
+`forward` is the teacher-forced pass over whole sequences.  Captioning
+decodes incrementally instead: `begin` projects the audio's cross-attention
+keys and values once per clip, and each `step` runs one new position for
+every hypothesis row through the same layers, appending its self-attention
+keys and values to a per-row cache, so a step costs O(length), not
+O(length^2).
 """
 from __future__ import annotations
 
@@ -60,27 +67,32 @@ class MultiHeadAttention:
         self.v = Linear(space, f"{name}.v", d_kv, d_model)
         self.out = Linear(space, f"{name}.out", d_model, d_model)
 
+    def heads(self, t: Tensor) -> Tensor:
+        """(B, L, d) -> (B, H, L, d/H)."""
+        b, length, _ = t.shape
+        h = self.n_heads
+        return ops.transpose(ops.reshape(t, (b, length, h, self.d_model // h)), (0, 2, 1, 3))
+
+    def keys_values(self, kv_in: Tensor) -> tuple[Tensor, Tensor]:
+        """Projected, head-split keys and values: two (B, H, L_k, d/H)."""
+        return self.heads(self.k(kv_in)), self.heads(self.v(kv_in))
+
+    def attend(self, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Head-split queries (B, H, L_q, d/H) against keys and values; (B, L_q, d) out."""
+        b, h, l_q, dh = q.shape
+        scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+        weights = ops.softmax(scores, axis=-1, mask=mask)
+        ctx = ops.matmul(weights, v)  # (B, H, L_q, dh)
+        merged = ops.reshape(ops.transpose(ctx, (0, 2, 1, 3)), (b, l_q, self.d_model))
+        return self.out(merged)
+
     def __call__(self, q_in: Tensor, kv_in: Tensor, mask: np.ndarray | None = None) -> Tensor:
         squeeze = q_in.ndim == 2
         if squeeze:
             q_in = ops.reshape(q_in, (1, *q_in.shape))
             kv_in = ops.reshape(kv_in, (1, *kv_in.shape))
-        b, l_q, _ = q_in.shape
-        l_k = kv_in.shape[1]
-        h = self.n_heads
-        dh = self.d_model // h
-
-        def split_heads(t: Tensor, length: int) -> Tensor:
-            return ops.transpose(ops.reshape(t, (b, length, h, dh)), (0, 2, 1, 3))
-
-        q = split_heads(self.q(q_in), l_q)
-        k = split_heads(self.k(kv_in), l_k)
-        v = split_heads(self.v(kv_in), l_k)
-        scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        weights = ops.softmax(scores, axis=-1, mask=mask)
-        ctx = ops.matmul(weights, v)  # (B, H, L_q, dh)
-        merged = ops.reshape(ops.transpose(ctx, (0, 2, 1, 3)), (b, l_q, self.d_model))
-        out = self.out(merged)
+        q = self.heads(self.q(q_in))
+        out = self.attend(q, *self.keys_values(kv_in), mask)
         return ops.reshape(out, out.shape[1:]) if squeeze else out
 
 
@@ -99,12 +111,64 @@ class DecoderBlock:
     def __call__(self, x: Tensor, z: Tensor, self_mask: np.ndarray,
                  cross_mask: np.ndarray | None, training: bool,
                  rng: RngState | None) -> Tensor:
-        a = ops.dropout(self.self_attn(x, x, self_mask), self.p, training, rng)
+        return self._sublayers(
+            x, lambda x: self.self_attn(x, x, self_mask),
+            lambda x: self.cross_attn(x, z, cross_mask), training, rng,
+        )
+
+    def step(self, x: Tensor, cross_kv: tuple[Tensor, Tensor],
+             self_kv: tuple[Tensor, Tensor]) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+        """One new position per row, x (n, 1, d), in eval mode.
+
+        Returns the block output and `self_kv`, the self-attention keys and
+        values of the earlier positions (n, H, t, d/H), extended by this one.
+        """
+        sa, ca = self.self_attn, self.cross_attn
+        k, v = sa.keys_values(x)
+        k = ops.concat([self_kv[0], k], axis=2)
+        v = ops.concat([self_kv[1], v], axis=2)
+        n, _, d = x.shape
+
+        def cross(x: Tensor) -> Tensor:
+            # every row attends to the same clip, so the rows become the
+            # query axis of one batch item: (1, H, n, d/H) against (1, H, T, d/H)
+            q = ca.heads(ca.q(ops.reshape(x, (1, n, d))))
+            return ops.reshape(ca.attend(q, *cross_kv), (n, 1, d))
+
+        out = self._sublayers(x, lambda x: sa.attend(sa.heads(sa.q(x)), k, v), cross, False, None)
+        return out, (k, v)
+
+    def _sublayers(self, x: Tensor, self_attend, cross_attend, training: bool,
+                   rng: RngState | None) -> Tensor:
+        a = ops.dropout(self_attend(x), self.p, training, rng)
         x = self.ln1(ops.add(x, a))
-        c = ops.dropout(self.cross_attn(x, z, cross_mask), self.p, training, rng)
+        c = ops.dropout(cross_attend(x), self.p, training, rng)
         x = self.ln2(ops.add(x, c))
         f = ops.dropout(self.fc2(ops.relu(self.fc1(x))), self.p, training, rng)
         return self.ln3(ops.add(x, f))
+
+
+class DecodeState:
+    """Incremental decoding state of one clip for `Decoder.step`.
+
+    Each row is one hypothesis.  `cross[i]` holds block i's cross-attention
+    keys and values of the audio, (1, H, T, d/H) each: projected once per
+    clip and shared by all rows.  `self_kv[i]` holds block i's
+    self-attention keys and values of the `length` positions fed so far,
+    (rows, H, length, d/H) each.
+    """
+
+    def __init__(self, cross: list[tuple[Tensor, Tensor]], self_kv: list[tuple[Tensor, Tensor]]):
+        self.cross = cross
+        self.self_kv = self_kv
+        self.rows = 1
+        self.length = 0
+
+    def keep(self, rows) -> None:
+        """Continue with the given rows, in that order; a row may repeat."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.self_kv = [(Tensor(k.data[rows]), Tensor(v.data[rows])) for k, v in self.self_kv]
+        self.rows = len(rows)
 
 
 class Decoder:
@@ -146,12 +210,47 @@ class Decoder:
             raise UsageError(
                 f"sequence length {length} exceeds positional horizon {self.cfg.max_len}"
             )
-        emb = ops.embedding(tokens, self.emb_weight, self.emb_bias)
-        emb = ops.scale(emb, math.sqrt(self.cfg.d_model))
-        x = ops.add_const(emb, self.pe[:length])
-        x = ops.dropout(x, self.cfg.dropout, training, rng)
+        x = ops.dropout(self._embed(tokens, 0), self.cfg.dropout, training, rng)
         self_mask = ops.causal_mask(length, dtype=x.dtype)
         for block in self.blocks:
             x = block(x, z, self_mask, cross_mask, training, rng)
         logits = self.cls(x)
         return ops.reshape(logits, logits.shape[1:]) if squeeze else logits
+
+    def begin(self, z: Tensor) -> DecodeState:
+        """Decoding state for one clip's audio representation z, (T, d_audio)."""
+        if z.ndim == 2:
+            z = ops.reshape(z, (1, *z.shape))
+        if z.ndim != 3 or z.shape[0] != 1:
+            raise DimensionError(f"decoding state needs one clip (T, d_audio), got {z.shape}")
+        h = self.cfg.n_heads
+        empty = Tensor(np.zeros((1, h, 0, self.cfg.d_model // h), dtype=self.emb_weight.dtype))
+        return DecodeState([block.cross_attn.keys_values(z) for block in self.blocks],
+                           [(empty, empty)] * len(self.blocks))
+
+    def step(self, state: DecodeState, tokens) -> Tensor:
+        """Logits (rows, W) for the next position of every row of `state`.
+
+        tokens: the token each row was last extended by, one per row.  The
+        state's caches grow by that position.  Eval mode; the layers are
+        those of `forward`, run on the new position only.
+        """
+        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
+        if tokens.shape[0] != state.rows:
+            raise DimensionError(f"{tokens.shape[0]} tokens for {state.rows} decoding rows")
+        if state.length >= self.cfg.max_len:
+            raise UsageError(
+                f"sequence length {state.length + 1} exceeds positional horizon {self.cfg.max_len}"
+            )
+        x = self._embed(tokens, state.length)
+        for i, block in enumerate(self.blocks):
+            x, state.self_kv[i] = block.step(x, state.cross[i], state.self_kv[i])
+        state.length += 1
+        logits = self.cls(x)
+        return ops.reshape(logits, (state.rows, logits.shape[-1]))
+
+    def _embed(self, tokens: np.ndarray, start: int) -> Tensor:
+        """Scaled token embeddings plus the positional encoding from `start`."""
+        emb = ops.embedding(tokens, self.emb_weight, self.emb_bias)
+        emb = ops.scale(emb, math.sqrt(self.cfg.d_model))
+        return ops.add_const(emb, self.pe[start:start + tokens.shape[1]])

@@ -33,3 +33,7 @@ class AudioFormatError(ValueError):
 
 class CheckpointError(ValueError):
     """Corrupt, truncated, or incompatible checkpoint file."""
+
+
+class TrainingError(ValueError):
+    """Training cannot continue, e.g. a gradient is not finite."""

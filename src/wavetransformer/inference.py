@@ -1,10 +1,17 @@
 """Caption generation: greedy decoding and beam search.
 
-Both decoders drive a model through `step_logprobs(prefix, z)`, so any
-object with that method works (the real model, or a lookup-table stub in
-tests).  Scores accumulate in float64: step log-probabilities are float32,
-and float64 accumulation keeps the "beam of one equals greedy" equivalence
-safe from addition-rounding ties.
+Both decoders drive a model through two calls, so any object with them
+works (the real model, or a lookup-table stub in tests):
+
+* `model.begin(z)` returns a decoding state for the encoded clip `z`, with
+  one row; `state.keep(rows)` continues with the given rows, in order.
+* `model.next_logprobs(state, tokens)` extends every row by its token and
+  returns the next-token log-probabilities, one row each (rows, W).
+
+Beam search runs all live hypotheses as the rows of one state, so each
+step is one call.  Scores accumulate in float64: step log-probabilities are
+float32, and float64 accumulation keeps the "beam of one equals greedy"
+equivalence safe from addition-rounding ties.
 
 Generation stops on <eos> or after `max_words` emitted tokens.  Finished
 hypotheses compete by log_prob / len(tokens)^alpha, ties broken by score
@@ -12,13 +19,14 @@ then lexicographic token sequence.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .tensor import Tensor
-from .text import Vocabulary
+from .text import Vocabulary, decode as to_words
 
 
 @dataclass
@@ -48,59 +56,61 @@ class Hypothesis:
         return self.log_prob / (length ** alpha)
 
 
-def _to_words(tokens: list[int], vocab: Vocabulary) -> list[str]:
-    words = []
-    for idx in tokens[1:]:
-        if idx == vocab.eos:
-            break
-        words.append(vocab.word(idx))
-    return words
-
-
 def greedy_decode(z: Tensor, model, vocab: Vocabulary, cfg: DecodeConfig) -> list[str]:
     """Argmax continuation per step, ties to the lowest index."""
+    state = model.begin(z)
     tokens = [vocab.sos]
     for _ in range(cfg.max_words):
-        logprobs = model.step_logprobs(tokens, z)
-        nxt = int(np.argmax(logprobs))
+        nxt = int(np.argmax(model.next_logprobs(state, tokens[-1:])[0]))
         if nxt == vocab.eos:
             break
         tokens.append(nxt)
-    return _to_words(tokens + [vocab.eos], vocab)
+    return to_words(tokens, vocab)
 
 
 def beam_search(z: Tensor, model, vocab: Vocabulary, cfg: DecodeConfig) -> list[str]:
     """Breadth-limited search over token sequences.
 
     Per step, every live hypothesis expands over the whole vocabulary; the
-    top `beam_size` candidates by accumulated log-probability stay live.
-    Emitting <eos> (or exhausting the word budget) freezes a hypothesis
-    into the finished pool, which competes by length-normalized score.
+    top `beam_size` candidates by accumulated log-probability stay live,
+    ties going to the lexicographically smaller token sequence.  Emitting
+    <eos> (or exhausting the word budget) freezes a hypothesis into the
+    finished pool, which competes by length-normalized score.
     """
+    state = model.begin(z)
     live = [Hypothesis([vocab.sos], 0.0)]
     finished: list[Hypothesis] = []
     for _ in range(cfg.max_words):
-        candidates: list[tuple[float, list[int]]] = []
-        for hyp in live:
-            logprobs = model.step_logprobs(hyp.tokens, z)
-            for tok in range(len(logprobs)):
-                candidates.append((hyp.log_prob + float(logprobs[tok]), hyp.tokens + [tok]))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
+        lp = model.next_logprobs(state, [h.tokens[-1] for h in live])
+        scores = np.array([h.log_prob for h in live])[:, None] + lp.astype(np.float64)
+        flat = scores.ravel()
+        # only candidates at or above the beam_size-th largest score can
+        # survive; sorting just those keeps the tie rule of a full sort
+        cut = max(flat.size - cfg.beam_size, 0)
+        candidates = []
+        for i in np.flatnonzero(flat >= np.partition(flat, cut)[cut]):
+            row, tok = divmod(int(i), lp.shape[1])
+            candidates.append((-flat[i], live[row].tokens + [tok], row))
+        candidates.sort()
+        rows = []
         next_live = []
-        for score, tokens in candidates[: cfg.beam_size]:
+        for neg_score, tokens, row in candidates[: cfg.beam_size]:
+            hyp = Hypothesis(tokens, float(-neg_score))
             if tokens[-1] == vocab.eos:
-                finished.append(Hypothesis(tokens, score))
+                finished.append(hyp)
             else:
-                next_live.append(Hypothesis(tokens, score))
+                next_live.append(hyp)
+                rows.append(row)
         live = next_live
         if not live:
             break
+        state.keep(rows)
     finished.extend(live)
     best = min(
         finished,
         key=lambda h: (-h.normalized_score(cfg.length_norm_alpha), h.tokens),
     )
-    return _to_words(best.tokens, vocab)
+    return to_words(best.tokens, vocab)
 
 
 def decode(z: Tensor, model, vocab: Vocabulary, cfg: DecodeConfig) -> list[str]:
@@ -109,17 +119,21 @@ def decode(z: Tensor, model, vocab: Vocabulary, cfg: DecodeConfig) -> list[str]:
     return beam_search(z, model, vocab, cfg)
 
 
-def caption_features(features: np.ndarray, model, vocab: Vocabulary,
-                     cfg: DecodeConfig) -> list[str]:
-    z = model.encode(features, training=False)
-    return decode(z, model, vocab, cfg)
-
-
 def caption_corpus(named_features: list[tuple[str, np.ndarray]], model,
-                   vocab: Vocabulary, cfg: DecodeConfig) -> list[tuple[str, str]]:
-    """Caption every (name, features) pair, sorted by name, eval mode."""
+                   vocab: Vocabulary, cfg: DecodeConfig, log=None) -> list[tuple[str, str]]:
+    """Caption every (name, features) pair, sorted by name, eval mode.
+
+    `log`, if given, receives one line per file with its caption and the
+    milliseconds spent encoding and decoding it.
+    """
     manifest = []
     for name, feats in sorted(named_features, key=lambda nf: nf[0]):
-        words = caption_features(feats, model, vocab, cfg)
-        manifest.append((name, " ".join(words)))
+        start = time.perf_counter()
+        z = model.encode(feats, training=False)
+        encoded = time.perf_counter()
+        caption = " ".join(decode(z, model, vocab, cfg))
+        if log is not None:
+            log(f"{name}: {caption}  (encode {1e3 * (encoded - start):.1f} ms, "
+                f"decode {1e3 * (time.perf_counter() - encoded):.1f} ms)")
+        manifest.append((name, caption))
     return manifest

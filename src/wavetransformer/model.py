@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decoder import Decoder, DecoderConfig
+from .decoder import DecodeState, Decoder, DecoderConfig
 from .encoder import Encoder, EncoderConfig
 from .errors import CheckpointError
 from .layers import ModelSpace
@@ -57,16 +57,21 @@ class CaptionModel:
             cross_mask = ops.key_padding_mask(feature_lengths, t_max, dtype=z.dtype)
         return self.decoder.forward(tokens_in, z, cross_mask, training, rng)
 
-    def step_logprobs(self, prefix: list[int], z: Tensor) -> np.ndarray:
-        """Next-token log-probabilities after `prefix` (eval mode, no tape).
+    # ----- decoding --------------------------------------------------------
+
+    def begin(self, z: Tensor) -> DecodeState:
+        """Decoding state of one encoded clip z (T, d_audio), one row."""
+        return self.decoder.begin(z)
+
+    def next_logprobs(self, state: DecodeState, tokens) -> np.ndarray:
+        """Next-token log-probabilities (rows, W) after extending each row of
+        `state` by its token (eval mode, no tape).
 
         `<sos>` and `<pad>` get probability 0 (log-probability -inf).
         """
-        tokens = np.asarray(prefix, dtype=np.int64)
-        logits = self.decoder.forward(tokens, z, training=False)
-        last = logits.data[-1].copy()
-        last[NEVER_EMITTED] = -np.inf
-        return ops.log_softmax(Tensor(last), axis=-1).data
+        logits = self.decoder.step(state, tokens).data
+        logits[:, NEVER_EMITTED] = -np.inf
+        return ops.log_softmax(Tensor(logits), axis=-1).data
 
     # ----- state -----------------------------------------------------------
 

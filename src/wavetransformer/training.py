@@ -22,14 +22,16 @@ resumed run continues bit-exactly.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
 from .decoder import DecoderConfig
 from .encoder import EncoderConfig
-from .errors import CheckpointError, UsageError
+from .errors import CheckpointError, TrainingError, UsageError
 from .model import CaptionModel
 from .tensor import (
     AdamState,
@@ -140,7 +142,16 @@ def train_epoch(
         with Tape() as tape:
             loss = batch_loss(model, batch, pad_index, training=True, rng=dropout_rng)
         backward(loss, tape)
-        clip_grad_norm(model.params, cfg.clip_norm)
+        norm = clip_grad_norm(model.params, cfg.clip_norm)
+        if not np.isfinite(norm):
+            # a NaN norm skips clipping and Adam would spread it into every
+            # parameter; stop while the parameters are still the last good ones
+            bad = next((name for name, t in model.params.items()
+                        if t.grad is not None and not np.isfinite(t.grad).all()), None)
+            raise TrainingError(
+                f"epoch {epoch}, batch {start // cfg.batch_size + 1}: gradient norm is "
+                f"{norm}; first non-finite gradient in {bad}; parameters left unchanged"
+            )
         adam_step(model.params, optimizer, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
         losses.append(loss.item())
     return float(np.mean(losses))
@@ -255,21 +266,36 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "rng_state": list(ckpt.rng_state),
     }
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(WTCK_MAGIC)
-        fh.write(struct.pack("<I", WTCK_VERSION))
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        names = sorted(ckpt.arrays)
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            arr = np.ascontiguousarray(ckpt.arrays[name], dtype="<f4")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    # write a temporary file next to the target and rename it over the
+    # target, so a failed write leaves the previous checkpoint intact
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            _write_wtck(fh, meta_bytes, ckpt.arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_wtck(fh, meta_bytes: bytes, arrays: dict[str, np.ndarray]) -> None:
+    fh.write(WTCK_MAGIC)
+    fh.write(struct.pack("<I", WTCK_VERSION))
+    fh.write(struct.pack("<I", len(meta_bytes)))
+    fh.write(meta_bytes)
+    names = sorted(arrays)
+    fh.write(struct.pack("<I", len(names)))
+    for name in names:
+        arr = np.ascontiguousarray(arrays[name], dtype="<f4")
+        encoded = name.encode("utf-8")
+        fh.write(struct.pack("<I", len(encoded)))
+        fh.write(encoded)
+        fh.write(struct.pack("<I", arr.ndim))
+        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        fh.write(arr.tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -1,5 +1,6 @@
 """CLI contracts and config handling, on a tiny synthetic corpus."""
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,25 @@ class TestPipeline:
 
         assert main(["evaluate", "--predictions", str(preds),
                      "--references", str(caps)]) == 0
+
+    def test_caption_verbose_prints_encode_and_decode_time(self, tmp_path, capsys):
+        audio_dir, caps, cfg = make_corpus_dir(tmp_path)
+        cfg.write_text(TINY_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))
+        feat_dir, run_dir, preds = tmp_path / "features", tmp_path / "run", tmp_path / "preds.csv"
+        assert main(["extract", "--audio-dir", str(audio_dir),
+                     "--out-dir", str(feat_dir), "--config", str(cfg)]) == 0
+        assert main(["train", "--features", str(feat_dir), "--captions", str(caps),
+                     "--out", str(run_dir), "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["caption", "--features", str(feat_dir),
+                     "--checkpoint", str(run_dir / "best.wtck"),
+                     "--out", str(preds), "--config", str(cfg), "--verbose"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = list(csv.reader(open(preds)))[1:]
+        assert len(lines) == len(rows) + 1 == 5
+        for line, (name, caption) in zip(lines, rows):
+            assert re.fullmatch(rf"{re.escape(name)}: {re.escape(caption)}  "
+                                r"\(encode \d+\.\d ms, decode \d+\.\d ms\)", line), line
 
     def test_band_count_set_only_under_audio(self, tmp_path):
         audio_dir, caps, cfg = make_corpus_dir(tmp_path)

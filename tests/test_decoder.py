@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from wavetransformer.decoder import Decoder, DecoderConfig, MultiHeadAttention
-from wavetransformer.errors import ConfigError, UsageError
+from wavetransformer.errors import ConfigError, DimensionError, UsageError
 from wavetransformer.layers import ModelSpace
 from wavetransformer.tensor import ParameterStore, RngState, Tensor
 from wavetransformer.tensor import ops
@@ -133,6 +133,46 @@ class TestDecoderForward:
         out = ops.layer_norm(x, gamma, beta).data
         np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-4)
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-3)
+
+
+class TestIncrementalStep:
+    def test_cached_logits_match_full_recompute(self):
+        # three rows fed different tokens, reordered and duplicated by keep
+        # part-way, against the last row of a teacher-forced forward
+        dec, _, cfg = tiny_decoder(seed=31, max_len=12)
+        rng = RngState(32)
+        z = Tensor(rng.uniform(-1, 1, (7, 8)).astype(np.float32))
+        seqs = [[0] for _ in range(3)]
+        state = dec.begin(z)
+        state.keep([0, 0, 0])
+        for t in range(10):
+            if t == 4:
+                state.keep([2, 0, 2])
+                seqs = [list(seqs[r]) for r in (2, 0, 2)]
+            step = dec.step(state, [s[-1] for s in seqs]).data
+            assert step.shape == (3, cfg.vocab_size)
+            for row, seq in enumerate(seqs):
+                full = dec.forward(np.array(seq), z).data[-1]
+                np.testing.assert_allclose(step[row], full, rtol=0, atol=1e-5)
+                np.testing.assert_allclose(ops.log_softmax(Tensor(step[row])).data,
+                                           ops.log_softmax(Tensor(full)).data, rtol=0, atol=1e-5)
+                seq.append(rng.randint(cfg.vocab_size))
+
+    def test_step_past_horizon_rejected(self):
+        dec, _, _ = tiny_decoder(max_len=3)
+        state = dec.begin(Tensor(np.zeros((3, 8), dtype=np.float32)))
+        for _ in range(3):
+            dec.step(state, [0])
+        with pytest.raises(UsageError, match="exceeds positional horizon 3"):
+            dec.step(state, [0])
+
+    def test_one_clip_and_one_token_per_row(self):
+        dec, _, _ = tiny_decoder()
+        with pytest.raises(DimensionError):
+            dec.begin(Tensor(np.zeros((2, 3, 8), dtype=np.float32)))
+        state = dec.begin(Tensor(np.zeros((3, 8), dtype=np.float32)))
+        with pytest.raises(DimensionError):
+            dec.step(state, [0, 0])
 
 
 def analytic_param_count(cfg: DecoderConfig, d_audio: int) -> int:

@@ -5,16 +5,42 @@ import pytest
 from wavetransformer.decoder import DecoderConfig
 from wavetransformer.encoder import EncoderConfig
 from wavetransformer.inference import DecodeConfig, Hypothesis, beam_search, decode, greedy_decode
-from wavetransformer.model import CaptionModel
-from wavetransformer.tensor import RngState
-from wavetransformer.text import Vocabulary, RESERVED
+from wavetransformer.model import NEVER_EMITTED, CaptionModel
+from wavetransformer.tensor import RngState, Tensor
+from wavetransformer.tensor import ops
+from wavetransformer.text import RESERVED, Vocabulary, decode as text_decode
 
 
 def vocab_of(words):
     return Vocabulary(list(RESERVED) + list(words))
 
 
-class TableModel:
+class PrefixState:
+    """Decoding state of the lookup stubs: one token prefix per row."""
+
+    def __init__(self, z):
+        self.z = z
+        self.prefixes = [[]]
+
+    def keep(self, rows):
+        self.prefixes = [list(self.prefixes[r]) for r in rows]
+
+
+class PrefixStub:
+    """The decoding protocol over a `step_logprobs(prefix, z)` lookup, which
+    the oracles below also use to score whole sequences."""
+
+    def begin(self, z):
+        return PrefixState(z)
+
+    def next_logprobs(self, state, tokens):
+        assert len(tokens) == len(state.prefixes)
+        for prefix, tok in zip(state.prefixes, tokens):
+            prefix.append(int(tok))
+        return np.stack([self.step_logprobs(p, state.z) for p in state.prefixes])
+
+
+class TableModel(PrefixStub):
     """Stub decoder: log-probabilities looked up by token prefix.
 
     Unlisted prefixes fall back to a fixed distribution, so every path is
@@ -31,7 +57,7 @@ class TableModel:
         return self.table.get(tuple(prefix), self.fallback)
 
 
-class RandomModel:
+class RandomModel(PrefixStub):
     """Deterministic random table over all prefixes up to a horizon."""
 
     def __init__(self, seed, vocab_size):
@@ -192,6 +218,108 @@ class TestBeamSearch:
         assert h.log_prob <= 0
         assert h.emitted() == 1
         assert h.normalized_score(1.0) == -1.5
+
+
+def recompute_beam_search(z, model, vocab, cfg):
+    """Reference beam search without the decoding state: every step re-runs
+    each hypothesis's whole prefix through `Decoder.forward`, one hypothesis
+    at a time, and sorts the full Python candidate list."""
+    def logprobs(prefix):
+        logits = model.decoder.forward(np.asarray(prefix), z).data[-1].copy()
+        logits[NEVER_EMITTED] = -np.inf
+        return ops.log_softmax(Tensor(logits)).data
+
+    live = [Hypothesis([vocab.sos], 0.0)]
+    finished = []
+    for _ in range(cfg.max_words):
+        candidates = []
+        for hyp in live:
+            lp = logprobs(hyp.tokens)
+            for tok in range(len(lp)):
+                candidates.append((hyp.log_prob + float(lp[tok]), hyp.tokens + [tok]))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        live = []
+        for score, tokens in candidates[: cfg.beam_size]:
+            (finished if tokens[-1] == vocab.eos else live).append(Hypothesis(tokens, score))
+        if not live:
+            break
+    finished.extend(live)
+    best = min(finished, key=lambda h: (-h.normalized_score(cfg.length_norm_alpha), h.tokens))
+    return text_decode(best.tokens, vocab)
+
+
+class RecordingModel:
+    """Passes the decoding protocol through, recording every `keep`."""
+
+    def __init__(self, model):
+        self.model = model
+        self.kept = []
+
+    def begin(self, z):
+        state = self.model.begin(z)
+        keep = state.keep
+
+        def recording_keep(rows):
+            self.kept.append(list(rows))
+            keep(rows)
+
+        state.keep = recording_keep
+        return state
+
+    def next_logprobs(self, state, tokens):
+        return self.model.next_logprobs(state, tokens)
+
+
+class TestCachedDecoding:
+    def test_matches_full_recompute_on_random_models(self):
+        # an <eos> bias lets hypotheses finish at different steps, so `keep`
+        # drops, repeats and reorders rows of the cache
+        reordered = 0
+        ended_early = 0
+        for i in range(40):
+            enc = EncoderConfig(n_temp_blocks=1, n_tf_blocks=1, channels=4,
+                                pool_factors=(4,), dropout_tf=0.0, n_mels=4)
+            w = 8 + i % 4
+            dec = DecoderConfig(vocab_size=w, n_blocks=2, n_heads=2, d_model=8,
+                                dropout=0.0, max_len=10)
+            model = CaptionModel(enc, dec, seed=7000 + i)
+            vocab = vocab_of([f"w{k}" for k in range(w - 3)])
+            model.decoder.cls.bias.data[vocab.eos] = 0.02 * i
+            z = model.encode(RngState(70 + i).uniform(-1, 1, (6, 4)).astype(np.float32))
+            for beam in (1, 2, 3, 5):
+                cfg = DecodeConfig(max_words=8, beam_size=beam)
+                recorder = RecordingModel(model)
+                got = decode(z, recorder, vocab, cfg)
+                assert got == recompute_beam_search(z, model, vocab, cfg), (i, beam)
+                reordered += any(rows != list(range(len(rows))) for rows in recorder.kept)
+                ended_early += len(got) < cfg.max_words
+        # of 160 decodes: 113 reorder the cache, 92 end before the cap
+        assert reordered >= 80 and 40 <= ended_early <= 120
+
+    def test_tie_at_beam_boundary_keeps_smaller_sequence(self):
+        # after two steps [sos b c] (row 0) and [sos a c] (row 1) tie for the
+        # second place of a beam of two; only the lexicographically smaller
+        # one may survive, and it alone can end the caption
+        vocab = vocab_of(["a", "b", "c"])
+        a, b, c = (vocab.index(x) for x in "abc")
+        sos, eos = vocab.sos, vocab.eos
+
+        def dist(pairs):
+            lp = np.full(vocab.size, -50.0, dtype=np.float32)
+            for tok, value in pairs:
+                lp[tok] = value
+            return lp
+
+        table = {
+            (sos,): dist([(b, -1.0), (a, -2.0)]),
+            (sos, b): dist([(b, -0.5), (c, -2.0)]),
+            (sos, a): dist([(c, -1.0)]),
+            (sos, a, c): dist([(eos, 0.0)]),
+            (sos, b, c): dist([(eos, 0.0)]),
+        }
+        model = TableModel(table, vocab.size, fallback=dist([]))
+        cfg = DecodeConfig(max_words=3, beam_size=2, length_norm_alpha=0.0)
+        assert beam_search(None, model, vocab, cfg) == ["a", "c"]
 
 
 class TestReservedTokens:

@@ -1,12 +1,16 @@
 """Loss arithmetic, early stopping, checkpoint round trips, determinism."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from wavetransformer.decoder import DecoderConfig
 from wavetransformer.encoder import EncoderConfig
-from wavetransformer.errors import CheckpointError, UsageError
+from wavetransformer.errors import CheckpointError, TrainingError, UsageError
 from wavetransformer.model import CaptionModel
-from wavetransformer.tensor import RngState, Tape, Tensor, backward, default_dtype
+from wavetransformer.tensor import (
+    AdamState, RngState, Tape, Tensor, backward, default_dtype, derive_seed,
+)
 from wavetransformer.tensor import ops
 from wavetransformer.text import build_vocab, encode
 from wavetransformer.training import (
@@ -19,6 +23,7 @@ from wavetransformer.training import (
     make_batch,
     save_checkpoint,
     train,
+    train_epoch,
 )
 
 from helpers import finite_difference_grad, rel_err
@@ -176,6 +181,24 @@ class TestTrainLoop:
             if t.grad is not None:
                 np.testing.assert_array_equal(t.grad, first[n])
 
+    def test_non_finite_gradient_stops_before_adam(self):
+        # a NaN frame in the first item of batch 2: batch 1 takes its Adam
+        # step, batch 2 must stop with every parameter still finite
+        vocab = tiny_vocab()
+        cfg = TrainConfig(batch_size=2, lr=1e-3, max_epochs=1, seed=5)
+        model = tiny_model(seed=4, vocab_size=vocab.size)
+        items = synth_items(vocab, n=6)
+        epoch = 3
+        order = RngState(derive_seed(cfg.seed, epoch)).permutation(len(items))
+        items[order[2]].features[1, 2] = np.nan
+        optimizer = AdamState()
+        with pytest.raises(TrainingError, match="epoch 3, batch 2: gradient norm is nan") as err:
+            train_epoch(model, items, optimizer, cfg, epoch, vocab.pad, RngState(1))
+        first = next(name for name, t in model.params.items() if not np.isfinite(t.grad).all())
+        assert f"first non-finite gradient in {first};" in str(err.value)
+        assert optimizer.step == 1
+        assert all(np.isfinite(t.data).all() for t in model.params.tensors())
+
     def test_small_overfit_smoke(self):
         vocab = tiny_vocab()
         cfg = TrainConfig(batch_size=2, lr=3e-3, max_epochs=60, seed=7)
@@ -290,6 +313,19 @@ class TestCheckpoint:
         code = main(["caption", "--features", str(tmp_path), "--checkpoint", str(path),
                      "--out", str(tmp_path / "preds.csv")])
         assert code == 2
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        _, _, _, _, result = self._trained(epochs=1)
+        path = tmp_path / "last.wtck"
+        save_checkpoint(path, result.final_checkpoint)
+        before = path.read_bytes()
+        # a record that cannot be written as float32, sorted after the others,
+        # makes the write fail part-way
+        arrays = dict(result.final_checkpoint.arrays, zz=np.array(["x"], dtype=object))
+        with pytest.raises(ValueError):
+            save_checkpoint(path, replace(result.final_checkpoint, arrays=arrays))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["last.wtck"]
 
     def test_truncation_detected(self, tmp_path):
         _, _, _, _, result = self._trained()
