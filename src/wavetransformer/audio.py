@@ -30,10 +30,6 @@ class AudioClip:
         if not np.isfinite(self.samples).all():
             raise AudioFormatError("non-finite samples in audio clip")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass
 class FeatureMatrix:

@@ -8,12 +8,14 @@ rows, scaled by sqrt(d_model) before the sinusoidal positional encoding is
 added.  Dropout hits the embedding sum and each sublayer output before its
 residual addition.
 
-`forward` is the teacher-forced pass over whole sequences.  Captioning
-decodes incrementally instead: `begin` projects the audio's cross-attention
-keys and values once per clip, and each `step` runs one new position for
-every hypothesis row through the same layers, appending its self-attention
-keys and values to a per-row cache, so a step costs O(length), not
-O(length^2).
+There is one path through the blocks.  A `DecodeState` holds each block's
+cross-attention keys and values of the audio, projected once, and a
+per-row cache of self-attention keys and values; feeding it new positions
+runs them through every block and appends their keys and values.
+Captioning starts a state with `begin` and feeds one position per
+hypothesis row with each `step`, so a step costs O(length), not
+O(length^2).  The teacher-forced `forward` is the same path, fed every
+position at once from an empty state under a causal mask.
 """
 from __future__ import annotations
 
@@ -51,10 +53,10 @@ class DecoderConfig:
 class MultiHeadAttention:
     """softmax(Q Kᵀ / sqrt(d/H) + mask) V per head, then output projection.
 
-    Query input is (L_q, d) or (B, L_q, d); key/value input may have a
-    different feature width (the audio representation), handled by the
-    projection shapes.  The additive mask broadcasts against
-    (B, H, L_q, L_k).
+    Takes queries and keys/values already projected and head-split by
+    `queries` and `keys_values`; the key/value input may have a different
+    feature width (the audio representation), handled by the projection
+    shapes.  The additive mask broadcasts against (B, H, L_q, L_k).
     """
 
     def __init__(self, space: ModelSpace, name: str, d_model: int, n_heads: int,
@@ -77,23 +79,18 @@ class MultiHeadAttention:
         """Projected, head-split keys and values: two (B, H, L_k, d/H)."""
         return self.heads(self.k(kv_in)), self.heads(self.v(kv_in))
 
-    def attend(self, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        """Head-split queries (B, H, L_q, d/H) against keys and values; (B, L_q, d) out."""
+    def queries(self, q_in: Tensor) -> Tensor:
+        """Projected, head-split queries: (B, H, L_q, d/H)."""
+        return self.heads(self.q(q_in))
+
+    def __call__(self, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """Head-split queries against head-split keys and values; (B, L_q, d) out."""
         b, h, l_q, dh = q.shape
         scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
         weights = ops.softmax(scores, axis=-1, mask=mask)
         ctx = ops.matmul(weights, v)  # (B, H, L_q, dh)
         merged = ops.reshape(ops.transpose(ctx, (0, 2, 1, 3)), (b, l_q, self.d_model))
         return self.out(merged)
-
-    def __call__(self, q_in: Tensor, kv_in: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        squeeze = q_in.ndim == 2
-        if squeeze:
-            q_in = ops.reshape(q_in, (1, *q_in.shape))
-            kv_in = ops.reshape(kv_in, (1, *kv_in.shape))
-        q = self.heads(self.q(q_in))
-        out = self.attend(q, *self.keys_values(kv_in), mask)
-        return ops.reshape(out, out.shape[1:]) if squeeze else out
 
 
 class DecoderBlock:
@@ -108,60 +105,53 @@ class DecoderBlock:
         self.ln3 = LayerNorm(space, f"{name}.ln3", d)
         self.p = cfg.dropout
 
-    def __call__(self, x: Tensor, z: Tensor, self_mask: np.ndarray,
-                 cross_mask: np.ndarray | None, training: bool,
-                 rng: RngState | None) -> Tensor:
-        return self._sublayers(
-            x, lambda x: self.self_attn(x, x, self_mask),
-            lambda x: self.cross_attn(x, z, cross_mask), training, rng,
-        )
+    def __call__(self, x: Tensor, cross_kv: tuple[Tensor, Tensor], cross_mask: np.ndarray | None,
+                 self_kv: tuple[Tensor, Tensor], self_mask: np.ndarray | None,
+                 training: bool, rng: RngState | None) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+        """L new positions per row, x (rows, L, d).
 
-    def step(self, x: Tensor, cross_kv: tuple[Tensor, Tensor],
-             self_kv: tuple[Tensor, Tensor]) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        """One new position per row, x (n, 1, d), in eval mode.
-
-        Returns the block output and `self_kv`, the self-attention keys and
-        values of the earlier positions (n, H, t, d/H), extended by this one.
+        `self_kv` holds the self-attention keys and values of the earlier
+        positions, (rows, H, t, d/H) each; the block returns its output and
+        `self_kv` extended by the L new positions.  `cross_kv` holds the
+        audio's keys and values, one clip per row or one clip for all rows.
         """
         sa, ca = self.self_attn, self.cross_attn
+        # queries first: backward sums the gradients reaching x in reverse
+        # tape order, so the projection order fixes the training bits
+        q = sa.queries(x)
         k, v = sa.keys_values(x)
-        k = ops.concat([self_kv[0], k], axis=2)
-        v = ops.concat([self_kv[1], v], axis=2)
-        n, _, d = x.shape
-
-        def cross(x: Tensor) -> Tensor:
-            # every row attends to the same clip, so the rows become the
-            # query axis of one batch item: (1, H, n, d/H) against (1, H, T, d/H)
-            q = ca.heads(ca.q(ops.reshape(x, (1, n, d))))
-            return ops.reshape(ca.attend(q, *cross_kv), (n, 1, d))
-
-        out = self._sublayers(x, lambda x: sa.attend(sa.heads(sa.q(x)), k, v), cross, False, None)
-        return out, (k, v)
-
-    def _sublayers(self, x: Tensor, self_attend, cross_attend, training: bool,
-                   rng: RngState | None) -> Tensor:
-        a = ops.dropout(self_attend(x), self.p, training, rng)
+        self_kv = (ops.concat([self_kv[0], k], axis=2), ops.concat([self_kv[1], v], axis=2))
+        a = ops.dropout(sa(q, *self_kv, self_mask), self.p, training, rng)
         x = self.ln1(ops.add(x, a))
-        c = ops.dropout(cross_attend(x), self.p, training, rng)
-        x = self.ln2(ops.add(x, c))
+        rows, length, d = x.shape
+        if cross_kv[0].shape[0] == rows:
+            c = ca(ca.queries(x), *cross_kv, cross_mask)
+        else:
+            # every row attends to the same clip, so the rows become the
+            # query axis of that one batch item
+            c = ca(ca.queries(ops.reshape(x, (1, rows * length, d))), *cross_kv, cross_mask)
+            c = ops.reshape(c, (rows, length, d))
+        x = self.ln2(ops.add(x, ops.dropout(c, self.p, training, rng)))
         f = ops.dropout(self.fc2(ops.relu(self.fc1(x))), self.p, training, rng)
-        return self.ln3(ops.add(x, f))
+        return self.ln3(ops.add(x, f)), self_kv
 
 
 class DecodeState:
-    """Incremental decoding state of one clip for `Decoder.step`.
+    """Decoding state of clips fed to `Decoder`, one hypothesis per row.
 
-    Each row is one hypothesis.  `cross[i]` holds block i's cross-attention
-    keys and values of the audio, (1, H, T, d/H) each: projected once per
-    clip and shared by all rows.  `self_kv[i]` holds block i's
-    self-attention keys and values of the `length` positions fed so far,
-    (rows, H, length, d/H) each.
+    `cross[i]` holds block i's cross-attention keys and values of the
+    audio, (clips, H, T, d/H) each, projected once; `cross_mask` hides
+    padded frames.  With one clip every row shares it.  `self_kv[i]` holds
+    block i's self-attention keys and values of the `length` positions fed
+    so far, (rows, H, length, d/H) each.
     """
 
-    def __init__(self, cross: list[tuple[Tensor, Tensor]], self_kv: list[tuple[Tensor, Tensor]]):
+    def __init__(self, cross: list[tuple[Tensor, Tensor]], cross_mask: np.ndarray | None,
+                 self_kv: list[tuple[Tensor, Tensor]], rows: int):
         self.cross = cross
+        self.cross_mask = cross_mask
         self.self_kv = self_kv
-        self.rows = 1
+        self.rows = rows
         self.length = 0
 
     def keep(self, rows) -> None:
@@ -205,16 +195,8 @@ class Decoder:
                 z = ops.reshape(z, (1, *z.shape))
         if tokens.ndim != 2:
             raise DimensionError(f"tokens must be (L,) or (B, L), got {tokens.shape}")
-        b, length = tokens.shape
-        if length > self.cfg.max_len:
-            raise UsageError(
-                f"sequence length {length} exceeds positional horizon {self.cfg.max_len}"
-            )
-        x = ops.dropout(self._embed(tokens, 0), self.cfg.dropout, training, rng)
-        self_mask = ops.causal_mask(length, dtype=x.dtype)
-        for block in self.blocks:
-            x = block(x, z, self_mask, cross_mask, training, rng)
-        logits = self.cls(x)
+        state = self._start(z, cross_mask, rows=tokens.shape[0])
+        logits = self._extend(state, tokens, training, rng)
         return ops.reshape(logits, logits.shape[1:]) if squeeze else logits
 
     def begin(self, z: Tensor) -> DecodeState:
@@ -223,31 +205,43 @@ class Decoder:
             z = ops.reshape(z, (1, *z.shape))
         if z.ndim != 3 or z.shape[0] != 1:
             raise DimensionError(f"decoding state needs one clip (T, d_audio), got {z.shape}")
-        h = self.cfg.n_heads
-        empty = Tensor(np.zeros((1, h, 0, self.cfg.d_model // h), dtype=self.emb_weight.dtype))
-        return DecodeState([block.cross_attn.keys_values(z) for block in self.blocks],
-                           [(empty, empty)] * len(self.blocks))
+        return self._start(z, None, rows=1)
 
     def step(self, state: DecodeState, tokens) -> Tensor:
         """Logits (rows, W) for the next position of every row of `state`.
 
         tokens: the token each row was last extended by, one per row.  The
-        state's caches grow by that position.  Eval mode; the layers are
-        those of `forward`, run on the new position only.
+        state's caches grow by that position.  Eval mode.
         """
         tokens = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
-        if tokens.shape[0] != state.rows:
-            raise DimensionError(f"{tokens.shape[0]} tokens for {state.rows} decoding rows")
-        if state.length >= self.cfg.max_len:
-            raise UsageError(
-                f"sequence length {state.length + 1} exceeds positional horizon {self.cfg.max_len}"
-            )
-        x = self._embed(tokens, state.length)
-        for i, block in enumerate(self.blocks):
-            x, state.self_kv[i] = block.step(x, state.cross[i], state.self_kv[i])
-        state.length += 1
-        logits = self.cls(x)
+        logits = self._extend(state, tokens, False, None)
         return ops.reshape(logits, (state.rows, logits.shape[-1]))
+
+    def _start(self, z: Tensor, cross_mask: np.ndarray | None, rows: int) -> DecodeState:
+        """Empty state of `rows` rows over the clips of z, (clips, T, d_audio)."""
+        h = self.cfg.n_heads
+        empty = Tensor(np.zeros((rows, h, 0, self.cfg.d_model // h), dtype=self.emb_weight.dtype))
+        return DecodeState([block.cross_attn.keys_values(z) for block in self.blocks],
+                           cross_mask, [(empty, empty)] * len(self.blocks), rows)
+
+    def _extend(self, state: DecodeState, tokens: np.ndarray, training: bool,
+                rng: RngState | None) -> Tensor:
+        """Feed the next L positions of every row, tokens (rows, L); logits
+        (rows, L, W) for them.  The caches of `state` grow by L positions."""
+        rows, length = tokens.shape
+        if rows != state.rows:
+            raise DimensionError(f"{rows} tokens for {state.rows} decoding rows")
+        end = state.length + length
+        if end > self.cfg.max_len:
+            raise UsageError(f"sequence length {end} exceeds positional horizon {self.cfg.max_len}")
+        x = ops.dropout(self._embed(tokens, state.length), self.cfg.dropout, training, rng)
+        # only a fresh state is ever fed more than one position at a time
+        self_mask = ops.causal_mask(length, dtype=x.dtype) if length > 1 else None
+        for i, block in enumerate(self.blocks):
+            x, state.self_kv[i] = block(x, state.cross[i], state.cross_mask, state.self_kv[i],
+                                        self_mask, training, rng)
+        state.length = end
+        return self.cls(x)
 
     def _embed(self, tokens: np.ndarray, start: int) -> Tensor:
         """Scaled token embeddings plus the positional encoding from `start`."""

@@ -25,9 +25,6 @@ from .tensor import ops
 
 MODES = ("full", "temp_only", "tf_only", "avg")
 
-# per-block time radius: dilation-1 gate (1) then dilation-2 gate (2)
-WAVE_BLOCK_RADIUS = 3
-
 
 @dataclass
 class EncoderConfig:
@@ -57,13 +54,6 @@ class EncoderConfig:
                 f"pool factors {self.pool_factors} must multiply to F={self.n_mels} "
                 "so the frequency axis collapses to 1"
             )
-
-    @property
-    def output_dim(self) -> int:
-        return self.channels
-
-    def receptive_radius(self) -> int:
-        return WAVE_BLOCK_RADIUS * self.n_temp_blocks
 
 
 def _as_batched(x: Tensor, ndim: int) -> tuple[Tensor, bool]:

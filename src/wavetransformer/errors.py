@@ -37,3 +37,7 @@ class CheckpointError(ValueError):
 
 class TrainingError(ValueError):
     """Training cannot continue, e.g. a gradient is not finite."""
+
+
+class DecodeError(ValueError):
+    """Decoding cannot continue, e.g. the log-probabilities are NaN."""

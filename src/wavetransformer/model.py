@@ -11,7 +11,7 @@ import numpy as np
 
 from .decoder import DecodeState, Decoder, DecoderConfig
 from .encoder import Encoder, EncoderConfig
-from .errors import CheckpointError
+from .errors import CheckpointError, DecodeError
 from .layers import ModelSpace
 from .tensor import ParameterStore, RngState, Tensor
 from .tensor import ops
@@ -30,7 +30,7 @@ class CaptionModel:
         self.buffers: dict[str, np.ndarray] = {}
         space = ModelSpace(self.params, self.buffers, RngState(seed))
         self.encoder = Encoder(space, enc_cfg)
-        self.decoder = Decoder(space, dec_cfg, d_audio=enc_cfg.output_dim)
+        self.decoder = Decoder(space, dec_cfg, d_audio=enc_cfg.channels)
 
     # ----- forward ---------------------------------------------------------
 
@@ -67,11 +67,18 @@ class CaptionModel:
         """Next-token log-probabilities (rows, W) after extending each row of
         `state` by its token (eval mode, no tape).
 
-        `<sos>` and `<pad>` get probability 0 (log-probability -inf).
+        `<sos>` and `<pad>` get probability 0 (log-probability -inf).  NaN
+        log-probabilities (from non-finite parameters or features) raise
+        `DecodeError` naming the decode position, where `<sos>` is 0.
         """
         logits = self.decoder.step(state, tokens).data
         logits[:, NEVER_EMITTED] = -np.inf
-        return ops.log_softmax(Tensor(logits), axis=-1).data
+        logprobs = ops.log_softmax(Tensor(logits), axis=-1).data
+        bad = np.flatnonzero(np.isnan(logprobs).any(axis=1))
+        if bad.size:
+            raise DecodeError(f"NaN log-probabilities at decode position {state.length} "
+                              f"(rows {bad.tolist()}): are the parameters and features finite?")
+        return logprobs
 
     # ----- state -----------------------------------------------------------
 

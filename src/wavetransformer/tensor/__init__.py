@@ -3,7 +3,6 @@ from .core import (
     Tape,
     Tensor,
     active_tape,
-    as_tensor,
     backward,
     default_dtype,
     get_default_dtype,
@@ -21,7 +20,6 @@ __all__ = [
     "Tensor",
     "active_tape",
     "adam_step",
-    "as_tensor",
     "backward",
     "clip_grad_norm",
     "default_dtype",

@@ -86,9 +86,6 @@ class Tensor:
             raise UsageError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -185,7 +182,3 @@ def backward(loss: Tensor, tape: Tape) -> None:
     for t, g in pending.values():
         if t.requires_grad:
             t.accumulate_grad(g)
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)

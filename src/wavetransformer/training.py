@@ -243,28 +243,27 @@ class Checkpoint:
         return state
 
 
+# every Checkpoint field but the arrays is a metadata key
+META_KEYS = [f.name for f in fields(Checkpoint) if f.name != "arrays"]
+
+
+def _check_keys(stored: dict, expected, what: str) -> None:
+    """Raise CheckpointError naming the unknown and missing keys, if any."""
+    unknown, missing = sorted(set(stored) - set(expected)), sorted(set(expected) - set(stored))
+    if unknown or missing:
+        raise CheckpointError(f"{what}: unknown keys {unknown}, missing keys {missing}")
+
+
 def _stored_config(cls, stored: dict, name: str):
     """Rebuild a config from checkpoint metadata holding exactly its fields."""
-    expected = {f.name for f in fields(cls)}
-    unknown, missing = sorted(set(stored) - expected), sorted(expected - set(stored))
-    if unknown or missing:
-        raise CheckpointError(f"checkpoint {name} does not fit {cls.__name__}: "
-                              f"unknown keys {unknown}, missing keys {missing}")
+    _check_keys(stored, [f.name for f in fields(cls)],
+                f"checkpoint {name} does not fit {cls.__name__}")
     return cls(**stored)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    meta = {
-        "epoch": ckpt.epoch,
-        "step": ckpt.step,
-        "train_history": ckpt.train_history,
-        "val_history": ckpt.val_history,
-        "encoder_config": ckpt.encoder_config,
-        "decoder_config": ckpt.decoder_config,
-        "train_config": ckpt.train_config,
-        "vocab_words": ckpt.vocab_words,
-        "rng_state": list(ckpt.rng_state),
-    }
+    # JSON writes the rng_state tuple as a list
+    meta = {key: getattr(ckpt, key) for key in META_KEYS}
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     # write a temporary file next to the target and rename it over the
     # target, so a failed write leaves the previous checkpoint intact
@@ -334,18 +333,9 @@ def load_checkpoint(path) -> Checkpoint:
         arrays[name] = data.reshape(dims).copy()
     if pos != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes after records")
-    return Checkpoint(
-        arrays=arrays,
-        epoch=meta["epoch"],
-        step=meta["step"],
-        train_history=list(meta["train_history"]),
-        val_history=list(meta["val_history"]),
-        encoder_config=meta["encoder_config"],
-        decoder_config=meta["decoder_config"],
-        train_config=meta["train_config"],
-        vocab_words=list(meta["vocab_words"]),
-        rng_state=tuple(meta["rng_state"]),
-    )
+    _check_keys(meta, META_KEYS, f"{path}: metadata does not fit Checkpoint")
+    meta["rng_state"] = tuple(meta["rng_state"])
+    return Checkpoint(arrays=arrays, **meta)
 
 
 # ---------------------------------------------------------------------------

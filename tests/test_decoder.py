@@ -26,8 +26,8 @@ class TestMultiHeadAttention:
         mha = MultiHeadAttention(space, "a", d_model=3, n_heads=1)
         for name, t in space.params.items():
             t.data[...] = np.eye(3) if name.endswith(".weight") else 0.0
-        v = Tensor(np.array([[0.3, -0.7, 2.0]], dtype=np.float32))
-        out = mha(v, v)
+        v = Tensor(np.array([[[0.3, -0.7, 2.0]]], dtype=np.float32))
+        out = mha(mha.queries(v), *mha.keys_values(v))
         np.testing.assert_allclose(out.data, v.data, rtol=1e-6)
 
     def test_weight_rows_sum_to_one(self):
@@ -49,7 +49,8 @@ class TestMultiHeadAttention:
         for name in ("a.q.bias", "a.k.bias", "a.v.bias", "a.out.bias"):
             space.params[name].data[...] = 0.0
         x = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
-        out = mha(Tensor(x), Tensor(x)).data
+        xb = Tensor(x[None])
+        out = mha(mha.queries(xb), *mha.keys_values(xb)).data[0]
         # oracle: brute-force softmax arithmetic in float64
         q = x @ wq.T
         k = x @ wk.T
@@ -115,6 +116,22 @@ class TestDecoderForward:
         backward(loss, tape)
         frame_touched = np.any(z.grad != 0.0, axis=1)
         assert frame_touched.all()
+
+    def test_padded_clips_match_their_own_forward(self):
+        # two clips of 5 and 8 frames, padded to 8 and masked: each row's
+        # logits equal those of its clip decoded alone, unpadded
+        dec, _, _ = tiny_decoder(seed=41)
+        rng = RngState(42)
+        clips = [rng.uniform(-1, 1, (t, 8)).astype(np.float32) for t in (5, 8)]
+        tokens = np.array([[0, 3, 5, 7], [0, 9, 4, 4]])
+        z = np.zeros((2, 8, 8), dtype=np.float32)
+        for i, clip in enumerate(clips):
+            z[i, :len(clip)] = clip
+            z[i, len(clip):] = 100.0  # padding that would show if attended
+        batched = dec.forward(tokens, Tensor(z), ops.key_padding_mask([5, 8], 8)).data
+        for i, clip in enumerate(clips):
+            alone = dec.forward(tokens[i], Tensor(clip)).data
+            np.testing.assert_allclose(batched[i], alone, rtol=0, atol=1e-6)
 
     def test_eval_deterministic_despite_dropout_config(self):
         cfg = DecoderConfig(vocab_size=9, n_blocks=1, n_heads=2, d_model=8, dropout=0.5, max_len=16)

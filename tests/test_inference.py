@@ -4,6 +4,7 @@ import pytest
 
 from wavetransformer.decoder import DecoderConfig
 from wavetransformer.encoder import EncoderConfig
+from wavetransformer.errors import DecodeError
 from wavetransformer.inference import DecodeConfig, Hypothesis, beam_search, decode, greedy_decode
 from wavetransformer.model import NEVER_EMITTED, CaptionModel
 from wavetransformer.tensor import RngState, Tensor
@@ -322,22 +323,36 @@ class TestCachedDecoding:
         assert beam_search(None, model, vocab, cfg) == ["a", "c"]
 
 
+def tiny_model_vocab_clip():
+    """A real CaptionModel over five words, and one clip it encoded."""
+    enc = EncoderConfig(n_temp_blocks=1, n_tf_blocks=1, channels=4,
+                        pool_factors=(4,), dropout_tf=0.0, n_mels=4)
+    dec = DecoderConfig(vocab_size=8, n_blocks=1, n_heads=2, d_model=4,
+                        dropout=0.0, max_len=12)
+    model = CaptionModel(enc, dec, seed=5)
+    z = model.encode(RngState(2).uniform(-1, 1, (5, 4)).astype(np.float32))
+    return model, vocab_of([f"w{k}" for k in range(5)]), z
+
+
 class TestReservedTokens:
     @pytest.mark.parametrize("beam", [1, 2])
     def test_real_model_never_emits_sos_or_pad(self, beam):
-        enc = EncoderConfig(n_temp_blocks=1, n_tf_blocks=1, channels=4,
-                            pool_factors=(4,), dropout_tf=0.0, n_mels=4)
-        dec = DecoderConfig(vocab_size=8, n_blocks=1, n_heads=2, d_model=4,
-                            dropout=0.0, max_len=12)
-        model = CaptionModel(enc, dec, seed=5)
-        vocab = vocab_of([f"w{k}" for k in range(5)])
+        model, vocab, z = tiny_model_vocab_clip()
         # the classifier prefers <pad>, then <sos>, and never ends the caption
         bias = model.decoder.cls.bias.data
         bias[vocab.pad], bias[vocab.sos], bias[vocab.eos] = 50.0, 40.0, -50.0
-        z = model.encode(RngState(2).uniform(-1, 1, (5, 4)).astype(np.float32))
         words = decode(z, model, vocab, DecodeConfig(max_words=6, beam_size=beam))
         assert len(words) == 6
         assert set(words) <= {f"w{k}" for k in range(5)}
+
+
+class TestNanLogprobs:
+    @pytest.mark.parametrize("beam", [1, 2])
+    def test_nan_classifier_bias_is_a_named_error(self, beam):
+        model, vocab, z = tiny_model_vocab_clip()
+        model.decoder.cls.bias.data[4] = np.nan
+        with pytest.raises(DecodeError, match="NaN log-probabilities at decode position 1"):
+            decode(z, model, vocab, DecodeConfig(max_words=6, beam_size=beam))
 
 
 class TestCaptionCorpus:

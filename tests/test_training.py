@@ -1,4 +1,6 @@
 """Loss arithmetic, early stopping, checkpoint round trips, determinism."""
+import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -310,6 +312,27 @@ class TestCheckpoint:
         # the caption command reports it as a hard error, not a traceback
         path = tmp_path / "odd.wtck"
         save_checkpoint(path, ckpt)
+        code = main(["caption", "--features", str(tmp_path), "--checkpoint", str(path),
+                     "--out", str(tmp_path / "preds.csv")])
+        assert code == 2
+
+    def test_unknown_and_missing_metadata_keys_named(self, tmp_path):
+        from wavetransformer.cli import main
+
+        _, _, _, _, result = self._trained(epochs=1)
+        path = tmp_path / "odd.wtck"
+        save_checkpoint(path, result.final_checkpoint)
+        # rewrite the metadata block: drop "epoch", add "colour"
+        blob = path.read_bytes()
+        (n,) = struct.unpack("<I", blob[8:12])
+        meta = json.loads(blob[12:12 + n])
+        del meta["epoch"]
+        meta["colour"] = "red"
+        new = json.dumps(meta).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + n:])
+        with pytest.raises(CheckpointError, match=r"unknown keys \['colour'\], "
+                                                  r"missing keys \['epoch'\]"):
+            load_checkpoint(path)
         code = main(["caption", "--features", str(tmp_path), "--checkpoint", str(path),
                      "--out", str(tmp_path / "preds.csv")])
         assert code == 2
