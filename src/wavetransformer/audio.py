@@ -273,9 +273,16 @@ def log_mel(power: np.ndarray, fb: MelFilterbank) -> np.ndarray:
 
 
 def extract_features(clip: AudioClip, cfg: AudioConfig) -> FeatureMatrix:
-    """Full pipeline: centered Hamming STFT -> mel energies -> natural log."""
+    """Full pipeline: centered Hamming STFT -> mel energies -> natural log.
+
+    The clip must be at `cfg.sample_rate`: hop and window are set in its
+    samples, so another rate would yield other bands and frame times.
+    """
+    if clip.sample_rate != cfg.sample_rate:
+        raise ConfigError(f"clip sample rate is {clip.sample_rate} Hz but the [audio] "
+                          f"sample_rate is {cfg.sample_rate} Hz")
     power = stft_power(clip, cfg.window_length, cfg.hop, cfg.n_fft)
-    fb = mel_filterbank(cfg.n_mels, cfg.n_fft, clip.sample_rate, cfg.f_min, cfg.f_max)
+    fb = mel_filterbank(cfg.n_mels, cfg.n_fft, cfg.sample_rate, cfg.f_min, cfg.f_max)
     feats = log_mel(power, fb)
     return FeatureMatrix(
         feats.astype(np.float32),

@@ -173,7 +173,13 @@ def cmd_caption(args) -> int:
     if not files:
         print(f"error: no .wtf1 files in {feature_dir}", file=sys.stderr)
         return EXIT_ERROR
-    named = [(f.stem + ".wav", read_wtf1(f).values) for f in files]
+    named = []
+    for f in files:
+        fm = read_wtf1(f)
+        if fm.num_bands != model.enc_cfg.n_mels:
+            raise DataError(f"{f}: mel band count is {fm.num_bands} but the checkpoint's "
+                            f"model takes {model.enc_cfg.n_mels}")
+        named.append((f.stem + ".wav", fm.values))
     manifest = caption_corpus(named, model, vocab, cfg.decode,
                               log=print if args.verbose else None)
     out = Path(args.out)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, UsageError
 from .layers import LayerNorm, Linear, ModelSpace
-from .tensor import RngState, Tensor, get_default_dtype, init_uniform, init_zeros
+from .tensor import RngState, Tensor, get_default_dtype
 from .tensor import ops
 
 
@@ -166,11 +166,9 @@ class Decoder:
                  name: str = "decoder"):
         self.cfg = cfg
         d = cfg.d_model
-        self.emb_weight = space.params.add(
-            f"{name}.emb.weight",
-            init_uniform(space.rng, (d, cfg.vocab_size), fan_in=cfg.vocab_size),
-        )
-        self.emb_bias = space.params.add(f"{name}.emb.bias", init_zeros((d,)))
+        self.emb_weight = space.param(f"{name}.emb.weight", (d, cfg.vocab_size),
+                                      fan_in=cfg.vocab_size)
+        self.emb_bias = space.param(f"{name}.emb.bias", (d,))
         self.blocks = [
             DecoderBlock(space, f"{name}.block{i + 1}", cfg, d_audio)
             for i in range(cfg.n_blocks)

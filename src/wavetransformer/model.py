@@ -1,9 +1,11 @@
 """Full captioning model: encoder, decoder, and their shared state.
 
-The model owns the ParameterStore, the batch-norm buffer dict, and the
-construction RNG, so that two models built from the same seed and configs
-are bit-identical.  Parameter names are fixed (`encoder.temp.block1.t1.*`,
-`decoder.block2.cross_attn.q.*`, ...) to keep checkpoints stable.
+The model owns the ParameterStore and the batch-norm buffer dict.  Every
+value in them comes from one ModelSpace: drawn from the seed, so two
+models built from the same seed and configs are bit-identical, or taken
+from a checkpoint's stored arrays, with no random draw.  Parameter names
+are fixed (`encoder.temp.block1.t1.*`, `decoder.block2.cross_attn.q.*`,
+...) to keep checkpoints stable.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import numpy as np
 
 from .decoder import DecodeState, Decoder, DecoderConfig
 from .encoder import Encoder, EncoderConfig
-from .errors import CheckpointError, DecodeError
+from .errors import DecodeError
 from .layers import ModelSpace
 from .tensor import ParameterStore, RngState, Tensor
 from .tensor import ops
@@ -23,14 +25,18 @@ NEVER_EMITTED = [RESERVED.index(SOS), RESERVED.index(PAD)]
 
 
 class CaptionModel:
-    def __init__(self, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int = 0):
+    def __init__(self, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int = 0,
+                 stored: dict[str, np.ndarray] | None = None):
+        """Values drawn from `seed`, or copied from `stored` (a checkpoint's
+        parameters and buffers, names and shapes exactly the model's)."""
         self.enc_cfg = enc_cfg
         self.dec_cfg = dec_cfg
         self.params = ParameterStore()
         self.buffers: dict[str, np.ndarray] = {}
-        space = ModelSpace(self.params, self.buffers, RngState(seed))
+        space = ModelSpace(self.params, self.buffers, RngState(seed), stored)
         self.encoder = Encoder(space, enc_cfg)
         self.decoder = Decoder(space, dec_cfg, d_audio=enc_cfg.channels)
+        space.finish()
 
     # ----- forward ---------------------------------------------------------
 
@@ -88,19 +94,3 @@ class CaptionModel:
         for name in sorted(self.buffers):
             out[name] = self.buffers[name]
         return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Restore values in place; names and shapes must match exactly."""
-        current = self.state_arrays()
-        for name in sorted(set(current) | set(arrays)):
-            if name not in arrays:
-                raise CheckpointError(f"checkpoint is missing array {name!r}")
-            if name not in current:
-                raise CheckpointError(f"checkpoint has unexpected array {name!r}")
-            if current[name].shape != arrays[name].shape:
-                raise CheckpointError(
-                    f"shape mismatch for {name!r}: model {current[name].shape} "
-                    f"vs checkpoint {arrays[name].shape}"
-                )
-        for name, arr in arrays.items():
-            current[name][:] = arr.astype(current[name].dtype)

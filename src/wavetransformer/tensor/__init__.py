@@ -9,7 +9,7 @@ from .core import (
     set_default_dtype,
 )
 from .optim import AdamState, adam_step, clip_grad_norm
-from .params import ParameterStore, init_ones, init_uniform, init_zeros
+from .params import ParameterStore
 from .rng import RngState, derive_seed
 
 __all__ = [
@@ -25,8 +25,5 @@ __all__ = [
     "default_dtype",
     "derive_seed",
     "get_default_dtype",
-    "init_ones",
-    "init_uniform",
-    "init_zeros",
     "set_default_dtype",
 ]

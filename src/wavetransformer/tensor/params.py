@@ -1,13 +1,10 @@
-"""Named parameter storage and weight initialization."""
+"""Named parameter storage."""
 from __future__ import annotations
 
 from typing import Iterator
 
-import numpy as np
-
 from ..errors import UsageError
-from .core import Tensor, get_default_dtype
-from .rng import RngState
+from .core import Tensor
 
 
 class ParameterStore:
@@ -30,12 +27,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return sorted(self._params)
 
@@ -53,21 +44,3 @@ class ParameterStore:
 
     def count(self) -> int:
         return sum(t.size for t in self._params.values())
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data for name, t in self.items()}
-
-
-def init_uniform(rng: RngState, shape: tuple, fan_in: int) -> Tensor:
-    """Weights ~ U(-a, a) with a = sqrt(1/fan_in); scale-stable default."""
-    a = float(np.sqrt(1.0 / fan_in))
-    data = rng.uniform(-a, a, shape).astype(get_default_dtype())
-    return Tensor(data)
-
-
-def init_zeros(shape: tuple) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=get_default_dtype()))
-
-
-def init_ones(shape: tuple) -> Tensor:
-    return Tensor(np.ones(shape, dtype=get_default_dtype()))

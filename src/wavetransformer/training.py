@@ -226,8 +226,7 @@ class Checkpoint:
     def build_model(self) -> tuple[CaptionModel, Vocabulary]:
         enc_cfg = _stored_config(EncoderConfig, self.encoder_config, "encoder_config")
         dec_cfg = _stored_config(DecoderConfig, self.decoder_config, "decoder_config")
-        model = CaptionModel(enc_cfg, dec_cfg, seed=self.train_config.get("seed", 0))
-        model.load_state_arrays({
+        model = CaptionModel(enc_cfg, dec_cfg, stored={
             n: a for n, a in self.arrays.items() if not n.startswith("adam.")
         })
         return model, Vocabulary(list(self.vocab_words))

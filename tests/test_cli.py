@@ -1,6 +1,7 @@
 """CLI contracts and config handling, on a tiny synthetic corpus."""
 import csv
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from wavetransformer.cli import main
 from wavetransformer.audio import write_wav
 from wavetransformer.config import SECTIONS, load_config
 from wavetransformer.errors import ConfigError
-from wavetransformer.fileformats import read_wtf1
+from wavetransformer.fileformats import read_wtf1, write_wtf1
 from wavetransformer.training import load_checkpoint
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -277,6 +278,24 @@ class TestPipeline:
                      "--checkpoint", str(run_dir / "best.wtck"),
                      "--out", str(tmp_path / "preds.csv"), "--config", str(cfg)]) == 0
 
+    def test_caption_names_file_with_wrong_band_count(self, tmp_path, capsys):
+        audio_dir, caps, cfg = make_corpus_dir(tmp_path)
+        cfg.write_text(TINY_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))
+        feat_dir, run_dir = tmp_path / "features", tmp_path / "run"
+        assert main(["extract", "--audio-dir", str(audio_dir),
+                     "--out-dir", str(feat_dir), "--config", str(cfg)]) == 0
+        assert main(["train", "--features", str(feat_dir), "--captions", str(caps),
+                     "--out", str(run_dir), "--config", str(cfg)]) == 0
+        fm = read_wtf1(feat_dir / "clip_a.wtf1")
+        write_wtf1(feat_dir / "clip_e.wtf1", replace(fm, values=np.zeros((fm.num_frames, 8))))
+        capsys.readouterr()
+        assert main(["caption", "--features", str(feat_dir),
+                     "--checkpoint", str(run_dir / "best.wtck"),
+                     "--out", str(tmp_path / "preds.csv"), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "clip_e.wtf1" in err and "mel band count is 8" in err and "takes 4" in err
+        assert not (tmp_path / "preds.csv").exists()
+
     @pytest.mark.parametrize("old,new,name", [
         ("sample_rate = 8000", "sample_rate = 16000", "sample rate is 8000"),
         ("hop = 64", "hop = 32", "hop is 64"),
@@ -302,6 +321,18 @@ class TestPipeline:
         assert code == 1
         err = capsys.readouterr().err
         assert "broken.wav" in err
+        assert len(list(feat_dir.glob("*.wtf1"))) == 4
+
+    def test_extract_skips_wav_at_another_sample_rate(self, tmp_path, capsys):
+        audio_dir, _, cfg = make_corpus_dir(tmp_path)
+        write_wav(audio_dir / "clip_e.wav", 0.1 * np.sin(np.arange(8000) / 5.0), 16000)
+        feat_dir = tmp_path / "features"
+        code = main(["extract", "--audio-dir", str(audio_dir),
+                     "--out-dir", str(feat_dir), "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "clip_e.wav" in err and "16000 Hz" in err and "8000 Hz" in err
+        assert not (feat_dir / "clip_e.wtf1").exists()
         assert len(list(feat_dir.glob("*.wtf1"))) == 4
 
     def test_extract_with_nothing_extracted_is_an_error(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Loss arithmetic, early stopping, checkpoint round trips, determinism."""
 import json
+import re
 import struct
 from dataclasses import replace
 
@@ -337,6 +338,44 @@ class TestCheckpoint:
                      "--out", str(tmp_path / "preds.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("case", ["missing", "unexpected", "misshaped"])
+    def test_array_errors_name_the_array(self, tmp_path, capsys, case):
+        from wavetransformer.cli import main
+
+        _, _, _, _, result = self._trained(epochs=1)
+        ckpt = result.final_checkpoint
+        if case == "missing":
+            del ckpt.arrays["encoder.tf.block1.bn_a.running_var"]
+            message = "checkpoint is missing array 'encoder.tf.block1.bn_a.running_var'"
+        elif case == "unexpected":
+            ckpt.arrays["decoder.cls.scale"] = np.ones(3, dtype=np.float32)
+            message = "checkpoint has unexpected array 'decoder.cls.scale'"
+        else:
+            ckpt.arrays["decoder.cls.bias"] = ckpt.arrays["decoder.cls.bias"][:-1]
+            message = "shape mismatch for 'decoder.cls.bias': model (11,) vs checkpoint (10,)"
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            ckpt.build_model()
+        if case == "missing":
+            # the caption command reports it as a hard error naming the array
+            path = tmp_path / "odd.wtck"
+            save_checkpoint(path, ckpt)
+            code = main(["caption", "--features", str(tmp_path), "--checkpoint", str(path),
+                         "--out", str(tmp_path / "preds.csv")])
+            assert code == 2
+            assert message in capsys.readouterr().err
+
+    def test_built_model_copies_the_arrays(self):
+        _, _, _, _, result = self._trained(epochs=1)
+        ckpt = result.final_checkpoint
+        before = {name: arr.copy() for name, arr in ckpt.arrays.items()}
+        model, _ = ckpt.build_model()
+        for t in model.params.tensors():
+            t.data += 1.0
+        for arr in model.buffers.values():
+            arr += 1.0
+        for name, arr in ckpt.arrays.items():
+            np.testing.assert_array_equal(arr, before[name])
+
     def test_failed_write_keeps_previous_file(self, tmp_path):
         _, _, _, _, result = self._trained(epochs=1)
         path = tmp_path / "last.wtck"
@@ -384,3 +423,31 @@ class TestCheckpoint:
         ):
             assert n1 == n2
             np.testing.assert_array_equal(a1, a2)
+
+
+class TestFloat64Twin:
+    # float32 error relative to the largest float64 magnitude, measured on
+    # this model and input as 1.92e-7 (encoder output) and 1.25e-7
+    # (logits); the bounds are twice those
+    ENCODER_BOUND = 3.9e-7
+    LOGITS_BOUND = 2.5e-7
+
+    def test_float32_error_against_float64_twin(self):
+        model = tiny_model(seed=0, vocab_size=tiny_vocab().size)
+        feats = RngState(1).uniform(-1.0, 1.0, (2, 20, 4)).astype(np.float32)
+        model.encode(feats, training=True)  # moves the running statistics off 0 and 1
+        with default_dtype(np.float64):
+            twin = CaptionModel(model.enc_cfg, model.dec_cfg, stored=model.state_arrays())
+        for name, arr in twin.state_arrays().items():
+            assert arr.dtype == np.float64, name
+            np.testing.assert_array_equal(arr, model.state_arrays()[name])
+        tokens = np.array([[1, 4, 5, 6, 7, 8], [1, 9, 3, 4, 5, 6]])
+
+        def rel_to_max(a32, a64):
+            return float(np.abs(a32 - a64).max() / np.abs(a64).max())
+
+        feats64 = feats.astype(np.float64)
+        enc = rel_to_max(model.encode(feats).data, twin.encode(feats64).data)
+        logits = rel_to_max(model.forward(feats, tokens).data, twin.forward(feats64, tokens).data)
+        assert 0 < enc < self.ENCODER_BOUND
+        assert 0 < logits < self.LOGITS_BOUND
