@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from .audio import AudioConfig, extract_features, load_wav
 from .config import load_config
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .fileformats import read_wtf1, write_wtf1
 from .inference import caption_corpus
 from .metrics import EvalPair, assemble_report
@@ -168,6 +169,9 @@ def cmd_caption(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model, vocab = ckpt.build_model()
     cfg = load_config(args.config, overrides={("decode", "beam_size"): args.beam})
+    if cfg.decode.max_words > model.dec_cfg.max_len:
+        raise ConfigError(f"[decode] max_words = {cfg.decode.max_words} exceeds the "
+                          f"checkpoint's [decoder] max_len = {model.dec_cfg.max_len}")
     feature_dir = Path(args.features)
     files = sorted(feature_dir.glob("*.wtf1"))
     if not files:
@@ -192,26 +196,36 @@ def cmd_caption(args) -> int:
     return EXIT_OK
 
 
-def _read_predictions(path) -> dict[str, str]:
+def _read_by_file(path, header: list[str], convert=str) -> dict:
+    """{file_name: convert(value)} from a two-column CSV under `header`; a
+    bad row (column count, repeated name, value) raises DataError at path:line."""
+    out = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["file_name", "caption_predicted"]:
-            raise DataError(f"{path}: expected header file_name,caption_predicted")
-        return {row[0]: row[1] for row in reader if row}
+        if next(reader, None) != header:
+            raise DataError(f"{path}: expected header {','.join(header)}")
+        for row in filter(None, reader):
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 2:
+                raise DataError(f"{where}: expected 2 columns, got {len(row)}")
+            if row[0] in out:
+                raise DataError(f"{where}: repeated file name {row[0]!r}")
+            try:
+                out[row[0]] = convert(row[1])
+            except ValueError as exc:
+                raise DataError(f"{where}: {exc}") from None
+    return out
 
 
-def _read_spice(path) -> dict[str, float]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["file_name", "spice"]:
-            raise DataError(f"{path}: expected header file_name,spice")
-        return {row[0]: float(row[1]) for row in reader if row}
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def cmd_evaluate(args) -> int:
-    predictions = _read_predictions(args.predictions)
+    predictions = _read_by_file(args.predictions, ["file_name", "caption_predicted"])
     references = load_caption_csv(args.references)
     ref_by_name = {e.file_name: e for e in references.entries}
     corpus = []
@@ -222,7 +236,7 @@ def cmd_evaluate(args) -> int:
         corpus.append(EvalPair(cand, ref_by_name[name].tokens))
     spice = None
     if args.spice_file:
-        per_file = _read_spice(args.spice_file)
+        per_file = _read_by_file(args.spice_file, ["file_name", "spice"], _finite)
         missing = sorted(set(predictions) - set(per_file))
         if missing:
             raise DataError(f"spice file lacks entries for: {missing[:3]}")

@@ -113,7 +113,9 @@ class DecoderBlock:
         `self_kv` holds the self-attention keys and values of the earlier
         positions, (rows, H, t, d/H) each; the block returns its output and
         `self_kv` extended by the L new positions.  `cross_kv` holds the
-        audio's keys and values, one clip per row or one clip for all rows.
+        audio's keys and values, (clips, H, T, d/H) each.  Rows are grouped
+        by clip, rows/clips consecutive rows per clip: one clip per row in
+        training, one clip for all beam rows in decoding.
         """
         sa, ca = self.self_attn, self.cross_attn
         # queries first: backward sums the gradients reaching x in reverse
@@ -123,14 +125,10 @@ class DecoderBlock:
         self_kv = (ops.concat([self_kv[0], k], axis=2), ops.concat([self_kv[1], v], axis=2))
         a = ops.dropout(sa(q, *self_kv, self_mask), self.p, training, rng)
         x = self.ln1(ops.add(x, a))
-        rows, length, d = x.shape
-        if cross_kv[0].shape[0] == rows:
-            c = ca(ca.queries(x), *cross_kv, cross_mask)
-        else:
-            # every row attends to the same clip, so the rows become the
-            # query axis of that one batch item
-            c = ca(ca.queries(ops.reshape(x, (1, rows * length, d))), *cross_kv, cross_mask)
-            c = ops.reshape(c, (rows, length, d))
+        # each clip's rows become the query axis of that clip's batch item
+        clips = cross_kv[0].shape[0]
+        c = ca(ca.queries(ops.reshape(x, (clips, -1, x.shape[-1]))), *cross_kv, cross_mask)
+        c = ops.reshape(c, x.shape)
         x = self.ln2(ops.add(x, ops.dropout(c, self.p, training, rng)))
         f = ops.dropout(self.fc2(ops.relu(self.fc1(x))), self.p, training, rng)
         return self.ln3(ops.add(x, f)), self_kv
@@ -141,9 +139,9 @@ class DecodeState:
 
     `cross[i]` holds block i's cross-attention keys and values of the
     audio, (clips, H, T, d/H) each, projected once; `cross_mask` hides
-    padded frames.  With one clip every row shares it.  `self_kv[i]` holds
-    block i's self-attention keys and values of the `length` positions fed
-    so far, (rows, H, length, d/H) each.
+    padded frames.  Rows are grouped by clip; with one clip every row
+    shares it.  `self_kv[i]` holds block i's self-attention keys and values
+    of the `length` positions fed so far, (rows, H, length, d/H) each.
     """
 
     def __init__(self, cross: list[tuple[Tensor, Tensor]], cross_mask: np.ndarray | None,
@@ -179,29 +177,23 @@ class Decoder:
     def forward(self, tokens: np.ndarray, z: Tensor,
                 cross_mask: np.ndarray | None = None,
                 training: bool = False, rng: RngState | None = None) -> Tensor:
-        """Logits for every position of the (already input-shifted) tokens.
+        """Logits (..., L, W) for every position of the (already input-shifted) tokens.
 
         tokens: int array (L,) or (B, L); z: (T, d_audio) or (B, T, d_audio).
         Position i only attends to positions <= i of itself, so its logits
         are independent of later tokens.
         """
         tokens = np.asarray(tokens)
-        squeeze = tokens.ndim == 1
-        if squeeze:
-            tokens = tokens[None]
-            if z.ndim == 2:
-                z = ops.reshape(z, (1, *z.shape))
-        if tokens.ndim != 2:
+        if tokens.ndim not in (1, 2):
             raise DimensionError(f"tokens must be (L,) or (B, L), got {tokens.shape}")
-        state = self._start(z, cross_mask, rows=tokens.shape[0])
-        logits = self._extend(state, tokens, training, rng)
-        return ops.reshape(logits, logits.shape[1:]) if squeeze else logits
+        rows = tokens.reshape(-1, tokens.shape[-1])
+        state = self._start(z, cross_mask, rows=rows.shape[0])
+        logits = self._extend(state, rows, training, rng)
+        return ops.reshape(logits, (*tokens.shape, -1))
 
     def begin(self, z: Tensor) -> DecodeState:
         """Decoding state for one clip's audio representation z, (T, d_audio)."""
-        if z.ndim == 2:
-            z = ops.reshape(z, (1, *z.shape))
-        if z.ndim != 3 or z.shape[0] != 1:
+        if z.ndim not in (2, 3) or z.shape[:-2] not in ((), (1,)):
             raise DimensionError(f"decoding state needs one clip (T, d_audio), got {z.shape}")
         return self._start(z, None, rows=1)
 
@@ -216,7 +208,8 @@ class Decoder:
         return ops.reshape(logits, (state.rows, logits.shape[-1]))
 
     def _start(self, z: Tensor, cross_mask: np.ndarray | None, rows: int) -> DecodeState:
-        """Empty state of `rows` rows over the clips of z, (clips, T, d_audio)."""
+        """Empty state of `rows` rows over the clips of z, (..., T, d_audio)."""
+        z = ops.reshape(z, (-1, *z.shape[-2:]))
         h = self.cfg.n_heads
         empty = Tensor(np.zeros((rows, h, 0, self.cfg.d_model // h), dtype=self.emb_weight.dtype))
         return DecodeState([block.cross_attn.keys_values(z) for block in self.blocks],

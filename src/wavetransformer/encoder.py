@@ -7,10 +7,11 @@ fuses the two sequences with a 2-channel convolution and a time-shared
 linear map.  Four operating modes cover the ablations: full, temp_only,
 tf_only, and avg.
 
-Shape conventions: block-level functions take channel-first tensors
-((C, T) / (B, C, T) for 1D, (C, T, F) / (B, C, T, F) for 2D); the
-branch- and encoder-level entry points take features as (T, F) or
-(B, T, F) and return (T, F') or (B, T, F').
+Shape conventions: blocks take batch-first, channel-first tensors only,
+(B, C, T) for the wave blocks and (B, C, T, F) for the TF blocks, and the
+merge network takes (B, T, C).  The entry points (`temporal_branch`,
+`tf_branch`, `encode`) take features (T, F) or (B, T, F), treat a leading
+axis as clips, and return the same leading axes with C features per frame.
 """
 from __future__ import annotations
 
@@ -56,12 +57,11 @@ class EncoderConfig:
             )
 
 
-def _as_batched(x: Tensor, ndim: int) -> tuple[Tensor, bool]:
-    if x.ndim == ndim:
-        return x, False
-    if x.ndim == ndim - 1:
-        return ops.reshape(x, (1, *x.shape)), True
-    raise DimensionError(f"expected {ndim - 1}- or {ndim}-d input, got shape {x.shape}")
+def _clips(features: Tensor) -> Tensor:
+    """Features (T, F) or (B, T, F) as a batch of clips (B, T, F)."""
+    if features.ndim not in (2, 3):
+        raise DimensionError(f"features must be (T, F) or (B, T, F), got shape {features.shape}")
+    return ops.reshape(features, (-1, *features.shape[-2:]))
 
 
 class WaveBlock:
@@ -83,15 +83,13 @@ class WaveBlock:
         self.t7 = Conv1d(space, f"{name}.t7", c_out, c_out, k=1)
         self.bn = BatchNorm(space, f"{name}.bn", c_out)
 
-    def __call__(self, h_prev: Tensor, training: bool) -> Tensor:
-        x, squeeze = _as_batched(h_prev, 3)
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
         h2 = self.t1(x)
         s2 = ops.mul(ops.tanh(self.t2(h2)), ops.sigmoid(self.t3(h2)))
         h1 = ops.add(self.t4(s2), h2)
         s1 = ops.mul(ops.tanh(self.t5(h1)), ops.sigmoid(self.t6(h1)))
         pre = ops.add(self.t7(s1), h1)
-        out = ops.relu(self.bn(pre, training, channel_axis=1))
-        return ops.reshape(out, out.shape[1:]) if squeeze else out
+        return ops.relu(self.bn(pre, training))
 
 
 class TFBlock:
@@ -113,13 +111,10 @@ class TFBlock:
         self.pool = pool
         self.dropout = dropout
 
-    def __call__(self, h_prev: Tensor, training: bool, rng: RngState | None = None) -> Tensor:
-        x, squeeze = _as_batched(h_prev, 4)
-        s = self.pcnn(self.bn_a(ops.leaky_relu(self.scnn(x)), training, channel_axis=1))
-        out = self.bn_b(s, training, channel_axis=1)
-        out = ops.max_pool_freq(out, self.pool)
-        out = ops.dropout(out, self.dropout, training, rng)
-        return ops.reshape(out, out.shape[1:]) if squeeze else out
+    def __call__(self, x: Tensor, training: bool, rng: RngState | None = None) -> Tensor:
+        s = self.pcnn(self.bn_a(ops.leaky_relu(self.scnn(x)), training))
+        out = ops.max_pool_freq(self.bn_b(s, training), self.pool)
+        return ops.dropout(out, self.dropout, training, rng)
 
 
 class MergeNet:
@@ -133,15 +128,8 @@ class MergeNet:
     def __call__(self, z_t: Tensor, z_tf: Tensor) -> Tensor:
         if z_t.shape != z_tf.shape:
             raise DimensionError(f"merge inputs differ: {z_t.shape} vs {z_tf.shape}")
-        x_t, squeeze = _as_batched(z_t, 3)
-        x_tf, _ = _as_batched(z_tf, 3)
-        b, t, c = x_t.shape
-        stacked = ops.concat(
-            [ops.reshape(x_t, (b, 1, t, c)), ops.reshape(x_tf, (b, 1, t, c))], axis=1
-        )
-        mixed = ops.reshape(self.cnn(stacked), (b, t, c))
-        out = self.fnn(mixed)
-        return ops.reshape(out, out.shape[1:]) if squeeze else out
+        stacked = ops.concat([ops.reshape(z, (-1, 1, *z.shape[-2:])) for z in (z_t, z_tf)], axis=1)
+        return self.fnn(ops.reshape(self.cnn(stacked), z_t.shape))
 
 
 class Encoder:
@@ -175,25 +163,21 @@ class Encoder:
             self.merge = MergeNet(space, f"{name}.merge", cfg.channels)
 
     def temporal_branch(self, features: Tensor, training: bool) -> Tensor:
-        """(B, T, F) -> (B, T, C): mel bands become conv channels."""
-        x, squeeze = _as_batched(features, 3)
-        h = ops.transpose(x, (0, 2, 1))  # (B, F, T)
+        """(..., T, F) -> (..., T, C): mel bands become conv channels."""
+        h = ops.transpose(_clips(features), (0, 2, 1))  # (B, F, T)
         for block in self.wave_blocks:
             h = block(h, training)
-        out = ops.transpose(h, (0, 2, 1))
-        return ops.reshape(out, out.shape[1:]) if squeeze else out
+        return ops.reshape(ops.transpose(h, (0, 2, 1)), (*features.shape[:-1], -1))
 
     def tf_branch(self, features: Tensor, training: bool, rng: RngState | None = None) -> Tensor:
-        """(B, T, F) -> (B, T, C): 1-channel image in, frequency pooled to 1."""
-        x, squeeze = _as_batched(features, 3)
-        b, t, f = x.shape
-        h = ops.reshape(x, (b, 1, t, f))
+        """(..., T, F) -> (..., T, C): 1-channel image in, frequency pooled to 1."""
+        h = ops.reshape(_clips(features), (-1, 1, *features.shape[-2:]))
         for block in self.tf_blocks:
             h = block(h, training, rng)
         if h.shape[-1] != 1:
             raise DimensionError(f"frequency axis not collapsed: {h.shape}")
         out = ops.transpose(ops.reshape(h, h.shape[:-1]), (0, 2, 1))
-        return ops.reshape(out, out.shape[1:]) if squeeze else out
+        return ops.reshape(out, (*features.shape[:-1], -1))
 
     def encode(self, features: Tensor, training: bool = False,
                rng: RngState | None = None) -> Tensor:

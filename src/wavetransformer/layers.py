@@ -106,10 +106,10 @@ class BatchNorm:
         self.running_mean = space.buffer(f"{name}.running_mean", (channels,), fill=0.0)
         self.running_var = space.buffer(f"{name}.running_var", (channels,), fill=1.0)
 
-    def __call__(self, x: Tensor, training: bool, channel_axis: int = 0) -> Tensor:
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
         return ops.batch_norm(
             x, self.gamma, self.beta, self.running_mean, self.running_var,
-            training, self.momentum, self.eps, channel_axis,
+            training, self.momentum, self.eps, channel_axis=1,
         )
 
 

@@ -423,3 +423,63 @@ class TestPipeline:
                      "--spice-file", str(spice)]) == 0
         out = capsys.readouterr().out
         assert "spider=" in out and "spice=0.0990" in out
+
+    def test_caption_rejects_max_words_beyond_the_checkpoint_horizon(self, tmp_path, capsys):
+        audio_dir, caps, cfg = make_corpus_dir(tmp_path)
+        cfg.write_text(TINY_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))
+        feat_dir, run_dir, preds = tmp_path / "features", tmp_path / "run", tmp_path / "preds.csv"
+        assert main(["extract", "--audio-dir", str(audio_dir),
+                     "--out-dir", str(feat_dir), "--config", str(cfg)]) == 0
+        assert main(["train", "--features", str(feat_dir), "--captions", str(caps),
+                     "--out", str(run_dir), "--config", str(cfg)]) == 0
+        caption = ["caption", "--features", str(feat_dir), "--checkpoint",
+                   str(run_dir / "best.wtck"), "--out", str(preds), "--config"]
+        capsys.readouterr()
+        too_long = write_cfg(tmp_path, TINY_CONFIG.replace("max_words = 8", "max_words = 33"))
+        assert main(caption + [str(too_long)]) == 2
+        err = capsys.readouterr().err
+        assert "max_words = 33" in err and "max_len = 32" in err
+        assert not preds.exists()
+        at_horizon = write_cfg(tmp_path, TINY_CONFIG.replace("max_words = 8", "max_words = 32"))
+        assert main(caption + [str(at_horizon)]) == 0
+
+
+def write_rows(path: Path, rows: list[list[str]]) -> Path:
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+class TestEvaluateFiles:
+    """Malformed prediction and SPICE rows exit 2 naming the file and line."""
+
+    def self_predictions(self, tmp_path, extra=()):
+        rows = [["file_name", "caption_predicted"], *map(list, CAPTIONS), *extra]
+        return write_rows(tmp_path / "preds.csv", rows)
+
+    @pytest.mark.parametrize("bad_row,message", [
+        (["clip_a.wav"], "expected 2 columns, got 1"),
+        (["clip_a.wav", "a cat", "extra"], "expected 2 columns, got 3"),
+        (["clip_a.wav", "a cat"], "repeated file name 'clip_a.wav'"),
+    ])
+    def test_bad_prediction_row(self, tmp_path, capsys, bad_row, message):
+        _, caps, _ = make_corpus_dir(tmp_path)
+        preds = self.self_predictions(tmp_path, [bad_row])
+        assert main(["evaluate", "--predictions", str(preds), "--references", str(caps)]) == 2
+        assert f"{preds}:6: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_row,message", [
+        (["clip_d.wav"], "expected 2 columns, got 1"),
+        (["clip_d.wav", "abc"], "could not convert string to float: 'abc'"),
+        (["clip_d.wav", "nan"], "not a finite number: 'nan'"),
+        (["clip_d.wav", "-inf"], "not a finite number: '-inf'"),
+        (["clip_a.wav", "0.2"], "repeated file name 'clip_a.wav'"),
+    ])
+    def test_bad_spice_row(self, tmp_path, capsys, bad_row, message):
+        _, caps, _ = make_corpus_dir(tmp_path)
+        preds = self.self_predictions(tmp_path)
+        rows = [["file_name", "spice"], *[[name, "0.1"] for name, _ in CAPTIONS[:3]], bad_row]
+        spice = write_rows(tmp_path / "spice.csv", rows)
+        assert main(["evaluate", "--predictions", str(preds), "--references", str(caps),
+                     "--spice-file", str(spice)]) == 2
+        assert f"{spice}:5: {message}" in capsys.readouterr().err

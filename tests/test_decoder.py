@@ -152,6 +152,27 @@ class TestDecoderForward:
         np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-3)
 
 
+class TestShapeRule:
+    def test_one_clip_equals_batch_of_one(self):
+        dec, _, cfg = tiny_decoder(seed=33)
+        z = RngState(34).uniform(-1, 1, (6, 8)).astype(np.float32)
+        tokens = np.array([0, 5, 7, 2])
+        single = dec.forward(tokens, Tensor(z)).data
+        batch = dec.forward(tokens[None], Tensor(z[None])).data
+        assert single.shape == (4, cfg.vocab_size) and batch.shape == (1, 4, cfg.vocab_size)
+        np.testing.assert_array_equal(single, batch[0])
+
+    def test_one_clip_for_every_row(self):
+        # rows are grouped by clip: with one clip, each row reads it alone
+        dec, _, _ = tiny_decoder(seed=35)
+        z = Tensor(RngState(36).uniform(-1, 1, (6, 8)).astype(np.float32))
+        tokens = np.array([[0, 5, 7], [0, 3, 3]])
+        shared = dec.forward(tokens, z).data
+        for row in range(2):
+            np.testing.assert_allclose(shared[row], dec.forward(tokens[row], z).data,
+                                       rtol=0, atol=1e-6)
+
+
 class TestIncrementalStep:
     def test_cached_logits_match_full_recompute(self):
         # three rows fed different tokens, reordered and duplicated by keep

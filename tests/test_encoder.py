@@ -1,9 +1,12 @@
 """Encoder: wave blocks, TF blocks, merge, modes, receptive field."""
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from wavetransformer.encoder import Encoder, EncoderConfig, MergeNet, TFBlock, WaveBlock
-from wavetransformer.errors import ConfigError
+from wavetransformer.errors import ConfigError, DimensionError
 from wavetransformer.layers import ModelSpace
 from wavetransformer.tensor import ParameterStore, RngState, Tape, Tensor, backward
 from wavetransformer.tensor import ops
@@ -25,9 +28,9 @@ class TestWaveBlock:
     def test_output_nonnegative(self):
         space = make_space(1)
         block = WaveBlock(space, "b", 4, 8)
-        x = Tensor(RngState(2).uniform(-1, 1, (4, 10)))
+        x = Tensor(RngState(2).uniform(-1, 1, (1, 4, 10)))
         out = block(x, training=True)
-        assert out.shape == (8, 10)
+        assert out.shape == (1, 8, 10)
         assert (out.data >= 0).all()
 
     def test_zero_weights_zero_output(self):
@@ -35,22 +38,22 @@ class TestWaveBlock:
         block = WaveBlock(space, "b", 3, 5)
         for _, t in space.params.items():
             t.data[...] = 0.0
-        x = Tensor(RngState(3).uniform(-1, 1, (3, 7)))
+        x = Tensor(RngState(3).uniform(-1, 1, (1, 3, 7)))
         out = block(x, training=False)
-        np.testing.assert_array_equal(out.data, np.zeros((5, 7)))
+        np.testing.assert_array_equal(out.data, np.zeros((1, 5, 7)))
 
     def test_single_block_radius_three(self):
         # forward perturbation: output frame t reacts only to frames [t-3, t+3]
         space = make_space(4)
         block = WaveBlock(space, "b", 2, 4)
         rng = RngState(5)
-        x = rng.uniform(-1, 1, (2, 15))
+        x = rng.uniform(-1, 1, (1, 2, 15))
         base = block(Tensor(x), training=False).data
         for s in range(15):
             bumped = x.copy()
-            bumped[:, s] += 0.5
+            bumped[..., s] += 0.5
             out = block(Tensor(bumped), training=False).data
-            changed = np.where(np.any(out != base, axis=0))[0]
+            changed = np.where(np.any(out != base, axis=(0, 1)))[0]
             inside = np.arange(max(0, s - 3), min(15, s + 4))
             assert set(changed) <= set(inside), f"frame {s} leaked to {changed}"
 
@@ -59,14 +62,14 @@ class TestTFBlock:
     def test_geometry(self):
         space = make_space(6)
         block = TFBlock(space, "b", 3, 5, pcnn_kernel=5, pool=4, dropout=0.0)
-        x = Tensor(RngState(7).uniform(-1, 1, (3, 6, 8)))
+        x = Tensor(RngState(7).uniform(-1, 1, (1, 3, 6, 8)))
         out = block(x, training=False)
-        assert out.shape == (5, 6, 2)
+        assert out.shape == (1, 5, 6, 2)
 
     def test_eval_deterministic(self):
         space = make_space(8)
         block = TFBlock(space, "b", 2, 4, pcnn_kernel=3, pool=2, dropout=0.5)
-        x = Tensor(RngState(9).uniform(-1, 1, (2, 5, 4)))
+        x = Tensor(RngState(9).uniform(-1, 1, (1, 2, 5, 4)))
         a = block(x, training=False).data
         b = block(x, training=False).data
         np.testing.assert_array_equal(a, b)
@@ -178,6 +181,39 @@ class TestEncoderModes:
     def test_invalid_pool_product_rejected(self):
         with pytest.raises(ConfigError):
             EncoderConfig(n_tf_blocks=2, pool_factors=(2, 2), n_mels=64)
+
+
+class TestShapeRule:
+    """Entry points treat a leading axis as clips: one clip (T, F) gives
+    the same bits as that clip in a batch of one, (1, T, F)."""
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("mode", ["full", "temp_only", "tf_only", "avg"])
+    def test_encode_one_clip_equals_batch_of_one(self, mode, training):
+        cfg = replace(small_cfg(mode), dropout_tf=0.25)
+        enc = Encoder(make_space(29), cfg)
+        x = RngState(30).uniform(-1, 1, (9, cfg.n_mels)).astype(np.float32)
+        single = enc.encode(Tensor(x), training, RngState(31)).data
+        batch = enc.encode(Tensor(x[None]), training, RngState(31)).data
+        assert single.shape == (9, cfg.channels) and batch.shape == (1, 9, cfg.channels)
+        np.testing.assert_array_equal(single, batch[0])
+
+    def test_branches_one_clip_equal_batch_of_one(self):
+        cfg = small_cfg("full")
+        enc = Encoder(make_space(32), cfg)
+        x = RngState(33).uniform(-1, 1, (7, cfg.n_mels)).astype(np.float32)
+        for branch in (enc.temporal_branch, enc.tf_branch):
+            single = branch(Tensor(x), training=False).data
+            batch = branch(Tensor(x[None]), training=False).data
+            assert single.shape == (7, cfg.channels) and batch.shape == (1, 7, cfg.channels)
+            np.testing.assert_array_equal(single, batch[0])
+
+    @pytest.mark.parametrize("mode", ["full", "temp_only", "tf_only", "avg"])
+    @pytest.mark.parametrize("shape", [(4,), (1, 1, 5, 4)])
+    def test_other_ranks_rejected_naming_the_shape(self, mode, shape):
+        enc = Encoder(make_space(34), small_cfg(mode))
+        with pytest.raises(DimensionError, match=re.escape(str(shape))):
+            enc.encode(Tensor(np.zeros(shape, dtype=np.float32)))
 
 
 def receptive_support(n_temp: int, t_a: int, probe: int) -> np.ndarray:
