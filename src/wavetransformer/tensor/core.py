@@ -5,6 +5,9 @@ optional gradient buffer, and every differentiable operation appends one
 entry to the currently active Tape.  Entries are appended in execution order,
 which is by construction a topological order of the data-flow graph, so
 `backward` is a single reverse sweep that visits each recorded node once.
+The sweep consumes the tape: each entry, and the arrays its VJP holds, is
+freed as soon as it has run, so a training step peaks at the forward's
+arrays, not at the forward's arrays plus every gradient.
 
 Training runs in float32.  A float64 mode (see `default_dtype`) exists for
 verification, where finite-difference checks are meaningful at much tighter
@@ -101,7 +104,9 @@ class Tensor:
 
 
 # A VJP receives the output gradient and returns one gradient per recorded
-# input (None where an input needs no gradient).
+# input (None where an input needs no gradient).  It never writes into the
+# gradient it receives, and `backward` never writes into a gradient it holds,
+# so a VJP may return `g` itself or a view of it.
 Vjp = Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]
 
 
@@ -110,12 +115,14 @@ class Tape:
 
     Use as a context manager around the forward pass; while active, every op
     whose inputs are gradient-relevant appends (output, inputs, vjp).  With
-    no tape active, ops run forward-only, which is the inference path.
+    no tape active, ops run forward-only, which is the inference path.  A
+    tape serves one `backward`, which empties it.
     """
 
     def __init__(self):
         self._entries: list[tuple[Tensor, tuple[Tensor, ...], Vjp]] = []
         self._tracked: set[int] = set()
+        self._consumed = False
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -155,28 +162,36 @@ def apply_op(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Vjp) -> Tens
 def backward(loss: Tensor, tape: Tape) -> None:
     """Accumulate d(loss)/d(t) into `t.grad` for every requires_grad tensor.
 
-    Repeated calls without zeroing add up.  The sweep walks the tape in
-    reverse execution order; by then every consumer of an intermediate has
-    already deposited its contribution, so each entry is processed exactly
-    once and intermediate gradients are freed as soon as they are consumed.
+    Gradients add to what `t.grad` already holds, so accumulating over
+    several losses means one tape, and one call, per loss.  The sweep pops
+    the tape's entries in reverse execution order; by then every consumer of
+    an intermediate has already deposited its contribution, so each entry is
+    processed exactly once, and it is freed with the arrays its VJP holds, as
+    is each intermediate gradient once consumed.  A second call on a consumed
+    tape raises UsageError.
     """
     if loss.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if tape._consumed:
+        raise UsageError("backward: this tape was consumed by an earlier backward; "
+                         "record the forward again on a new tape")
+    entries = tape._entries
+    tape._consumed = True
     pending: dict[int, list] = {id(loss): [loss, np.ones_like(loss.data)]}
-    for out, inputs, vjp in reversed(tape._entries):
+    while entries:
+        out, inputs, vjp = entries.pop()
         item = pending.pop(id(out), None)
         if item is None:
             continue
-        grad_out = item[1]
         if out.requires_grad:
-            out.accumulate_grad(grad_out)
-        grads_in = vjp(grad_out)
-        for t, g in zip(inputs, grads_in):
+            out.accumulate_grad(item[1])
+        for t, g in zip(inputs, vjp(item[1])):
             if g is None:
                 continue
             held = pending.get(id(t))
             if held is None:
-                pending[id(t)] = [t, np.array(g, copy=True)]
+                # a strided view is copied densely: sums over it round by layout
+                pending[id(t)] = [t, g if g.flags.c_contiguous else np.array(g, copy=True)]
             else:
                 held[1] = held[1] + g
     for t, g in pending.values():

@@ -7,6 +7,11 @@ the input, and each time tap is a batched matmul on a window of its rows.
 Taps map to plain slices, so the backward scatter is slice arithmetic too,
 with a fixed accumulation order that keeps results bit-reproducible run to
 run.
+
+A VJP keeps what it needs to run and no more: the tape holds each op's
+inputs anyway, so the convolutions rebuild their tap buffer and training
+batch norm recomputes its normalized input from them, with the same
+operations as the forward, rather than keeping copies until backward.
 """
 from __future__ import annotations
 
@@ -322,15 +327,33 @@ def conv2d(
     return _conv_taps(2, x, weight, bias, stride, padding, 1, groups)
 
 
+# The conv VJP rebuilds the kw-tap buffer a few clips at a time: as many
+# clips as fit this many bytes of it, and at least one.
+_VJP_CHUNK_BYTES = 8 << 20
+
+
+def _tap_cols(x4, kw, ph, pw, stride, w_out) -> np.ndarray:
+    """The kw frequency taps of the padded input, (B, C_in, kw, H + 2*ph, W_out)."""
+    b, c_in, h, _ = x4.shape
+    xp = np.pad(x4, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = np.empty((b, c_in, kw, h + 2 * ph, w_out), dtype=x4.dtype)
+    for j in range(kw):
+        cols[:, :, j] = xp[:, :, :, j : j + stride * w_out : stride]
+    return cols
+
+
 def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> Tensor:
     """The one convolution kernel, for 1D (weight (C_out, C_in, k)) and 2D
     (weight (C_out, C_in/groups, kh, kw)); a 1D input is a 2D one of width 1.
 
     The kw frequency taps are copied once into `cols` (B, groups,
-    C_in/groups * kw, H + 2*pad, W_out), kw times the input and the only
-    array the tape keeps.  Time tap i (dilated in 1D) is a window of rows of
-    `cols` and one batched matmul, the groups a batch axis; a stride > 1
-    window is a copy.  Taps accumulate in index order, forward and backward.
+    C_in/groups * kw, H + 2*pad, W_out), kw times the input.  Time tap i
+    (dilated in 1D) is a window of rows of `cols` and one batched matmul, the
+    groups a batch axis; a stride > 1 window is a copy.  Taps accumulate in
+    index order, forward and backward.  The tape keeps the input, not `cols`:
+    the VJP rebuilds `cols` with the same copies, over chunks of clips of
+    about `_VJP_CHUNK_BYTES`, and adds the weight gradient clip by clip in
+    batch order, the order of a sum over the batch axis.
     """
     name = f"conv{spatial}d"
     if x.ndim not in (spatial + 1, spatial + 2) or weight.ndim != spatial + 2:
@@ -353,25 +376,20 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> T
             f"stride={stride}, pad={padding}, dilation={dilation}"
         )
     hp = h + 2 * ph
-    xp = np.pad(x4, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = np.empty((b, c_in, kw, hp, w_out), dtype=x4.dtype)
-    for j in range(kw):
-        cols[:, :, j] = xp[:, :, :, j : j + stride * w_out : stride]
-    del xp  # not needed by the matmuls; free it before they allocate
-    cols = cols.reshape(b, groups, cg * kw, hp, w_out)
+    cols = _tap_cols(x4, kw, ph, pw, stride, w_out).reshape(b, groups, cg * kw, hp, w_out)
     # (kh, groups, og, cg * kw): the weights of time tap i
     wt = np.ascontiguousarray(
         w4.reshape(groups, og, cg, kh, kw).transpose(3, 0, 1, 2, 4)
     ).reshape(kh, groups, og, cg * kw)
     rows = [slice(i * dilation, i * dilation + stride * h_out, stride) for i in range(kh)]
 
-    def window(i):
-        return cols[:, :, :, rows[i]].reshape(b, groups, cg * kw, h_out * w_out)
+    def window(cols, i):
+        return cols[:, :, :, rows[i]].reshape(len(cols), groups, cg * kw, h_out * w_out)
 
-    out = np.matmul(wt[0], window(0))
+    out = np.matmul(wt[0], window(cols, 0))
     tap = np.empty_like(out)
     for i in range(1, kh):
-        out += np.matmul(wt[i], window(i), out=tap)
+        out += np.matmul(wt[i], window(cols, i), out=tap)
     out = out.reshape(b, c_out, h_out * w_out)
     if bias is not None:
         out += bias.data[:, None]
@@ -379,18 +397,32 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> T
 
     def vjp(g):
         g4 = g.reshape(b, groups, og, h_out * w_out)
-        gw = np.empty_like(wt)
-        gcols = np.zeros_like(cols)
-        gwin = np.empty((b, groups, cg * kw, h_out, w_out), dtype=cols.dtype)
-        for i in range(kh):
-            gw[i] = np.matmul(g4, window(i).swapaxes(-1, -2)).sum(axis=0)
-            np.matmul(wt[i].swapaxes(-1, -2), g4, out=gwin.reshape(b, groups, cg * kw, -1))
-            gcols[:, :, :, rows[i]] += gwin
-        gcols = gcols.reshape(b, c_in, kw, hp, w_out)
-        gxp = np.zeros((b, c_in, hp, w + 2 * pw), dtype=gcols.dtype)
-        for j in range(kw):
-            gxp[:, :, :, j : j + stride * w_out : stride] += gcols[:, :, j]
-        gx = gxp[:, :, ph : ph + h, pw : pw + w].reshape(x.shape)
+        gw = np.zeros_like(wt)
+        gx = np.empty_like(x4)
+        step = max(1, _VJP_CHUNK_BYTES // (c_in * kw * hp * w_out * x4.itemsize))
+        for s in range(0, b, step):
+            cols = _tap_cols(x4[s : s + step], kw, ph, pw, stride, w_out)
+            n = len(cols)
+            cols = cols.reshape(n, groups, cg * kw, hp, w_out)
+            gs = g4[s : s + step]
+            gcols = np.zeros_like(cols)
+            gwin = np.empty((n, groups, cg * kw, h_out, w_out), dtype=cols.dtype)
+            gwin4 = gwin.reshape(n, groups, cg * kw, h_out * w_out)
+            for i in range(kh):
+                for clip in np.matmul(gs, window(cols, i).swapaxes(-1, -2)):
+                    gw[i] += clip
+                wi = wt[i].swapaxes(-1, -2)
+                if og == 1:  # depthwise: a K=1 product is a broadcast multiply
+                    np.multiply(wi, gs, out=gwin4)
+                else:
+                    np.matmul(wi, gs, out=gwin4)
+                gcols[:, :, :, rows[i]] += gwin
+            gcols = gcols.reshape(n, c_in, kw, hp, w_out)
+            gxp = np.zeros((n, c_in, hp, w + 2 * pw), dtype=gcols.dtype)
+            for j in range(kw):
+                gxp[:, :, :, j : j + stride * w_out : stride] += gcols[:, :, j]
+            gx[s : s + step] = gxp[:, :, ph : ph + h, pw : pw + w]
+        gx = gx.reshape(x.shape)
         gw = gw.reshape(kh, groups, og, cg, kw).transpose(1, 2, 3, 0, 4).reshape(weight.shape)
         if bias is None:
             return gx, gw
@@ -470,22 +502,32 @@ def batch_norm(
         mean = x.data.mean(axis=axes, keepdims=True)
         var = x.data.var(axis=axes, keepdims=True)
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mean) * inv
-        out = gd * xhat + bd
+        out = x.data - mean
+        out *= inv
+        out *= gd
+        out += bd
         unbiased = var.reshape(c) * (n / max(n - 1, 1))
         running_mean[:] = (1 - momentum) * running_mean + momentum * mean.reshape(c)
         running_var[:] = (1 - momentum) * running_var + momentum * unbiased
 
         def vjp(g):
-            dxhat = g * gd
-            m1 = dxhat.mean(axis=axes, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
-            gx = inv * (dxhat - m1 - xhat * m2)
-            ggamma = (g * xhat).sum(axis=axes)
+            # the tape keeps no xhat: recompute it, then form
+            # inv * (dxhat - m1 - xhat * m2) in place with one scratch array,
+            # operation by operation, so the bits are those of that formula
+            xhat = x.data - mean
+            xhat *= inv
+            gx = g * gd  # dxhat, and finally the input gradient
+            scratch = gx * xhat
+            m1 = gx.mean(axis=axes, keepdims=True)
+            m2 = scratch.mean(axis=axes, keepdims=True)
+            ggamma = np.multiply(g, xhat, out=scratch).sum(axis=axes)
             gbeta = g.sum(axis=axes)
-            return gx.astype(x.data.dtype), ggamma, gbeta
+            gx -= m1
+            gx -= np.multiply(xhat, m2, out=scratch)
+            gx *= inv
+            return gx.astype(x.data.dtype, copy=False), ggamma, gbeta
 
-        return apply_op(out.astype(x.data.dtype), (x, gamma, beta), vjp)
+        return apply_op(out.astype(x.data.dtype, copy=False), (x, gamma, beta), vjp)
 
     # eval mode: the running statistics fold into one scale and one shift
     inv = 1.0 / np.sqrt(running_var + eps)

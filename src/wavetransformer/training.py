@@ -22,6 +22,8 @@ resumed run continues bit-exactly.
 from __future__ import annotations
 
 import json
+import math
+import mmap
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
@@ -297,41 +299,62 @@ def _write_wtck(fh, meta_bytes: bytes, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    # A first pass checks each record's declared size against the bytes
+    # left and skips its data, so nothing larger than the file is ever
+    # allocated.  A second pass reads every record straight into its slice
+    # of one block mapped from the OS: the weights are held once, leave no
+    # holes among the malloc heap's small allocations, and go back to the OS
+    # in one piece when the last array is dropped.
     with open(path, "rb") as fh:
-        blob = fh.read()
-    view = memoryview(blob)
-    pos = 0
+        size = os.fstat(fh.fileno()).st_size
+        pos = 0
 
-    def need(n: int, what: str):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise CheckpointError(f"{path}: truncated while reading {what}")
-        chunk = view[pos : pos + n]
-        pos += n
-        return chunk
+        def claim(n: int, what: str) -> None:
+            nonlocal pos
+            if pos + n > size:
+                raise CheckpointError(f"{path}: truncated while reading {what}")
+            pos += n
 
-    if bytes(need(4, "magic")) != WTCK_MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a WTCK checkpoint")
-    (version,) = struct.unpack("<I", need(4, "version"))
-    if version != WTCK_VERSION:
-        raise CheckpointError(f"{path}: unsupported WTCK version {version}")
-    (meta_len,) = struct.unpack("<I", need(4, "metadata length"))
-    try:
-        meta = json.loads(bytes(need(meta_len, "metadata")).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt metadata block: {exc}") from None
-    (count,) = struct.unpack("<I", need(4, "record count"))
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", need(4, "record name length"))
-        name = bytes(need(name_len, "record name")).decode("utf-8")
-        (ndim,) = struct.unpack("<I", need(4, "record rank"))
-        dims = struct.unpack(f"<{ndim}I", need(4 * ndim, "record dims"))
-        n_items = int(np.prod(dims)) if dims else 1
-        data = np.frombuffer(need(4 * n_items, f"record {name!r} data"), dtype="<f4")
-        arrays[name] = data.reshape(dims).copy()
-    if pos != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - pos} trailing bytes after records")
+        def need(n: int, what: str) -> bytes:
+            claim(n, what)
+            chunk = fh.read(n)
+            if len(chunk) != n:
+                raise CheckpointError(f"{path}: truncated while reading {what}")
+            return chunk
+
+        if need(4, "magic") != WTCK_MAGIC:
+            raise CheckpointError(f"{path}: bad magic, not a WTCK checkpoint")
+        (version,) = struct.unpack("<I", need(4, "version"))
+        if version != WTCK_VERSION:
+            raise CheckpointError(f"{path}: unsupported WTCK version {version}")
+        (meta_len,) = struct.unpack("<I", need(4, "metadata length"))
+        try:
+            meta = json.loads(need(meta_len, "metadata").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: corrupt metadata block: {exc}") from None
+        (count,) = struct.unpack("<I", need(4, "record count"))
+        records = []  # (name, dims, file offset of the data)
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", need(4, "record name length"))
+            name = need(name_len, "record name").decode("utf-8")
+            (ndim,) = struct.unpack("<I", need(4, "record rank"))
+            dims = struct.unpack(f"<{ndim}I", need(4 * ndim, "record dims"))
+            records.append((name, dims, pos))
+            claim(4 * math.prod(dims), f"record {name!r} data")
+            fh.seek(pos)
+        if pos != size:
+            raise CheckpointError(f"{path}: {size - pos} trailing bytes after records")
+        total = sum(math.prod(dims) for _, dims, _ in records)
+        block = np.frombuffer(mmap.mmap(-1, max(4 * total, 1)), dtype="<f4", count=total)
+        arrays: dict[str, np.ndarray] = {}
+        start = 0
+        for name, dims, offset in records:
+            arr = block[start : start + math.prod(dims)]
+            fh.seek(offset)
+            if fh.readinto(arr) != arr.nbytes:
+                raise CheckpointError(f"{path}: truncated while reading record {name!r} data")
+            arrays[name] = arr.reshape(dims)
+            start += arr.size
     _check_keys(meta, META_KEYS, f"{path}: metadata does not fit Checkpoint")
     meta["rng_state"] = tuple(meta["rng_state"])
     return Checkpoint(arrays=arrays, **meta)

@@ -1,4 +1,6 @@
 """Tape/backward semantics, optimizer behavior, RNG portability."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -42,12 +44,43 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_repeated_backward_accumulates(self):
+        # backward consumes its tape, so accumulating means one tape per pass
+        x = Tensor([3.0], requires_grad=True)
+        for _ in range(2):
+            with Tape() as tape:
+                loss = ops.tensor_sum(x)
+            backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, [2.0])
+
+    def test_second_backward_on_one_tape_raises(self):
         x = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
             loss = ops.tensor_sum(x)
         backward(loss, tape)
+        with pytest.raises(UsageError, match="consumed"):
+            backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, [1.0])
+
+    def test_empty_tape_serves_one_backward(self):
+        # a loss that is itself the leaf records nothing on its tape
+        x = Tensor([3.0], requires_grad=True)
+        tape = Tape()
+        backward(x, tape)
+        np.testing.assert_array_equal(x.grad, [1.0])
+        with pytest.raises(UsageError, match="consumed"):
+            backward(x, tape)
+
+    def test_backward_frees_intermediates(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            y = ops.tanh(x)
+            held = weakref.ref(y.data)
+            loss = ops.tensor_sum(ops.mul(y, y))
+        del y
+        assert held() is not None  # the tape keeps it for backward
         backward(loss, tape)
-        np.testing.assert_array_equal(x.grad, [2.0])
+        assert held() is None and len(tape) == 0
+        np.testing.assert_allclose(x.grad, 2 * np.tanh([1.0, 2.0]) * (1 - np.tanh([1.0, 2.0]) ** 2))
 
     def test_fanout_accumulates_once_per_use(self):
         x = Tensor([2.0], requires_grad=True)

@@ -1,7 +1,9 @@
 """Loss arithmetic, early stopping, checkpoint round trips, determinism."""
 import json
+import mmap
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -397,6 +399,24 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) - 7])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    def test_oversized_record_fails_before_allocating(self, tmp_path, monkeypatch):
+        # a record claiming 2**30 floats (4 GiB) in a file of a few bytes
+        meta = b"{}"
+        path = tmp_path / "huge.wtck"
+        path.write_bytes(b"WTCK" + struct.pack("<II", 1, len(meta)) + meta
+                         + struct.pack("<II", 1, 1) + b"w"
+                         + struct.pack("<II", 1, 2 ** 30) + bytes(64))
+        mapped = []
+        monkeypatch.setattr(mmap, "mmap", lambda *args: mapped.append(args))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated while reading record 'w' data"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20 and mapped == []
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         vocab = tiny_vocab()
