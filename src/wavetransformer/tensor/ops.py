@@ -2,16 +2,24 @@
 
 Every function computes a forward value in numpy and registers a
 vector-Jacobian product on the active tape.  conv1d and conv2d share one
-tap-loop kernel: the frequency taps are copied once into a buffer k times
-the input, and each time tap is a batched matmul on a window of its rows.
-Taps map to plain slices, so the backward scatter is slice arithmetic too,
-with a fixed accumulation order that keeps results bit-reproducible run to
-run.
+kernel, `_conv_taps`, with two regimes picked from the weight's shape:
+
+* single input channel (groups == 1, C_in == 1, the first TF block): all
+  kh*kw taps fold into K, and the conv is one GEMM over a (K, H_out*W_out)
+  column buffer per clip, K times the input; the input gradient is the
+  col2im of W^T g, again K rows;
+* every other conv: the kw frequency taps are copied once into a buffer kw
+  times the padded input, and each time tap is a batched matmul on a window
+  of its rows.  The input gradient is the same kernel run on g (zero-
+  inserted for stride > 1, padded by dilation*(kh-1) - pad) with the
+  flipped, group-transposed kernel, so it costs about what the forward does.
+
+Accumulation orders are fixed, so results are bit-reproducible run to run.
 
 A VJP keeps what it needs to run and no more: the tape holds each op's
-inputs anyway, so the convolutions rebuild their tap buffer and training
-batch norm recomputes its normalized input from them, with the same
-operations as the forward, rather than keeping copies until backward.
+inputs anyway, so the convolutions rebuild their tap buffers from them, a
+few clips at a time, and training batch norm recentres its input, rather
+than keeping copies until backward.
 """
 from __future__ import annotations
 
@@ -220,10 +228,14 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
-    out = np.where(a.data >= 0, a.data, a.data * a.data.dtype.type(slope))
+    """max(a, slope * a), which is the leaky ReLU for 0 < slope <= 1 (a zero
+    slope would make max(inf, inf * 0) NaN; relu is that case)."""
+    if not 0.0 < slope <= 1.0:
+        raise ConfigError(f"leaky_relu slope must be in (0, 1], got {slope}")
+    out = np.maximum(a.data, a.data * a.data.dtype.type(slope))
 
     def vjp(g):
-        return (g * np.where(a.data >= 0, 1.0, slope).astype(a.data.dtype),)
+        return (np.where(a.data >= 0, g, g * g.dtype.type(slope)),)
 
     return apply_op(out, (a,), vjp)
 
@@ -327,33 +339,64 @@ def conv2d(
     return _conv_taps(2, x, weight, bias, stride, padding, 1, groups)
 
 
-# The conv VJP rebuilds the kw-tap buffer a few clips at a time: as many
-# clips as fit this many bytes of it, and at least one.
+# The conv VJP builds its tap buffers a few clips at a time: as many clips
+# as fit this many bytes of them, and at least one.
 _VJP_CHUNK_BYTES = 8 << 20
 
 
-def _tap_cols(x4, kw, ph, pw, stride, w_out) -> np.ndarray:
-    """The kw frequency taps of the padded input, (B, C_in, kw, H + 2*ph, W_out)."""
-    b, c_in, h, _ = x4.shape
-    xp = np.pad(x4, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = np.empty((b, c_in, kw, h + 2 * ph, w_out), dtype=x4.dtype)
-    for j in range(kw):
-        cols[:, :, j] = xp[:, :, :, j : j + stride * w_out : stride]
+def _tap_cols(xp, rows, kw, stride, w_out) -> np.ndarray:
+    """Taps of the padded input xp (B, C, Hp, Wp): (B, C, len(rows) * kw, H', W_out),
+    entry a * kw + j holding time rows `rows[a]` at frequency tap j."""
+    b, c, hp, _ = xp.shape
+    h = len(range(*rows[0].indices(hp)))
+    cols = np.empty((b, c, len(rows) * kw, h, w_out), dtype=xp.dtype)
+    for a, r in enumerate(rows):
+        for j in range(kw):
+            cols[:, :, a * kw + j] = xp[:, :, r, j : j + stride * w_out : stride]
     return cols
+
+
+def _tap_weights(w4, groups) -> np.ndarray:
+    """(C_out, C_in/groups, kh, kw) -> (kh, groups, og, C_in/groups * kw): time tap i's weights."""
+    c_out, cg, kh, kw = w4.shape
+    og = c_out // groups
+    return np.ascontiguousarray(
+        w4.reshape(groups, og, cg, kh, kw).transpose(3, 0, 1, 2, 4)
+    ).reshape(kh, groups, og, cg * kw)
+
+
+def _per_tap(cols, wt, stride, dilation, h_out, w_out) -> np.ndarray:
+    """Convolve with tap weights wt, given the kw frequency taps of the
+    padded input (B, C_in, kw, Hp, W_out): (B, C_out, h_out * w_out).
+
+    Time tap i is a window of rows of `cols` and one batched matmul, the
+    groups a batch axis (a stride > 1 window is a copy).  Taps accumulate in
+    index order.
+    """
+    kh, groups, og, k = wt.shape
+    b, hp = len(cols), cols.shape[3]
+    cols = cols.reshape(b, groups, k, hp, w_out)
+
+    def window(i):
+        rows = slice(i * dilation, i * dilation + stride * h_out, stride)
+        return cols[:, :, :, rows].reshape(b, groups, k, h_out * w_out)
+
+    out = np.matmul(wt[0], window(0))
+    tap = np.empty_like(out)
+    for i in range(1, kh):
+        out += np.matmul(wt[i], window(i), out=tap)
+    return out.reshape(b, groups * og, h_out * w_out)
 
 
 def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> Tensor:
     """The one convolution kernel, for 1D (weight (C_out, C_in, k)) and 2D
     (weight (C_out, C_in/groups, kh, kw)); a 1D input is a 2D one of width 1.
 
-    The kw frequency taps are copied once into `cols` (B, groups,
-    C_in/groups * kw, H + 2*pad, W_out), kw times the input.  Time tap i
-    (dilated in 1D) is a window of rows of `cols` and one batched matmul, the
-    groups a batch axis; a stride > 1 window is a copy.  Taps accumulate in
-    index order, forward and backward.  The tape keeps the input, not `cols`:
-    the VJP rebuilds `cols` with the same copies, over chunks of clips of
-    about `_VJP_CHUNK_BYTES`, and adds the weight gradient clip by clip in
-    batch order, the order of a sum over the batch axis.
+    The weight's shape picks the regime (see the module docstring).  The
+    tape keeps the input, not a tap buffer: the VJP rebuilds the buffers
+    over chunks of clips of about `_VJP_CHUNK_BYTES`, and adds the weight
+    gradient clip by clip in batch order, the order of a sum over the batch
+    axis.
     """
     name = f"conv{spatial}d"
     if x.ndim not in (spatial + 1, spatial + 2) or weight.ndim != spatial + 2:
@@ -375,58 +418,87 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> T
             f"{name}: empty output for input {x.shape}, kernel {weight.shape}, "
             f"stride={stride}, pad={padding}, dilation={dilation}"
         )
-    hp = h + 2 * ph
-    cols = _tap_cols(x4, kw, ph, pw, stride, w_out).reshape(b, groups, cg * kw, hp, w_out)
-    # (kh, groups, og, cg * kw): the weights of time tap i
-    wt = np.ascontiguousarray(
-        w4.reshape(groups, og, cg, kh, kw).transpose(3, 0, 1, 2, 4)
-    ).reshape(kh, groups, og, cg * kw)
+    hp, wp, n_out = h + 2 * ph, w + 2 * pw, h_out * w_out
+    fold = groups == 1 and c_in == 1
     rows = [slice(i * dilation, i * dilation + stride * h_out, stride) for i in range(kh)]
 
-    def window(cols, i):
-        return cols[:, :, :, rows[i]].reshape(len(cols), groups, cg * kw, h_out * w_out)
+    def padded(xs):
+        xp = np.zeros((len(xs), c_in, hp, wp), dtype=xs.dtype)
+        xp[:, :, ph : ph + h, pw : pw + w] = xs
+        return xp
 
-    out = np.matmul(wt[0], window(cols, 0))
-    tap = np.empty_like(out)
-    for i in range(1, kh):
-        out += np.matmul(wt[i], window(cols, i), out=tap)
-    out = out.reshape(b, c_out, h_out * w_out)
+    if fold:
+        w2 = w4.reshape(c_out, kh * kw)
+        out = np.matmul(w2, _tap_cols(padded(x4), rows, kw, stride, w_out).reshape(b, -1, n_out))
+    else:
+        wt = _tap_weights(w4, groups)
+        out = _per_tap(_tap_cols(padded(x4), [slice(None)], kw, stride, w_out),
+                       wt, stride, dilation, h_out, w_out)
     if bias is not None:
         out += bias.data[:, None]
     out = out.reshape((*x.shape[: x.ndim - spatial - 1], c_out, h_out, w_out)[: x.ndim])
 
-    def vjp(g):
-        g4 = g.reshape(b, groups, og, h_out * w_out)
-        gw = np.zeros_like(wt)
-        gx = np.empty_like(x4)
-        step = max(1, _VJP_CHUNK_BYTES // (c_in * kw * hp * w_out * x4.itemsize))
-        for s in range(0, b, step):
-            cols = _tap_cols(x4[s : s + step], kw, ph, pw, stride, w_out)
-            n = len(cols)
-            cols = cols.reshape(n, groups, cg * kw, hp, w_out)
-            gs = g4[s : s + step]
-            gcols = np.zeros_like(cols)
-            gwin = np.empty((n, groups, cg * kw, h_out, w_out), dtype=cols.dtype)
-            gwin4 = gwin.reshape(n, groups, cg * kw, h_out * w_out)
-            for i in range(kh):
-                for clip in np.matmul(gs, window(cols, i).swapaxes(-1, -2)):
-                    gw[i] += clip
-                wi = wt[i].swapaxes(-1, -2)
-                if og == 1:  # depthwise: a K=1 product is a broadcast multiply
-                    np.multiply(wi, gs, out=gwin4)
-                else:
-                    np.matmul(wi, gs, out=gwin4)
-                gcols[:, :, :, rows[i]] += gwin
-            gcols = gcols.reshape(n, c_in, kw, hp, w_out)
-            gxp = np.zeros((n, c_in, hp, w + 2 * pw), dtype=gcols.dtype)
+    # the input gradient of the per-tap regime: g goes into a zero buffer at
+    # rows eh + o*stride, columns ew + v*stride, and the stride-1 conv of the
+    # buffer from row ph, column pw with the flipped weights is gx
+    eh, ew = dilation * (kh - 1), kw - 1
+    hb, wb = h + ph + max(eh, ph), w + pw + max(ew, pw)
+    if fold:
+        clip_bytes = kh * kw * n_out
+    else:
+        clip_bytes = kw * (c_in * hp * w_out + c_out * (hb - ph) * w)
+    step = max(1, _VJP_CHUNK_BYTES // (clip_bytes * x4.itemsize))
+
+    # a chunk function adds the chunk's weight gradient to gw and returns
+    # the chunk's input gradient
+    def fold_chunk(xs, gs, gw):
+        n = len(xs)
+        cols = _tap_cols(padded(xs), rows, kw, stride, w_out).reshape(n, -1, n_out)
+        for clip in np.matmul(gs, cols.swapaxes(-1, -2)):
+            gw += clip
+        gcols = np.matmul(w2.T, gs, out=cols).reshape(n, kh * kw, h_out, w_out)
+        gxp = np.zeros((n, 1, hp, wp), dtype=xs.dtype)
+        for a in range(kh):
             for j in range(kw):
-                gxp[:, :, :, j : j + stride * w_out : stride] += gcols[:, :, j]
-            gx[s : s + step] = gxp[:, :, ph : ph + h, pw : pw + w]
+                gxp[:, 0, rows[a], j : j + stride * w_out : stride] += gcols[:, a * kw + j]
+        return gxp[:, :, ph : ph + h, pw : pw + w]
+
+    def per_tap_chunk(xs, gs, gw, wt_in):
+        n = len(xs)
+        cols = _tap_cols(padded(xs), [slice(None)], kw, stride, w_out)
+        cols = cols.reshape(n, groups, cg * kw, hp, w_out)
+        g4 = gs.reshape(n, groups, og, n_out)
+        for i in range(kh):
+            window = cols[:, :, :, rows[i]].reshape(n, groups, cg * kw, n_out)
+            for clip in np.matmul(g4, window.swapaxes(-1, -2)):
+                gw[i] += clip
+        del cols, window  # the input's taps go before the gradient's are built
+        gb = np.zeros((n, c_out, hb, wb), dtype=xs.dtype)
+        gb[:, :, eh : eh + stride * h_out : stride, ew : ew + stride * w_out : stride] = (
+            gs.reshape(n, c_out, h_out, w_out)
+        )
+        cols = _tap_cols(gb[:, :, ph:, pw:], [slice(None)], kw, 1, w)
+        del gb
+        return _per_tap(cols, wt_in, 1, dilation, h, w).reshape(n, c_in, h, w)
+
+    def vjp(g):
+        g3 = g.reshape(b, c_out, n_out)
+        gx = np.empty_like(x4)
+        gw = np.zeros_like(w2 if fold else wt)
+        if not fold:
+            flipped = w4.reshape(groups, og, cg, kh, kw).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
+            wt_in = _tap_weights(flipped.reshape(c_in, og, kh, kw), groups)
+        for s in range(0, b, step):
+            xs, gs = x4[s : s + step], g3[s : s + step]
+            gx[s : s + step] = fold_chunk(xs, gs, gw) if fold else per_tap_chunk(xs, gs, gw, wt_in)
         gx = gx.reshape(x.shape)
-        gw = gw.reshape(kh, groups, og, cg, kw).transpose(1, 2, 3, 0, 4).reshape(weight.shape)
+        if fold:
+            gw = gw.reshape(weight.shape)
+        else:
+            gw = gw.reshape(kh, groups, og, cg, kw).transpose(1, 2, 3, 0, 4).reshape(weight.shape)
         if bias is None:
             return gx, gw
-        return gx, gw, g4.sum(axis=(0, 3)).reshape(-1)
+        return gx, gw, g3.sum(axis=(0, 2))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return apply_op(out, inputs, vjp)
@@ -465,6 +537,11 @@ def max_pool_freq(x: Tensor, pool: int) -> Tensor:
 # normalization
 # ---------------------------------------------------------------------------
 
+def _channel_dot(a3: np.ndarray, b3: np.ndarray) -> np.ndarray:
+    """Per-channel dot product of two (lead, C, rest) arrays: (C,)."""
+    return np.matmul(a3[:, :, None, :], b3[:, :, :, None]).sum(axis=(0, 2, 3))
+
+
 def batch_norm(
     x: Tensor,
     gamma: Tensor,
@@ -485,54 +562,51 @@ def batch_norm(
     if eps <= 0:
         raise ConfigError(f"batch_norm eps must be > 0, got {eps}")
     c = x.shape[channel_axis]
+    channel_axis %= x.ndim
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(
             f"batch_norm: gamma/beta must have shape ({c},), got {gamma.shape}/{beta.shape}"
         )
     if running_mean.shape != (c,) or running_var.shape != (c,):
         raise DimensionError("batch_norm: running statistics shape mismatch")
-    axes = tuple(i for i in range(x.ndim) if i != channel_axis)
-    bshape = [1] * x.ndim
-    bshape[channel_axis] = c
-    gd = gamma.data.reshape(bshape)
-    bd = beta.data.reshape(bshape)
 
     if training:
+        # (lead, C, rest): per-channel sums are contiguous row sums
+        x3 = x.data.reshape(int(np.prod(x.shape[:channel_axis])), c, -1)
         n = x.size // c
-        mean = x.data.mean(axis=axes, keepdims=True)
-        var = x.data.var(axis=axes, keepdims=True)
+        mean = x3.sum(axis=2).sum(axis=0) / n
+        out = x3 - mean[:, None]
+        var = _channel_dot(out, out) / n
         inv = 1.0 / np.sqrt(var + eps)
-        out = x.data - mean
-        out *= inv
-        out *= gd
-        out += bd
-        unbiased = var.reshape(c) * (n / max(n - 1, 1))
-        running_mean[:] = (1 - momentum) * running_mean + momentum * mean.reshape(c)
+        out *= (gamma.data * inv)[:, None]
+        out += beta.data[:, None]
+        unbiased = var * (n / max(n - 1, 1))
+        running_mean[:] = (1 - momentum) * running_mean + momentum * mean
         running_var[:] = (1 - momentum) * running_var + momentum * unbiased
 
         def vjp(g):
-            # the tape keeps no xhat: recompute it, then form
-            # inv * (dxhat - m1 - xhat * m2) in place with one scratch array,
-            # operation by operation, so the bits are those of that formula
-            xhat = x.data - mean
-            xhat *= inv
-            gx = g * gd  # dxhat, and finally the input gradient
-            scratch = gx * xhat
-            m1 = gx.mean(axis=axes, keepdims=True)
-            m2 = scratch.mean(axis=axes, keepdims=True)
-            ggamma = np.multiply(g, xhat, out=scratch).sum(axis=axes)
-            gbeta = g.sum(axis=axes)
-            gx -= m1
-            gx -= np.multiply(xhat, m2, out=scratch)
-            gx *= inv
-            return gx.astype(x.data.dtype, copy=False), ggamma, gbeta
+            # gx = inv*gamma*(g - sum(g)/n - xhat*sum(g*xhat)/n): two
+            # per-channel reductions over g and the recentred input, which
+            # the tape does not keep
+            g3 = g.reshape(x3.shape)
+            xc = x3 - mean[:, None]
+            gbeta = g3.sum(axis=2).sum(axis=0)
+            ggamma = _channel_dot(g3, xc) * inv
+            gx = g3 - (gbeta / n)[:, None]
+            xc *= (inv * ggamma / n)[:, None]
+            gx -= xc
+            gx *= (gamma.data * inv)[:, None]
+            return gx.reshape(x.shape), ggamma, gbeta
 
-        return apply_op(out.astype(x.data.dtype, copy=False), (x, gamma, beta), vjp)
+        return apply_op(out.reshape(x.shape), (x, gamma, beta), vjp)
 
     # eval mode: the running statistics fold into one scale and one shift
+    axes = tuple(i for i in range(x.ndim) if i != channel_axis)
+    bshape = [1] * x.ndim
+    bshape[channel_axis] = c
     inv = 1.0 / np.sqrt(running_var + eps)
     scale_c = (gamma.data * inv).reshape(bshape)
-    shift_c = bd - running_mean.reshape(bshape) * scale_c
+    shift_c = beta.data.reshape(bshape) - running_mean.reshape(bshape) * scale_c
     out = x.data * scale_c
     out += shift_c
 

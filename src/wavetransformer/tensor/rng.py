@@ -15,20 +15,28 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
 
-def mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    """SplitMix64 finalizer; bijective on 64-bit words (wraparound intended)."""
-    z = np.uint64(z) if np.isscalar(z) or isinstance(z, int) else z
+def mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, bijective on 64-bit words (wraparound intended).
+
+    Mixes the uint64 array `z` in place, with one scratch array (a draw for
+    dropout is as large as an activation), and returns it.
+    """
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
+        z ^= np.right_shift(z, np.uint64(30), out=t)
+        z *= _M1
+        z ^= np.right_shift(z, np.uint64(27), out=t)
+        z *= _M2
+        z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
 
 
 def derive_seed(seed: int, tag: int) -> int:
     """Stable sub-stream seed, e.g. one shuffle stream per epoch."""
     base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     with np.errstate(over="ignore"):
-        return int(mix64(base + GOLDEN * np.uint64(tag & 0xFFFFFFFFFFFFFFFF)))
+        word = base + GOLDEN * np.uint64(tag & 0xFFFFFFFFFFFFFFFF)
+    return int(mix64(np.array([word]))[0])
 
 
 class RngState:
@@ -39,15 +47,20 @@ class RngState:
         self.counter = int(counter)
 
     def _raw(self, n: int) -> np.ndarray:
-        ks = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        z = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
         with np.errstate(over="ignore"):
-            return mix64(np.uint64(self.seed) + ks * GOLDEN)
+            z *= GOLDEN
+            z += np.uint64(self.seed)
+        return mix64(z)
 
     def random(self, shape=()) -> np.ndarray:
         """Uniform float64 in [0, 1), one draw per element."""
         n = int(np.prod(shape)) if shape else 1
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        raw = self._raw(n)
+        raw >>= np.uint64(11)
+        u = raw.astype(np.float64)
+        u *= 2.0 ** -53
         return u.reshape(shape) if shape else u[0]
 
     def uniform(self, low: float, high: float, shape=()) -> np.ndarray:

@@ -289,7 +289,9 @@ def _write_wtck(fh, meta_bytes: bytes, arrays: dict[str, np.ndarray]) -> None:
     names = sorted(arrays)
     fh.write(struct.pack("<I", len(names)))
     for name in names:
-        arr = np.ascontiguousarray(arrays[name], dtype="<f4")
+        # not ascontiguousarray, which turns a 0-d array into shape (1,);
+        # tobytes writes C order whatever the layout
+        arr = np.asarray(arrays[name], dtype="<f4")
         encoded = name.encode("utf-8")
         fh.write(struct.pack("<I", len(encoded)))
         fh.write(encoded)

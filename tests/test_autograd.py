@@ -198,6 +198,22 @@ class TestRng:
             5139283748462763858,
         ]
 
+    def test_draws_match_python_int_splitmix64(self):
+        # the in-place uint64 arithmetic against SplitMix64 in Python ints
+        mask = 2**64 - 1
+
+        def splitmix64(seed, k):
+            z = (seed + k * 0x9E3779B97F4A7C15) & mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        seed = 2**64 - 3
+        r = RngState(seed, counter=5)
+        assert r._raw(1000).tolist() == [splitmix64(seed, k) for k in range(6, 1006)]
+        assert r.counter == 1005
+        assert derive_seed(seed, 7) == splitmix64(seed, 7)
+
     def test_state_round_trip(self):
         r = RngState(7)
         r.random((10,))

@@ -158,20 +158,24 @@ class TestConv2d:
 
 
 class TestConvVjpChunks:
-    """The conv VJP rebuilds its tap buffer over chunks of clips; no chunk
+    """The conv VJP rebuilds its tap buffers over chunks of clips; no chunk
     size may change a bit of any gradient."""
 
-    # op, input shape, weight shape, options, bytes of one clip's tap buffer
-    # (C_in * kw * (H + 2*pad) * W_out * 4)
+    # op, input shape, weight shape, options, floats of one clip's VJP tap
+    # buffers: per tap, the input's kw taps C_in * kw * (H + 2*pad) * W_out
+    # plus those of the spread gradient C_out * kw * (H + max(dil*(kh-1), pad)) * W;
+    # single input channel, the kh*kw taps kh * kw * H_out * W_out
     CASES = {
         "depthwise": (ops.conv2d, (5, 8, 12, 6), (8, 1, 5, 5),
-                      dict(padding=2, groups=8), 8 * 5 * 16 * 6 * 4),
+                      dict(padding=2, groups=8), 8 * 5 * 16 * 6 + 8 * 5 * 16 * 6),
         "dense": (ops.conv2d, (5, 4, 12, 6), (6, 4, 5, 5),
-                  dict(padding=2), 4 * 5 * 16 * 6 * 4),
+                  dict(padding=2), 4 * 5 * 16 * 6 + 6 * 5 * 16 * 6),
         "stride2": (ops.conv2d, (5, 4, 13, 7), (6, 2, 5, 5),
-                    dict(stride=2, padding=1, groups=2), 4 * 5 * 15 * 3 * 4),
+                    dict(stride=2, padding=1, groups=2), 4 * 5 * 15 * 3 + 6 * 5 * 17 * 7),
         "dilated_conv1d": (ops.conv1d, (5, 4, 30), (6, 4, 3),
-                           dict(padding=3, dilation=3), 4 * 1 * 36 * 1 * 4),
+                           dict(padding=3, dilation=3), 4 * 1 * 36 * 1 + 6 * 1 * 36 * 1),
+        "single_channel": (ops.conv2d, (5, 1, 12, 6), (6, 1, 5, 5),
+                           dict(padding=2), 5 * 5 * 12 * 6),
     }
 
     def _grads(self, case, monkeypatch):
@@ -182,23 +186,28 @@ class TestConvVjpChunks:
         chunks = []
         tap_cols = ops._tap_cols
 
-        def spy(x4, *args):
-            chunks.append(len(x4))
-            return tap_cols(x4, *args)
+        def spy(xp, *args):
+            chunks.append(len(xp))
+            return tap_cols(xp, *args)
 
         monkeypatch.setattr(ops, "_tap_cols", spy)
         with Tape() as tape:
             loss = ops.tensor_sum(ops.tanh(op(x, w, b, **options)))
         backward(loss, tape)
         monkeypatch.setattr(ops, "_tap_cols", tap_cols)
-        return (x.grad, w.grad, b.grad), chunks[1:]  # the first call is the forward
+        # the first call is the forward; a per-tap chunk builds the taps of
+        # its input and of its spread gradient, a single-channel chunk one buffer
+        per_chunk = 1 if case == "single_channel" else 2
+        sizes = chunks[1::per_chunk]
+        assert chunks[1:] == [n for n in sizes for _ in range(per_chunk)]
+        return (x.grad, w.grad, b.grad), sizes
 
     @pytest.mark.parametrize("clips", [1, 2])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_chunked_vjp_is_bit_equal(self, case, clips, monkeypatch):
         whole, chunks = self._grads(case, monkeypatch)
         assert chunks == [5]
-        monkeypatch.setattr(ops, "_VJP_CHUNK_BYTES", max(1, clips * self.CASES[case][-1]))
+        monkeypatch.setattr(ops, "_VJP_CHUNK_BYTES", max(1, clips * 4 * self.CASES[case][-1]))
         chunked, chunks = self._grads(case, monkeypatch)
         assert chunks == {1: [1] * 5, 2: [2, 2, 1]}[clips]
         for a, b in zip(whole, chunked):
@@ -250,6 +259,22 @@ class TestNorms:
             np.zeros(3), np.ones(3), training=False, eps=1e-12,
         )
         np.testing.assert_allclose(out.data, x.data, atol=1e-6)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batch_norm_negative_channel_axis(self, training):
+        rng = RngState(12)
+        arrays = rng.uniform(-1, 1, (2, 5, 3)), rng.uniform(0.5, 1.5, 3), rng.uniform(-1, 1, 3)
+        grads = []
+        for axis in (2, -1):
+            x, gamma, beta = (Tensor(a, requires_grad=True) for a in arrays)
+            with Tape() as tape:
+                out = ops.batch_norm(x, gamma, beta, np.zeros(3), np.ones(3), training, channel_axis=axis)
+                loss = ops.tensor_sum(ops.tanh(out))
+            backward(loss, tape)
+            grads.append((out.data, x.grad, gamma.grad, beta.grad))
+        for a, b in zip(*grads):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_batch_norm_constant_channel_is_zero(self):
         x = Tensor(np.full((2, 8), 3.0))
@@ -327,6 +352,27 @@ class TestActivations:
     def test_leaky_relu_slope(self):
         out = ops.leaky_relu(Tensor([-2.0, 2.0]), slope=0.01)
         np.testing.assert_allclose(out.data, [-0.02, 2.0], rtol=1e-6)
+
+    @pytest.mark.parametrize("slope", [0.01, 0.5, 1.0])
+    def test_leaky_relu_matches_select_reference(self, slope):
+        # max(a, slope*a) against the select form, bit for bit, gradient too
+        data = RngState(6).uniform(-2, 2, (5, 7)).astype(np.float32)
+        data[0, :2] = [0.0, -0.0]
+        s = np.float32(slope)
+        edges = np.array([np.inf, -np.inf, np.nan], dtype=np.float32)
+        for d in (data, edges):
+            assert ops.leaky_relu(Tensor(d), slope).data.tobytes() == np.where(d >= 0, d, d * s).tobytes()
+        x = Tensor(data, requires_grad=True)
+        g = RngState(7).uniform(-1, 1, data.shape).astype(np.float32)
+        with Tape() as tape:
+            loss = ops.tensor_sum(ops.mul_const(ops.leaky_relu(x, slope), g))
+        backward(loss, tape)
+        assert x.grad.tobytes() == (g * np.where(data >= 0, 1.0, s).astype(np.float32)).tobytes()
+
+    @pytest.mark.parametrize("slope", [-0.1, 0.0, 1.5])
+    def test_leaky_relu_slope_outside_unit_interval_raises(self, slope):
+        with pytest.raises(ConfigError):
+            ops.leaky_relu(Tensor([1.0]), slope=slope)
 
 
 class TestMaxPoolFreq:
@@ -410,14 +456,18 @@ class TestGradients:
             b = randt(rng, 4)
             gradcheck(lambda: ops.tensor_sum(ops.sigmoid(ops.conv2d(x, w, b, padding=1, groups=2))), [x, w, b])
 
-    @pytest.mark.parametrize("c_in,c_out,groups", [(3, 3, 3), (1, 3, 1), (3, 3, 1)])
-    def test_conv2d_model_geometry_grad(self, c_in, c_out, groups):
+    @pytest.mark.parametrize("c_in,c_out,groups,stride", [
+        pytest.param(*case, stride, id="-".join(map(str, case)) + ("" if stride == 1 else "-stride2"))
+        for stride in (1, 2) for case in ((3, 3, 3), (1, 3, 1), (3, 3, 1))
+    ])
+    def test_conv2d_model_geometry_grad(self, c_in, c_out, groups, stride):
         with default_dtype(np.float64):
             rng = RngState(42 + c_in + groups)
             x = randt(rng, 2, c_in, 7, 4)
             w = randt(rng, c_out, c_in // groups, 5, 5)
             b = randt(rng, c_out)
-            gradcheck(lambda: ops.tensor_sum(ops.sigmoid(ops.conv2d(x, w, b, padding=2, groups=groups))), [x, w, b])
+            gradcheck(lambda: ops.tensor_sum(ops.sigmoid(
+                ops.conv2d(x, w, b, stride=stride, padding=2, groups=groups))), [x, w, b])
 
     def test_linear_grad(self):
         with default_dtype(np.float64):
@@ -428,17 +478,21 @@ class TestGradients:
             gradcheck(lambda: ops.tensor_sum(ops.tanh(ops.linear(x, w, b))), [x, w, b])
 
     def test_batch_norm_training_grad(self):
+        # (C, N) with channel axis 0, and the model's (B, C, T, F) with axis 1
         with default_dtype(np.float64):
             rng = RngState(34)
-            x = randt(rng, 3, 7)
-            gamma = randt(rng, 3, lo=0.5, hi=1.5)
-            beta = randt(rng, 3)
+            for shape, channel_axis in (((3, 7), 0), ((2, 3, 4, 5), 1)):
+                x = randt(rng, *shape)
+                gamma = randt(rng, 3, lo=0.5, hi=1.5)
+                beta = randt(rng, 3)
 
-            def fn():
-                rm, rv = np.zeros(3), np.ones(3)  # fresh buffers per eval
-                return ops.tensor_sum(ops.tanh(ops.batch_norm(x, gamma, beta, rm, rv, training=True)))
+                def fn(x=x, gamma=gamma, beta=beta, channel_axis=channel_axis):
+                    rm, rv = np.zeros(3), np.ones(3)  # fresh buffers per eval
+                    out = ops.batch_norm(x, gamma, beta, rm, rv, training=True,
+                                         channel_axis=channel_axis)
+                    return ops.tensor_sum(ops.tanh(out))
 
-            gradcheck(fn, [x, gamma, beta])
+                gradcheck(fn, [x, gamma, beta])
 
     def test_layer_norm_grad(self):
         with default_dtype(np.float64):

@@ -19,9 +19,11 @@ from wavetransformer.tensor import (
 from wavetransformer.tensor import ops
 from wavetransformer.text import build_vocab, encode
 from wavetransformer.training import (
+    Batch,
     Checkpoint,
     TrainConfig,
     TrainItem,
+    batch_loss,
     cross_entropy_loss,
     early_stopping,
     load_checkpoint,
@@ -281,6 +283,16 @@ class TestCheckpoint:
         save_checkpoint(p2, load_checkpoint(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_zero_dim_record_round_trips(self, tmp_path):
+        _, _, _, _, result = self._trained(epochs=1)
+        arrays = dict(result.best_checkpoint.arrays, scalar=np.array(2.5, np.float32))
+        p1, p2 = tmp_path / "a.wtck", tmp_path / "b.wtck"
+        save_checkpoint(p1, replace(result.best_checkpoint, arrays=arrays))
+        loaded = load_checkpoint(p1)
+        assert loaded.arrays["scalar"].shape == () and loaded.arrays["scalar"] == 2.5
+        save_checkpoint(p2, loaded)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_restored_model_matches(self, tmp_path):
         model, vocab, cfg, items, result = self._trained()
         path = tmp_path / "c.wtck"
@@ -471,3 +483,39 @@ class TestFloat64Twin:
         logits = rel_to_max(model.forward(feats, tokens).data, twin.forward(feats64, tokens).data)
         assert 0 < enc < self.ENCODER_BOUND
         assert 0 < logits < self.LOGITS_BOUND
+
+    # worst float32 gradient error of one training step, relative to each
+    # live parameter's largest float64 gradient: 1.30e-5 (on
+    # encoder.temp.block1.t4.bias) with the conv kernels before the
+    # single-channel GEMM and the flipped-kernel input gradient, and the
+    # batch norm before the two-reduction form; the bound is twice that
+    GRAD_BOUND = 2.6e-5
+
+    def test_training_gradients_against_float64_twin(self):
+        tiny = tiny_model(seed=0, vocab_size=tiny_vocab().size)
+        enc = replace(tiny.enc_cfg, dropout_tf=0.25)
+        dec = replace(tiny.dec_cfg, dropout=0.25)
+        model = CaptionModel(enc, dec, seed=0)
+        with default_dtype(np.float64):
+            twin = CaptionModel(enc, dec, stored=model.state_arrays())
+        feats = RngState(1).uniform(-1.0, 1.0, (2, 20, 4)).astype(np.float32)
+        vocab = tiny_vocab()
+        tokens = np.array([[vocab.sos, 4, 5, 6, 7, 8, vocab.eos],
+                           [vocab.sos, 9, 3, 4, vocab.eos, vocab.pad, vocab.pad]])
+
+        def step(m, features):
+            batch = Batch(features, [20, 17], tokens, [7, 5])
+            m.params.zero_grad()
+            with Tape() as tape:  # training-mode batch norm; dropout from a fresh RngState
+                loss = batch_loss(m, batch, vocab.pad, training=True, rng=RngState(7))
+            backward(loss, tape)
+            return {name: t.grad for name, t in m.params.items()}
+
+        g32, g64 = step(model, feats), step(twin, feats.astype(np.float64))
+        peak = {name: float(np.abs(g).max()) for name, g in g64.items()}
+        top = max(peak.values())
+        # a bias ahead of a training batch norm has zero gradient up to rounding
+        live = [name for name in g64 if peak[name] > 1e-4 * top]
+        assert len(live) > len(g64) // 2
+        worst = max(float(np.abs(g32[n] - g64[n]).max()) / peak[n] for n in live)
+        assert 0 < worst < self.GRAD_BOUND
