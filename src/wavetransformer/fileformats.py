@@ -12,7 +12,8 @@ Layout, little-endian throughout:
     then          T_a * F float32 values, row-major
 
 The reader validates the magic and the exact byte length, so truncated or
-padded files are rejected outright.
+padded files are rejected outright, and names the first non-finite value
+by frame and band.
 """
 from __future__ import annotations
 
@@ -55,4 +56,9 @@ def read_wtf1(path) -> FeatureMatrix:
             f"{path}: expected {expected} bytes for {t_a}x{f} features, got {len(blob)}"
         )
     values = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(t_a, f)
+    finite = np.isfinite(values)
+    if not finite.all():
+        frame, band = np.argwhere(~finite)[0]
+        raise DataError(f"{path}: non-finite value {values[frame, band]} at frame {frame}, "
+                        f"band {band}")
     return FeatureMatrix(values.copy(), sample_rate=rate, frame_hop=hop, window_length=window)

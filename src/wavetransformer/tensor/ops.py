@@ -9,12 +9,18 @@ kernel, `_conv_taps`, with two regimes picked from the weight's shape:
   column buffer per clip, K times the input; the input gradient is the
   col2im of W^T g, again K rows;
 * every other conv: the kw frequency taps are copied once into a buffer kw
-  times the padded input, and each time tap is a batched matmul on a window
-  of its rows.  The input gradient is the same kernel run on g (zero-
-  inserted for stride > 1, padded by dilation*(kh-1) - pad) with the
-  flipped, group-transposed kernel, so it costs about what the forward does.
+  times the padded input, its time rows split by phase mod stride, and each
+  time tap is a batched matmul on a window of its rows.  The input gradient
+  is the same kernel run on g (zero-inserted for stride > 1, padded by
+  dilation*(kh-1) - pad) with the flipped, group-transposed kernel, so it
+  costs about what the forward does.
 
-Accumulation orders are fixed, so results are bit-reproducible run to run.
+The GEMMs run as tiles of (clip, block of output rows) on one thread pool
+(`_run`); the weight gradient spreads its (time tap, clip) products over
+the pool and adds them in batch order.  Tile boundaries follow from the
+conv's shapes alone and every tile keeps the accumulation order of the
+whole GEMM, so results are bit-reproducible run to run and do not depend
+on the worker count.
 
 A VJP keeps what it needs to run and no more: the tape holds each op's
 inputs anyway, so the convolutions rebuild their tap buffers from them, a
@@ -23,6 +29,8 @@ than keeping copies until backward.
 """
 from __future__ import annotations
 
+import os
+import threading
 from typing import Optional, Sequence
 
 import numpy as np
@@ -343,16 +351,92 @@ def conv2d(
 # as fit this many bytes of them, and at least one.
 _VJP_CHUNK_BYTES = 8 << 20
 
+# The conv GEMMs run on a pool of one thread per CPU this process may use,
+# made on first use.  A job of fewer than _TILE_COLS output columns over the
+# batch runs whole, inline.  Otherwise an output tile is one clip's block of
+# rows: a multiple of _TILE_ROWS rows and at least _TILE_COLS columns where
+# the clip has them, so every tile but a clip's last starts and ends on the
+# BLAS kernels' column blocks, as the whole GEMM's do.  A conv with one
+# output channel per group is a GEMV per group, whose bits depend on its
+# column count, so it is tiled by blocks of _TILE_GROUPS groups instead,
+# every GEMV whole.  Copies split by the same blocks of channels.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_TILE_COLS = 4096
+_TILE_ROWS = 16
+_TILE_GROUPS = 16
+_pool: Optional[tuple] = None  # ((pid, workers), executor)
+_pool_lock = threading.Lock()
+_worker = threading.local()
+
+
+def _mark_worker() -> None:
+    _worker.active = True
+
+
+def _run(fn, tasks, cols: int) -> None:
+    """Call fn(*task) for every task of a job of `cols` output columns, each
+    task writing its own part of buffers the caller allocated.  A job below
+    _TILE_COLS, a single task, one worker, and a call from inside a pool
+    task (which would wait on tasks queued behind it) run inline."""
+    if cols < _TILE_COLS or len(tasks) < 2 or _WORKERS < 2 or getattr(_worker, "active", False):
+        for task in tasks:
+            fn(*task)
+        return
+    global _pool
+    key = (os.getpid(), _WORKERS)
+    with _pool_lock:
+        if _pool is None or _pool[0] != key:
+            # imported here: concurrent.futures adds ~10 ms to every start-up
+            from concurrent.futures import ThreadPoolExecutor
+
+            if _pool is not None and _pool[0][0] == key[0]:
+                _pool[1].shutdown(wait=False)
+            _pool = (key, ThreadPoolExecutor(_WORKERS, thread_name_prefix="conv-tile",
+                                             initializer=_mark_worker))
+        pool = _pool[1]
+    futures = [pool.submit(fn, *task) for task in tasks]
+    for error in [future.exception() for future in futures]:
+        if error is not None:
+            raise error
+
+
+def _split(n: int, size: int, cols: int) -> list:
+    """range(n) in slices of `size`, or whole for a job of `cols` columns
+    that runs inline."""
+    if cols < _TILE_COLS:
+        return [slice(None)]
+    return [slice(k, k + size) for k in range(0, n, size)]
+
+
+def _tiles(b, groups, og, h_out, w_out) -> list:
+    """(clips, groups, first row, end row) of each output tile; see _TILE_COLS."""
+    cols = b * h_out * w_out
+    if og == 1:
+        return [(c, g, 0, h_out) for c in _split(b, 1, cols)
+                for g in _split(groups, _TILE_GROUPS, cols)]
+    starts = [0]
+    if cols >= _TILE_COLS:
+        # as many tiles as a clip has whole _TILE_COLS, in whole _TILE_ROWS
+        rows = h_out // max(1, h_out * w_out // _TILE_COLS) // _TILE_ROWS * _TILE_ROWS
+        if rows:
+            starts = list(range(0, h_out - rows + 1, rows))
+    return [(c, slice(None), r, end) for c in _split(b, 1, cols)
+            for r, end in zip(starts, starts[1:] + [h_out])]
+
 
 def _tap_cols(xp, rows, kw, stride, w_out) -> np.ndarray:
-    """Taps of the padded input xp (B, C, Hp, Wp): (B, C, len(rows) * kw, H', W_out),
-    entry a * kw + j holding time rows `rows[a]` at frequency tap j."""
+    """Taps of the padded input xp (B, C, Hp, Wp): (B, len(rows), C, kw, H', W_out),
+    [:, a, :, j] holding time rows `rows[a]` at frequency tap j."""
     b, c, hp, _ = xp.shape
     h = len(range(*rows[0].indices(hp)))
-    cols = np.empty((b, c, len(rows) * kw, h, w_out), dtype=xp.dtype)
-    for a, r in enumerate(rows):
+    cols = np.empty((b, len(rows), c, kw, h, w_out), dtype=xp.dtype)
+
+    def copy(a, ch):
         for j in range(kw):
-            cols[:, :, a * kw + j] = xp[:, :, r, j : j + stride * w_out : stride]
+            cols[:, a, ch, j] = xp[:, ch, rows[a], j : j + stride * w_out : stride]
+
+    _run(copy, [(a, ch) for a in range(len(rows)) for ch in _split(c, _TILE_GROUPS, b * h * w_out)],
+         b * h * w_out)
     return cols
 
 
@@ -365,38 +449,74 @@ def _tap_weights(w4, groups) -> np.ndarray:
     ).reshape(kh, groups, og, cg * kw)
 
 
-def _per_tap(cols, wt, stride, dilation, h_out, w_out) -> np.ndarray:
-    """Convolve with tap weights wt, given the kw frequency taps of the
-    padded input (B, C_in, kw, Hp, W_out): (B, C_out, h_out * w_out).
+def _window(cols, clips, grp, i, dilation, r0, r1) -> np.ndarray:
+    """Time tap i's view of output rows r0..r1 in cols (B, stride, groups, k,
+    Hp/stride, W_out): (clips, groups, k, (r1 - r0) * W_out).  Output row o
+    reads padded row i*dilation + o*stride, which is row
+    (i*dilation)//stride + o of phase (i*dilation) % stride."""
+    q, a = divmod(i * dilation, cols.shape[1])
+    window = cols[clips, a, grp, :, q + r0 : q + r1]
+    return window.reshape(*window.shape[:3], -1)
 
-    Time tap i is a window of rows of `cols` and one batched matmul, the
-    groups a batch axis (a stride > 1 window is a copy).  Taps accumulate in
-    index order.
+
+def _per_tap(cols, wt, dilation, h_out, w_out, bias=None, out=None) -> np.ndarray:
+    """Convolve with tap weights wt (kh, groups, og, k), given the kw
+    frequency taps of the padded input by row phase, (B, stride, C_in, kw,
+    Hp/stride, W_out): (B, groups, og, h_out * w_out), into `out` if given.
+
+    Each time tap is one matmul on a window of rows, the groups a batch
+    axis.  A tile adds its taps in index order, then the bias.
     """
     kh, groups, og, k = wt.shape
-    b, hp = len(cols), cols.shape[3]
-    cols = cols.reshape(b, groups, k, hp, w_out)
+    b, stride, _, _, hs, _ = cols.shape
+    cols = cols.reshape(b, stride, groups, k, hs, w_out)
+    if out is None:
+        out = np.empty((b, groups, og, h_out * w_out), dtype=cols.dtype)
+    tap = np.empty_like(out) if kh > 1 else None
 
-    def window(i):
-        rows = slice(i * dilation, i * dilation + stride * h_out, stride)
-        return cols[:, :, :, rows].reshape(b, groups, k, h_out * w_out)
+    def tile(clips, grp, r0, r1):
+        span = slice(r0 * w_out, r1 * w_out)
+        o = out[clips, grp, :, span]
+        np.matmul(wt[0, grp], _window(cols, clips, grp, 0, dilation, r0, r1), out=o)
+        for i in range(1, kh):
+            o += np.matmul(wt[i, grp], _window(cols, clips, grp, i, dilation, r0, r1),
+                           out=tap[clips, grp, :, span])
+        if bias is not None:
+            o += bias.reshape(groups, og, 1)[grp]
 
-    out = np.matmul(wt[0], window(0))
-    tap = np.empty_like(out)
-    for i in range(1, kh):
-        out += np.matmul(wt[i], window(i), out=tap)
-    return out.reshape(b, groups * og, h_out * w_out)
+    _run(tile, _tiles(b, groups, og, h_out, w_out), b * h_out * w_out)
+    return out
+
+
+def _weight_grad(cols, g4, gw, dilation, h_out, w_out) -> None:
+    """Add to gw (kh, groups, og, k) the weight gradient of output gradient
+    g4 (n, groups, og, h_out * w_out) over the taps `cols` (as in _per_tap).
+    The products run per (tap, clip) on the pool and are added clip by clip
+    in batch order, the order of a sum over the batch axis."""
+    kh, groups, _, k = gw.shape
+    n = len(g4)
+    cols = cols.reshape(n, cols.shape[1], groups, k, cols.shape[-2], w_out)
+    prod = np.empty((kh, n, *gw.shape[1:]), dtype=gw.dtype)
+
+    def product(i, clips):
+        window = _window(cols, clips, slice(None), i, dilation, 0, h_out)
+        np.matmul(g4[clips], window.swapaxes(-1, -2), out=prod[i, clips])
+
+    n_out = h_out * w_out
+    _run(product, [(i, c) for i in range(kh) for c in _split(n, 1, n * n_out)], n * n_out)
+    for i in range(kh):
+        for clip in prod[i]:
+            gw[i] += clip
 
 
 def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> Tensor:
     """The one convolution kernel, for 1D (weight (C_out, C_in, k)) and 2D
     (weight (C_out, C_in/groups, kh, kw)); a 1D input is a 2D one of width 1.
 
-    The weight's shape picks the regime (see the module docstring).  The
-    tape keeps the input, not a tap buffer: the VJP rebuilds the buffers
-    over chunks of clips of about `_VJP_CHUNK_BYTES`, and adds the weight
-    gradient clip by clip in batch order, the order of a sum over the batch
-    axis.
+    The weight's shape picks the regime (see the module docstring); the
+    single-channel regime is the per-tap one with one time tap of all kh*kw
+    taps.  The tape keeps the input, not a tap buffer: the VJP rebuilds the
+    buffers over chunks of clips of about `_VJP_CHUNK_BYTES`.
     """
     name = f"conv{spatial}d"
     if x.ndim not in (spatial + 1, spatial + 2) or weight.ndim != spatial + 2:
@@ -419,23 +539,32 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> T
             f"stride={stride}, pad={padding}, dilation={dilation}"
         )
     hp, wp, n_out = h + 2 * ph, w + 2 * pw, h_out * w_out
+    hs = -(-hp // stride)  # rows per phase: the padded buffer has hs * stride rows
     fold = groups == 1 and c_in == 1
-    rows = [slice(i * dilation, i * dilation + stride * h_out, stride) for i in range(kh)]
+    b_data = None if bias is None else bias.data
 
     def padded(xs):
-        xp = np.zeros((len(xs), c_in, hp, wp), dtype=xs.dtype)
+        xp = np.zeros((len(xs), c_in, hs * stride, wp), dtype=xs.dtype)
         xp[:, :, ph : ph + h, pw : pw + w] = xs
         return xp
 
     if fold:
-        w2 = w4.reshape(c_out, kh * kw)
-        out = np.matmul(w2, _tap_cols(padded(x4), rows, kw, stride, w_out).reshape(b, -1, n_out))
+        w2 = w4.reshape(1, 1, c_out, kh * kw)
+        rows = [slice(i * dilation, i * dilation + stride * h_out, stride) for i in range(kh)]
+
+        def taps(xs):
+            cols = _tap_cols(padded(xs), rows, kw, stride, w_out)
+            return cols.reshape(len(xs), 1, 1, kh * kw, h_out, w_out)
+
+        out = _per_tap(taps(x4), w2, 1, h_out, w_out, b_data)
     else:
         wt = _tap_weights(w4, groups)
-        out = _per_tap(_tap_cols(padded(x4), [slice(None)], kw, stride, w_out),
-                       wt, stride, dilation, h_out, w_out)
-    if bias is not None:
-        out += bias.data[:, None]
+        phases = [slice(p, None, stride) for p in range(stride)]
+
+        def taps(xs):
+            return _tap_cols(padded(xs), phases, kw, stride, w_out)
+
+        out = _per_tap(taps(x4), wt, dilation, h_out, w_out, b_data)
     out = out.reshape((*x.shape[: x.ndim - spatial - 1], c_out, h_out, w_out)[: x.ndim])
 
     # the input gradient of the per-tap regime: g goes into a zero buffer at
@@ -453,33 +582,34 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> T
     # the chunk's input gradient
     def fold_chunk(xs, gs, gw):
         n = len(xs)
-        cols = _tap_cols(padded(xs), rows, kw, stride, w_out).reshape(n, -1, n_out)
-        for clip in np.matmul(gs, cols.swapaxes(-1, -2)):
-            gw += clip
-        gcols = np.matmul(w2.T, gs, out=cols).reshape(n, kh * kw, h_out, w_out)
-        gxp = np.zeros((n, 1, hp, wp), dtype=xs.dtype)
-        for a in range(kh):
-            for j in range(kw):
-                gxp[:, 0, rows[a], j : j + stride * w_out : stride] += gcols[:, a * kw + j]
+        cols = taps(xs)
+        _weight_grad(cols, gs.reshape(n, 1, c_out, n_out), gw, 1, h_out, w_out)
+        # W^T g, into the taps' buffer, then col2im clip by clip
+        gcols = _per_tap(gs.reshape(n, 1, c_out, 1, h_out, w_out), w2.swapaxes(-1, -2),
+                         1, h_out, w_out, out=cols.reshape(n, 1, kh * kw, n_out))
+        gcols = gcols.reshape(n, kh * kw, h_out, w_out)
+        gxp = np.zeros((n, 1, hs * stride, wp), dtype=xs.dtype)
+
+        def col2im(c):
+            for a in range(kh):
+                for j in range(kw):
+                    gxp[c, 0, rows[a], j : j + stride * w_out : stride] += gcols[c, a * kw + j]
+
+        _run(col2im, [(c,) for c in _split(n, 1, n * n_out)], n * n_out)
         return gxp[:, :, ph : ph + h, pw : pw + w]
 
     def per_tap_chunk(xs, gs, gw, wt_in):
         n = len(xs)
-        cols = _tap_cols(padded(xs), [slice(None)], kw, stride, w_out)
-        cols = cols.reshape(n, groups, cg * kw, hp, w_out)
-        g4 = gs.reshape(n, groups, og, n_out)
-        for i in range(kh):
-            window = cols[:, :, :, rows[i]].reshape(n, groups, cg * kw, n_out)
-            for clip in np.matmul(g4, window.swapaxes(-1, -2)):
-                gw[i] += clip
-        del cols, window  # the input's taps go before the gradient's are built
+        cols = taps(xs)
+        _weight_grad(cols, gs.reshape(n, groups, og, n_out), gw, dilation, h_out, w_out)
+        del cols  # the input's taps go before the gradient's are built
         gb = np.zeros((n, c_out, hb, wb), dtype=xs.dtype)
         gb[:, :, eh : eh + stride * h_out : stride, ew : ew + stride * w_out : stride] = (
             gs.reshape(n, c_out, h_out, w_out)
         )
         cols = _tap_cols(gb[:, :, ph:, pw:], [slice(None)], kw, 1, w)
         del gb
-        return _per_tap(cols, wt_in, 1, dilation, h, w).reshape(n, c_in, h, w)
+        return _per_tap(cols, wt_in, dilation, h, w).reshape(n, c_in, h, w)
 
     def vjp(g):
         g3 = g.reshape(b, c_out, n_out)

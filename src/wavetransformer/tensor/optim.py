@@ -14,11 +14,21 @@ class AdamState:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.step = 0
+        self._work: np.ndarray | None = None
 
     def ensure(self, name: str, like: np.ndarray) -> None:
         if name not in self.m:
             self.m[name] = np.zeros_like(like)
             self.v[name] = np.zeros_like(like)
+
+    def scratch(self, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Two work arrays shaped like `like`, views of one buffer kept
+        across steps (not part of the state a checkpoint saves)."""
+        work = self._work
+        if work is None or work.dtype != like.dtype or work.shape[1] < like.size:
+            work = self._work = np.empty((2, like.size), dtype=like.dtype)
+        return (work[0, : like.size].reshape(like.shape),
+                work[1, : like.size].reshape(like.shape))
 
 
 def adam_step(
@@ -44,16 +54,27 @@ def adam_step(
     c2 = 1.0 - beta2 ** step
     for name, t in params.items():
         state.ensure(name, t.data)
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        m = state.m[name]
-        v = state.v[name]
+        m, v = state.m[name], state.v[name]
+        # in place, in the order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+        # p -= lr*(m/c1) / (sqrt(v/c2) + eps)
+        a, b = state.scratch(t.data)
+        g = t.grad
+        if g is None:
+            g = b
+            g.fill(0)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=a)
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        m_hat = m / c1
-        v_hat = v / c2
-        t.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(t.data.dtype)
+        np.multiply(g, g, out=a)
+        a *= 1.0 - beta2
+        v += a
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        t.data -= a
 
 
 def clip_grad_norm(params: ParameterStore, max_norm: float) -> float:

@@ -10,7 +10,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from wavetransformer.tensor import Tape, Tensor, backward
+from wavetransformer.tensor import Tape, Tensor, backward, ops
+
+_RUN = ops._run
 
 
 def rel_err(a: np.ndarray, b: np.ndarray, floor: float) -> np.ndarray:
@@ -61,6 +63,21 @@ def gradcheck(
             f"(shape {t.shape})"
         )
     return worst
+
+
+def record_pooled_jobs(monkeypatch) -> list:
+    """Wrap the conv pool's `ops._run` for the rest of the test; each job
+    large enough to leave the caller's thread appends its task count to
+    the returned list."""
+    pooled = []
+
+    def spy(fn, tasks, cols):
+        if cols >= ops._TILE_COLS and len(tasks) > 1:
+            pooled.append(len(tasks))
+        _RUN(fn, tasks, cols)
+
+    monkeypatch.setattr(ops, "_run", spy)
+    return pooled
 
 
 def conv1d_reference(x, w, b, stride=1, padding=0, dilation=1):

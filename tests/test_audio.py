@@ -216,6 +216,19 @@ class TestWtf1:
         with pytest.raises(DataError, match="expected"):
             read_wtf1(path)
 
+    def test_non_finite_value_named_by_frame_and_band(self, tmp_path):
+        from wavetransformer.audio import FeatureMatrix
+        fm = FeatureMatrix(np.zeros((7, 8), dtype=np.float32), 8000.0, 10, 20)
+        path = tmp_path / "x.wtf1"
+        write_wtf1(path, fm)
+        blob = bytearray(path.read_bytes())
+        header = len(blob) - 4 * 7 * 8
+        values = np.frombuffer(blob, dtype="<f4", offset=header).reshape(7, 8)
+        values[3, 5], values[6, 0] = np.nan, np.inf
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=r"x\.wtf1: non-finite value nan at frame 3, band 5"):
+            read_wtf1(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.wtf1"
         path.write_bytes(b"NOPE" + bytes(24))

@@ -140,6 +140,41 @@ class TestAdam:
         with pytest.raises(UsageError):
             adam_step(store, AdamState(), lr=1e-3, step=0)
 
+    def test_in_place_update_has_the_bits_of_the_expression(self):
+        # the update as one expression per array, with its temporaries; the
+        # in-place step must reproduce it bit for bit, a parameter with no
+        # gradient included
+        def reference(params, m, v, grads, step, lr=3e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+            c1, c2 = 1.0 - beta1 ** step, 1.0 - beta2 ** step
+            for name, p in params.items():
+                g = grads.get(name, np.zeros_like(p))
+                m[name] = m[name] * beta1 + (1.0 - beta1) * g
+                v[name] = v[name] * beta2 + (1.0 - beta2) * (g * g)
+                p -= (lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)).astype(p.dtype)
+
+        rng = np.random.default_rng(8)
+        shapes = {"a": (3, 4), "b": (7,), "c": (2, 2, 5)}
+        start = {n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()}
+        store = ParameterStore()
+        for name, value in start.items():
+            store.add(name, Tensor(value.copy()))
+        ref = {n: value.copy() for n, value in start.items()}
+        m = {n: np.zeros_like(value) for n, value in start.items()}
+        v = {n: np.zeros_like(value) for n, value in start.items()}
+        state = AdamState()
+        for step in range(1, 4):
+            grads = {n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()
+                     if (n, step) != ("b", 2)}
+            for name, t in store.items():
+                t.grad = grads.get(name)
+            adam_step(store, state, lr=3e-3)
+            reference(ref, m, v, grads, step)
+            for name, t in store.items():
+                assert t.data.dtype == np.float32
+                assert t.data.tobytes() == ref[name].tobytes(), (name, step)
+                assert state.m[name].tobytes() == m[name].tobytes(), (name, step)
+                assert state.v[name].tobytes() == v[name].tobytes(), (name, step)
+
 
 class TestClipGradNorm:
     def test_three_four_five(self):

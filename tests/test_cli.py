@@ -296,6 +296,34 @@ class TestPipeline:
         assert "clip_e.wtf1" in err and "mel band count is 8" in err and "takes 4" in err
         assert not (tmp_path / "preds.csv").exists()
 
+    def test_non_finite_feature_named_by_train_and_caption(self, tmp_path, capsys):
+        audio_dir, caps, cfg = make_corpus_dir(tmp_path)
+        cfg.write_text(TINY_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))
+        feat_dir, run_dir = tmp_path / "features", tmp_path / "run"
+        assert main(["extract", "--audio-dir", str(audio_dir),
+                     "--out-dir", str(feat_dir), "--config", str(cfg)]) == 0
+        assert main(["train", "--features", str(feat_dir), "--captions", str(caps),
+                     "--out", str(run_dir), "--config", str(cfg)]) == 0
+        # a NaN in frame 2, band 1 of one clip's WTF1 file
+        path = feat_dir / "clip_b.wtf1"
+        blob = bytearray(path.read_bytes())
+        fm = read_wtf1(path)
+        header = len(blob) - fm.values.nbytes
+        np.frombuffer(blob, dtype="<f4", offset=header).reshape(fm.values.shape)[2, 1] = np.nan
+        path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["train", "--features", str(feat_dir), "--captions", str(caps),
+                     "--out", str(tmp_path / "run2"), "--config", str(cfg)]) == 2
+        assert main(["caption", "--features", str(feat_dir),
+                     "--checkpoint", str(run_dir / "best.wtck"),
+                     "--out", str(tmp_path / "preds.csv"), "--config", str(cfg)]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 2
+        for line in errors:
+            assert line.startswith("error: ") and line.endswith(
+                "clip_b.wtf1: non-finite value nan at frame 2, band 1"), line
+        assert not (tmp_path / "preds.csv").exists()
+
     @pytest.mark.parametrize("old,new,name", [
         ("sample_rate = 8000", "sample_rate = 16000", "sample rate is 8000"),
         ("hop = 64", "hop = 32", "hop is 64"),

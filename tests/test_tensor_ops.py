@@ -5,6 +5,7 @@ direct-summation reference implementations in helpers.py.  Gradients are
 checked against central finite differences in float64 mode, where the
 1e-3 tolerance is meaningful.
 """
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from wavetransformer.errors import ConfigError, DimensionError, UsageError
 from wavetransformer.tensor import RngState, Tape, Tensor, backward, default_dtype
 from wavetransformer.tensor import ops
 
-from helpers import conv1d_reference, conv2d_reference, gradcheck
+from helpers import conv1d_reference, conv2d_reference, gradcheck, record_pooled_jobs
 
 
 def randt(rng, *shape, lo=-1.0, hi=1.0):
@@ -212,6 +213,87 @@ class TestConvVjpChunks:
         assert chunks == {1: [1] * 5, 2: [2, 2, 1]}[clips]
         for a, b in zip(whole, chunked):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestConvWorkers:
+    """The conv GEMMs run as tiles on a thread pool.  Tiles follow from the
+    conv's shapes alone, so no worker count may change a bit of the output
+    or of either gradient."""
+
+    # op, input shape, weight shape, options; each case runs at the default
+    # tile size and at 128 columns, where all but "tiny" run in tiles
+    CASES = {
+        "tiny": (ops.conv2d, (2, 3, 9, 7), (4, 3, 3, 3), dict(padding=1)),
+        "stride2": (ops.conv2d, (4, 8, 37, 16), (6, 8, 5, 5), dict(stride=2, padding=2)),
+        "stride2_groups": (ops.conv2d, (4, 8, 37, 16), (6, 4, 5, 5),
+                           dict(stride=2, padding=1, groups=2)),
+        "long_dense": (ops.conv2d, (1, 8, 1100, 16), (8, 8, 5, 5), dict(padding=2)),
+        "long_depthwise": (ops.conv2d, (1, 40, 1300, 16), (40, 1, 5, 5),
+                           dict(padding=2, groups=40)),
+        "batch12": (ops.conv2d, (12, 8, 40, 16), (8, 8, 5, 5), dict(padding=2)),
+        "single_channel": (ops.conv2d, (2, 1, 300, 16), (8, 1, 5, 5), dict(padding=2)),
+        "single_channel_1to1": (ops.conv2d, (2, 1, 1300, 16), (1, 1, 5, 5), dict(padding=2)),
+        "dilated_conv1d": (ops.conv1d, (2, 4, 5000), (6, 4, 3), dict(padding=3, dilation=3)),
+        "strided_dilated_conv1d": (ops.conv1d, (1, 4, 13001), (4, 4, 7),
+                                   dict(stride=3, padding=3, dilation=2)),
+    }
+    # below the default tile size: one tile, inline
+    INLINE = {"tiny", "stride2", "stride2_groups"}
+
+    def _run(self, case, workers, monkeypatch):
+        op, x_shape, w_shape, options = self.CASES[case]
+        monkeypatch.setattr(ops, "_WORKERS", workers)
+        pooled = record_pooled_jobs(monkeypatch)
+        rng = RngState(71)
+        x, w, b = (Tensor(rng.uniform(-1, 1, shape).astype(np.float32), requires_grad=True)
+                   for shape in (x_shape, w_shape, w_shape[:1]))
+        with Tape() as tape:
+            out = op(x, w, b, **options)
+            loss = ops.tensor_sum(ops.tanh(out))
+        backward(loss, tape)
+        return [a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)], pooled
+
+    @pytest.mark.parametrize("tile_cols", [None, 128])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bits_do_not_depend_on_the_worker_count(self, case, tile_cols, monkeypatch):
+        if tile_cols is not None:
+            monkeypatch.setattr(ops, "_TILE_COLS", tile_cols)
+        one, pooled = self._run(case, 1, monkeypatch)
+        assert (pooled == []) == (case == "tiny" or tile_cols is None and case in self.INLINE)
+        assert self._run(case, 2, monkeypatch) == (one, pooled)
+        # more workers than cores, switching threads often: a task writing
+        # outside its own slice would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert self._run(case, 3, monkeypatch) == (one, pooled)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_tile_boundaries_depend_only_on_shapes(self, monkeypatch):
+        tiles = ops._tiles(1, 1, 128, 2584, 16)
+        for workers in (1, 2, 3, 64):
+            monkeypatch.setattr(ops, "_WORKERS", workers)
+            assert ops._tiles(1, 1, 128, 2584, 16) == tiles
+        spans = [(r0, r1) for _, _, r0, r1 in tiles]
+        assert spans[0][0] == 0 and spans[-1][1] == 2584
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert all((r1 - r0) % ops._TILE_ROWS == 0 for r0, r1 in spans[:-1])
+        assert all((r1 - r0) * 16 >= ops._TILE_COLS for r0, r1 in spans)
+
+    def test_conv_inside_a_pool_task_runs_inline_and_finishes(self, monkeypatch):
+        # a conv called from a pool task must not queue tiles behind itself:
+        # with every worker busy that would wait forever
+        monkeypatch.setattr(ops, "_WORKERS", 2)
+        op, x_shape, w_shape, options = self.CASES["long_dense"]
+        rng = RngState(72)
+        x, w, b = (Tensor(rng.uniform(-1, 1, shape).astype(np.float32))
+                   for shape in (x_shape, w_shape, w_shape[:1]))
+        expected = op(x, w, b, **options).data
+        assert ops._pool is not None and ops._pool[0][1] == 2
+        futures = [ops._pool[1].submit(op, x, w, b, **options) for _ in range(3)]
+        for future in futures:
+            assert future.result(timeout=120).data.tobytes() == expected.tobytes()
 
 
 class TestLinear:

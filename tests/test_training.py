@@ -12,6 +12,7 @@ import pytest
 from wavetransformer.decoder import DecoderConfig
 from wavetransformer.encoder import EncoderConfig
 from wavetransformer.errors import CheckpointError, TrainingError, UsageError
+from wavetransformer.inference import DecodeConfig, decode
 from wavetransformer.model import CaptionModel
 from wavetransformer.tensor import (
     AdamState, RngState, Tape, Tensor, backward, default_dtype, derive_seed,
@@ -33,7 +34,7 @@ from wavetransformer.training import (
     train_epoch,
 )
 
-from helpers import finite_difference_grad, rel_err
+from helpers import finite_difference_grad, record_pooled_jobs, rel_err
 
 
 def tiny_model(seed=0, vocab_size=11, mode="full", channels=8, mels=4):
@@ -519,3 +520,38 @@ class TestFloat64Twin:
         assert len(live) > len(g64) // 2
         worst = max(float(np.abs(g32[n] - g64[n]).max()) / peak[n] for n in live)
         assert 0 < worst < self.GRAD_BOUND
+
+
+class TestWorkerCount:
+    """The conv tiles follow from shapes alone, so a training step's
+    gradients, an encoding and greedy and beam captions have the same bits
+    at one and two workers."""
+
+    def _outputs(self, workers, monkeypatch):
+        monkeypatch.setattr(ops, "_WORKERS", workers)
+        monkeypatch.setattr(ops, "_TILE_COLS", 64)  # the tiny model's convs run in tiles
+        pooled = record_pooled_jobs(monkeypatch)
+        tiny = tiny_model(seed=0, vocab_size=tiny_vocab().size)
+        model = CaptionModel(replace(tiny.enc_cfg, dropout_tf=0.25),
+                             replace(tiny.dec_cfg, dropout=0.25), seed=0)
+        vocab = tiny_vocab()
+        feats = RngState(1).uniform(-1.0, 1.0, (2, 40, 4)).astype(np.float32)
+        tokens = np.array([[vocab.sos, 4, 5, 6, 7, 8, vocab.eos],
+                           [vocab.sos, 9, 3, 4, vocab.eos, vocab.pad, vocab.pad]])
+        with Tape() as tape:
+            loss = batch_loss(model, Batch(feats, [40, 33], tokens, [7, 5]), vocab.pad,
+                              training=True, rng=RngState(7))
+        backward(loss, tape)
+        out = [loss.data.tobytes()]
+        out += [(name, t.grad.tobytes()) for name, t in model.params.items()]
+        z = model.encode(feats[0])
+        out.append(z.data.tobytes())
+        out.append(np.asarray(model.next_logprobs(model.begin(z), [vocab.sos])).tobytes())
+        out += [decode(z, model, vocab, DecodeConfig(max_words=8, beam_size=beam))
+                for beam in (1, 2)]
+        return out, pooled
+
+    def test_training_step_encoding_and_captions(self, monkeypatch):
+        one, pooled = self._outputs(1, monkeypatch)
+        assert pooled, "no conv ran in tiles"
+        assert self._outputs(2, monkeypatch) == (one, pooled)
