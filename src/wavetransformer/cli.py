@@ -5,29 +5,37 @@ input files were skipped), 2 hard error.
 """
 from __future__ import annotations
 
-import argparse
-import csv
-import math
-import sys
-from dataclasses import replace
-from pathlib import Path
+import os
 
-from . import __version__
-from .audio import AudioConfig, extract_features, load_wav
-from .config import load_config
-from .errors import ConfigError, DataError
-from .fileformats import read_wtf1, write_wtf1
-from .inference import caption_corpus
-from .metrics import EvalPair, assemble_report
-from .model import CaptionModel
-from .tensor import RngState
-from .text import (
+# One BLAS thread per calling thread, set before numpy loads: the conv pool
+# already runs a task on every core, and BLAS threads of their own would
+# oversubscribe them.  A value already in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import csv  # noqa: E402
+import math  # noqa: E402
+import sys  # noqa: E402
+from dataclasses import replace  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from . import __version__  # noqa: E402
+from .audio import AudioConfig, extract_features, load_wav  # noqa: E402
+from .config import load_config  # noqa: E402
+from .errors import ConfigError, DataError  # noqa: E402
+from .fileformats import read_wtf1, write_wtf1  # noqa: E402
+from .inference import caption_corpus  # noqa: E402
+from .metrics import EvalPair, assemble_report  # noqa: E402
+from .model import CaptionModel  # noqa: E402
+from .tensor import RngState  # noqa: E402
+from .text import (  # noqa: E402
     load_caption_csv,
     make_validation_split,
     tokenize,
     write_split_manifest,
 )
-from .training import (
+from .training import (  # noqa: E402
     TrainItem,
     load_checkpoint,
     save_checkpoint,

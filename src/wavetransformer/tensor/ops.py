@@ -17,18 +17,23 @@ kernel, `_conv_taps`, with two regimes picked from the weight's shape:
 
 The GEMMs run as tiles of (clip, block of output rows) on one thread pool
 (`_run`); the weight gradient spreads its (time tap, clip) products over
-the pool and adds them in batch order.  Tile boundaries follow from the
-conv's shapes alone and every tile keeps the accumulation order of the
-whole GEMM, so results are bit-reproducible run to run and do not depend
-on the worker count.
+the pool.  Tile boundaries follow from the conv's shapes alone and every
+tile keeps the accumulation order of the whole GEMM, so results are
+bit-reproducible run to run and do not depend on the worker count.
 
 A VJP keeps what it needs to run and no more: the tape holds each op's
 inputs anyway, so the convolutions rebuild their tap buffers from them, a
 few clips at a time, and training batch norm recentres its input, rather
-than keeping copies until backward.
+than keeping copies until backward.  The conv VJP's chunks of clips run on
+the pool too, at most one per worker, each in a slot of buffers the caller
+allocated once per VJP (buffers allocated inside the workers grow peak
+memory with the worker count); the caller adds each chunk's weight-gradient
+products in batch order, as one pass would.
 """
 from __future__ import annotations
 
+import collections
+import math
 import os
 import threading
 from typing import Optional, Sequence
@@ -351,8 +356,8 @@ def conv2d(
 # as fit this many bytes of them, and at least one.
 _VJP_CHUNK_BYTES = 8 << 20
 
-# The conv GEMMs run on a pool of one thread per CPU this process may use,
-# made on first use.  A job of fewer than _TILE_COLS output columns over the
+# The conv GEMMs, and the conv VJP's chunks, run on a pool of one thread per
+# CPU this process may use, made on first use.  A job of fewer than _TILE_COLS output columns over the
 # batch runs whole, inline.  Otherwise an output tile is one clip's block of
 # rows: a multiple of _TILE_ROWS rows and at least _TILE_COLS columns where
 # the clip has them, so every tile but a clip's last starts and ends on the
@@ -373,15 +378,19 @@ def _mark_worker() -> None:
     _worker.active = True
 
 
-def _run(fn, tasks, cols: int) -> None:
-    """Call fn(*task) for every task of a job of `cols` output columns, each
-    task writing its own part of buffers the caller allocated.  A job below
-    _TILE_COLS, a single task, one worker, and a call from inside a pool
-    task (which would wait on tasks queued behind it) run inline."""
-    if cols < _TILE_COLS or len(tasks) < 2 or _WORKERS < 2 or getattr(_worker, "active", False):
-        for task in tasks:
-            fn(*task)
-        return
+def _lanes(cols: int, n: int) -> int:
+    """How many of the n tasks of a job of `cols` output columns run at
+    once.  A job below _TILE_COLS, a single task, one worker, and a call
+    from inside a pool task (which would wait on tasks queued behind it) run
+    inline, one at a time; any other job runs on up to _WORKERS threads."""
+    if cols < _TILE_COLS or n < 2 or _WORKERS < 2 or getattr(_worker, "active", False):
+        return 1
+    return min(n, _WORKERS)
+
+
+def _executor():
+    """The pool, made on first use and again in a forked child or after
+    _WORKERS changes."""
     global _pool
     key = (os.getpid(), _WORKERS)
     with _pool_lock:
@@ -393,11 +402,39 @@ def _run(fn, tasks, cols: int) -> None:
                 _pool[1].shutdown(wait=False)
             _pool = (key, ThreadPoolExecutor(_WORKERS, thread_name_prefix="conv-tile",
                                              initializer=_mark_worker))
-        pool = _pool[1]
-    futures = [pool.submit(fn, *task) for task in tasks]
-    for error in [future.exception() for future in futures]:
-        if error is not None:
-            raise error
+        return _pool[1]
+
+
+def _run(fn, tasks, cols: int, consume=None) -> None:
+    """Call fn(*task) for every task of a job of `cols` output columns, each
+    task writing its own part of buffers the caller allocated, with
+    _lanes(cols, len(tasks)) tasks at a time.
+
+    Given `consume`, the caller's thread calls consume(fn(*task)) in task
+    order, and submits a task only once the one `lanes` places before it has
+    been consumed: at most `lanes` tasks are in flight, and task k may reuse
+    the buffers of task k - lanes.  Whatever a task raises propagates only
+    after every task in flight has finished, so none writes into the
+    caller's buffers after the call returns."""
+    lanes = _lanes(cols, len(tasks))
+    window = len(tasks) if consume is None else lanes
+    consume = consume or (lambda result: None)
+    if lanes == 1:
+        for task in tasks:
+            consume(fn(*task))
+        return
+    pool = _executor()
+    pending = collections.deque()
+    try:
+        for task in tasks:
+            if len(pending) == window:
+                consume(pending.popleft().result())
+            pending.append(pool.submit(fn, *task))
+        while pending:
+            consume(pending.popleft().result())
+    finally:
+        for future in pending:
+            future.exception()  # waits; an error already propagating wins
 
 
 def _split(n: int, size: int, cols: int) -> list:
@@ -424,12 +461,31 @@ def _tiles(b, groups, og, h_out, w_out) -> list:
             for r, end in zip(starts, starts[1:] + [h_out])]
 
 
-def _tap_cols(xp, rows, kw, stride, w_out) -> np.ndarray:
+def _carve(buf, shape, dtype) -> np.ndarray:
+    """An array of `shape` on the front of the flat buffer `buf`, or a new
+    one if `buf` is None."""
+    if buf is None:
+        return np.empty(shape, dtype=dtype)
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _zeros(buf, shape, dtype) -> np.ndarray:
+    """Zeros of `shape` on the front of the flat buffer `buf`, or new ones if
+    `buf` is None."""
+    if buf is None:
+        return np.zeros(shape, dtype=dtype)
+    out = _carve(buf, shape, dtype)
+    out.fill(0)
+    return out
+
+
+def _tap_cols(xp, rows, kw, stride, w_out, out=None) -> np.ndarray:
     """Taps of the padded input xp (B, C, Hp, Wp): (B, len(rows), C, kw, H', W_out),
-    [:, a, :, j] holding time rows `rows[a]` at frequency tap j."""
+    [:, a, :, j] holding time rows `rows[a]` at frequency tap j; on the front
+    of the flat buffer `out` if given."""
     b, c, hp, _ = xp.shape
     h = len(range(*rows[0].indices(hp)))
-    cols = np.empty((b, len(rows), c, kw, h, w_out), dtype=xp.dtype)
+    cols = _carve(out, (b, len(rows), c, kw, h, w_out), xp.dtype)
 
     def copy(a, ch):
         for j in range(kw):
@@ -459,10 +515,11 @@ def _window(cols, clips, grp, i, dilation, r0, r1) -> np.ndarray:
     return window.reshape(*window.shape[:3], -1)
 
 
-def _per_tap(cols, wt, dilation, h_out, w_out, bias=None, out=None) -> np.ndarray:
+def _per_tap(cols, wt, dilation, h_out, w_out, bias=None, out=None, tap=None) -> np.ndarray:
     """Convolve with tap weights wt (kh, groups, og, k), given the kw
     frequency taps of the padded input by row phase, (B, stride, C_in, kw,
     Hp/stride, W_out): (B, groups, og, h_out * w_out), into `out` if given.
+    `tap` is an optional flat scratch buffer of at least out's size.
 
     Each time tap is one matmul on a window of rows, the groups a batch
     axis.  A tile adds its taps in index order, then the bias.
@@ -472,7 +529,8 @@ def _per_tap(cols, wt, dilation, h_out, w_out, bias=None, out=None) -> np.ndarra
     cols = cols.reshape(b, stride, groups, k, hs, w_out)
     if out is None:
         out = np.empty((b, groups, og, h_out * w_out), dtype=cols.dtype)
-    tap = np.empty_like(out) if kh > 1 else None
+    if kh > 1:
+        tap = _carve(tap, out.shape, out.dtype)
 
     def tile(clips, grp, r0, r1):
         span = slice(r0 * w_out, r1 * w_out)
@@ -488,15 +546,16 @@ def _per_tap(cols, wt, dilation, h_out, w_out, bias=None, out=None) -> np.ndarra
     return out
 
 
-def _weight_grad(cols, g4, gw, dilation, h_out, w_out) -> None:
-    """Add to gw (kh, groups, og, k) the weight gradient of output gradient
-    g4 (n, groups, og, h_out * w_out) over the taps `cols` (as in _per_tap).
-    The products run per (tap, clip) on the pool and are added clip by clip
-    in batch order, the order of a sum over the batch axis."""
-    kh, groups, _, k = gw.shape
-    n = len(g4)
+def _weight_grad(cols, g4, kh, dilation, h_out, w_out, prod=None) -> np.ndarray:
+    """The weight gradient of output gradient g4 (n, groups, og, h_out *
+    w_out) over the taps `cols` (as in _per_tap), per time tap and clip:
+    (kh, n, groups, og, k), on the front of the flat buffer `prod` if given.
+    The products run per (tap, clip) on the pool; the caller adds them clip
+    by clip in batch order, the order of a sum over the batch axis."""
+    n, groups, og, _ = g4.shape
+    k = cols.shape[2] * cols.shape[3] // groups
     cols = cols.reshape(n, cols.shape[1], groups, k, cols.shape[-2], w_out)
-    prod = np.empty((kh, n, *gw.shape[1:]), dtype=gw.dtype)
+    prod = _carve(prod, (kh, n, groups, og, k), g4.dtype)
 
     def product(i, clips):
         window = _window(cols, clips, slice(None), i, dilation, 0, h_out)
@@ -504,9 +563,7 @@ def _weight_grad(cols, g4, gw, dilation, h_out, w_out) -> None:
 
     n_out = h_out * w_out
     _run(product, [(i, c) for i in range(kh) for c in _split(n, 1, n * n_out)], n * n_out)
-    for i in range(kh):
-        for clip in prod[i]:
-            gw[i] += clip
+    return prod
 
 
 def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> Tensor:
@@ -543,8 +600,8 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> T
     fold = groups == 1 and c_in == 1
     b_data = None if bias is None else bias.data
 
-    def padded(xs):
-        xp = np.zeros((len(xs), c_in, hs * stride, wp), dtype=xs.dtype)
+    def padded(xs, buf=None):
+        xp = _zeros(buf, (len(xs), c_in, hs * stride, wp), xs.dtype)
         xp[:, :, ph : ph + h, pw : pw + w] = xs
         return xp
 
@@ -552,8 +609,8 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> T
         w2 = w4.reshape(1, 1, c_out, kh * kw)
         rows = [slice(i * dilation, i * dilation + stride * h_out, stride) for i in range(kh)]
 
-        def taps(xs):
-            cols = _tap_cols(padded(xs), rows, kw, stride, w_out)
+        def taps(xs, pad=None, buf=None):
+            cols = _tap_cols(padded(xs, pad), rows, kw, stride, w_out, buf)
             return cols.reshape(len(xs), 1, 1, kh * kw, h_out, w_out)
 
         out = _per_tap(taps(x4), w2, 1, h_out, w_out, b_data)
@@ -561,8 +618,8 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> T
         wt = _tap_weights(w4, groups)
         phases = [slice(p, None, stride) for p in range(stride)]
 
-        def taps(xs):
-            return _tap_cols(padded(xs), phases, kw, stride, w_out)
+        def taps(xs, pad=None, buf=None):
+            return _tap_cols(padded(xs, pad), phases, kw, stride, w_out, buf)
 
         out = _per_tap(taps(x4), wt, dilation, h_out, w_out, b_data)
     out = out.reshape((*x.shape[: x.ndim - spatial - 1], c_out, h_out, w_out)[: x.ndim])
@@ -573,22 +630,28 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> T
     eh, ew = dilation * (kh - 1), kw - 1
     hb, wb = h + ph + max(eh, ph), w + pw + max(ew, pw)
     if fold:
-        clip_bytes = kh * kw * n_out
+        clip_bytes = clip_taps = kh * kw * n_out
+        clip_pad = max(c_in * hs * stride * wp, c_out * kh * kw)
     else:
         clip_bytes = kw * (c_in * hp * w_out + c_out * (hb - ph) * w)
-    step = max(1, _VJP_CHUNK_BYTES // (clip_bytes * x4.itemsize))
+        clip_taps = max(stride * c_in * kw * hs * w_out, c_out * kw * (hb - ph) * w)
+        clip_pad = max(c_out * hb * wb, c_in * h * w, c_in * hs * stride * wp, c_out * cg * kh * kw)
+    step = min(b, max(1, _VJP_CHUNK_BYTES // (clip_bytes * x4.itemsize)))
 
-    # a chunk function adds the chunk's weight gradient to gw and returns
-    # the chunk's input gradient
-    def fold_chunk(xs, gs, gw):
+    # A chunk of the VJP runs in a slot of two flat buffers for up to `step`
+    # clips, reused from chunk to chunk: `buf` holds the gradient's taps and
+    # then the input's, and `pad` the zero-inserted gradient (the fold's
+    # col2im target), _per_tap's scratch, the zero-bordered input and at last
+    # the weight-gradient products, which the chunk returns for the caller to
+    # add in batch order.  It writes its input gradient into gxs.
+    def fold_chunk(xs, gs, gxs, slot, w_in):
+        pad, buf = slot
         n = len(xs)
-        cols = taps(xs)
-        _weight_grad(cols, gs.reshape(n, 1, c_out, n_out), gw, 1, h_out, w_out)
-        # W^T g, into the taps' buffer, then col2im clip by clip
-        gcols = _per_tap(gs.reshape(n, 1, c_out, 1, h_out, w_out), w2.swapaxes(-1, -2),
-                         1, h_out, w_out, out=cols.reshape(n, 1, kh * kw, n_out))
+        # W^T g, then col2im clip by clip
+        gcols = _per_tap(gs.reshape(n, 1, c_out, 1, h_out, w_out), w_in, 1, h_out, w_out,
+                         out=_carve(buf, (n, 1, kh * kw, n_out), xs.dtype))
         gcols = gcols.reshape(n, kh * kw, h_out, w_out)
-        gxp = np.zeros((n, 1, hs * stride, wp), dtype=xs.dtype)
+        gxp = _zeros(pad, (n, 1, hs * stride, wp), xs.dtype)
 
         def col2im(c):
             for a in range(kh):
@@ -596,31 +659,45 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> T
                     gxp[c, 0, rows[a], j : j + stride * w_out : stride] += gcols[c, a * kw + j]
 
         _run(col2im, [(c,) for c in _split(n, 1, n * n_out)], n * n_out)
-        return gxp[:, :, ph : ph + h, pw : pw + w]
+        gxs[...] = gxp[:, :, ph : ph + h, pw : pw + w]
+        cols = taps(xs, pad, buf)
+        return _weight_grad(cols, gs.reshape(n, 1, c_out, n_out), 1, 1, h_out, w_out, pad)
 
-    def per_tap_chunk(xs, gs, gw, wt_in):
+    def per_tap_chunk(xs, gs, gxs, slot, w_in):
+        pad, buf = slot
         n = len(xs)
-        cols = taps(xs)
-        _weight_grad(cols, gs.reshape(n, groups, og, n_out), gw, dilation, h_out, w_out)
-        del cols  # the input's taps go before the gradient's are built
-        gb = np.zeros((n, c_out, hb, wb), dtype=xs.dtype)
+        gb = _zeros(pad, (n, c_out, hb, wb), xs.dtype)
         gb[:, :, eh : eh + stride * h_out : stride, ew : ew + stride * w_out : stride] = (
             gs.reshape(n, c_out, h_out, w_out)
         )
-        cols = _tap_cols(gb[:, :, ph:, pw:], [slice(None)], kw, 1, w)
-        del gb
-        return _per_tap(cols, wt_in, dilation, h, w).reshape(n, c_in, h, w)
+        cols = _tap_cols(gb[:, :, ph:, pw:], [slice(None)], kw, 1, w, buf)
+        _per_tap(cols, w_in, dilation, h, w, out=gxs.reshape(n, groups, cg, h * w), tap=pad)
+        cols = taps(xs, pad, buf)
+        return _weight_grad(cols, gs.reshape(n, groups, og, n_out), kh, dilation, h_out, w_out, pad)
 
     def vjp(g):
         g3 = g.reshape(b, c_out, n_out)
-        gx = np.empty_like(x4)
+        gx = np.empty(x4.shape, dtype=x4.dtype)
         gw = np.zeros_like(w2 if fold else wt)
-        if not fold:
+        if fold:
+            w_in = w2.swapaxes(-1, -2)
+        else:
             flipped = w4.reshape(groups, og, cg, kh, kw).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
-            wt_in = _tap_weights(flipped.reshape(c_in, og, kh, kw), groups)
-        for s in range(0, b, step):
-            xs, gs = x4[s : s + step], g3[s : s + step]
-            gx[s : s + step] = fold_chunk(xs, gs, gw) if fold else per_tap_chunk(xs, gs, gw, wt_in)
+            w_in = _tap_weights(flipped.reshape(c_in, og, kh, kw), groups)
+        starts = range(0, b, step)
+        # at most `lanes` chunks run at once, chunk k in slot k % lanes
+        lanes = _lanes(b * n_out, len(starts))
+        slots = [tuple(np.empty(step * size, dtype=x4.dtype) for size in (clip_pad, clip_taps))
+                 for _ in range(lanes)]
+
+        def add(prod):
+            for gw_i, prods in zip(gw, prod):
+                for clip in prods:
+                    gw_i += clip
+
+        tasks = [(x4[s : s + step], g3[s : s + step], gx[s : s + step], slots[k % lanes], w_in)
+                 for k, s in enumerate(starts)]
+        _run(fold_chunk if fold else per_tap_chunk, tasks, b * n_out, add)
         gx = gx.reshape(x.shape)
         if fold:
             gw = gw.reshape(weight.shape)

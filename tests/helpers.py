@@ -6,6 +6,7 @@ expected value; it only re-evaluates the forward function.
 """
 from __future__ import annotations
 
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,19 +66,63 @@ def gradcheck(
     return worst
 
 
-def record_pooled_jobs(monkeypatch) -> list:
-    """Wrap the conv pool's `ops._run` for the rest of the test; each job
-    large enough to leave the caller's thread appends its task count to
-    the returned list."""
-    pooled = []
+class PooledJobs(list):
+    """The task counts of the conv pool's jobs large enough to leave the
+    caller's thread, in call order.  A job run from inside a task of one of
+    them runs inline and is not listed, so the list does not depend on the
+    worker count.
 
-    def spy(fn, tasks, cols):
-        if cols >= ops._TILE_COLS and len(tasks) > 1:
-            pooled.append(len(tasks))
-        _RUN(fn, tasks, cols)
+    For the in-order jobs (those with a consumer): `chunks_on_pool` counts
+    their tasks that ran off the caller's thread, `most_in_flight` is the
+    most of them started and not yet consumed at once, and `running` the
+    tasks started and not yet finished.
+    """
+
+    chunks_on_pool = 0
+    most_in_flight = 0
+    running = 0
+
+
+def record_pooled_jobs(monkeypatch) -> PooledJobs:
+    """Wrap the conv pool's `ops._run` for the rest of the test and record
+    its jobs in the returned PooledJobs."""
+    jobs = PooledJobs()
+    lock = threading.Lock()
+    inside = threading.local()
+
+    def spy(fn, tasks, cols, consume=None):
+        if getattr(inside, "job", False) or cols < ops._TILE_COLS or len(tasks) < 2:
+            return _RUN(fn, tasks, cols, consume)
+        jobs.append(len(tasks))
+        caller = threading.current_thread()
+        in_flight = 0
+
+        def task(*args):
+            nonlocal in_flight
+            with lock:
+                jobs.running += 1
+                if consume is not None:
+                    in_flight += 1
+                    jobs.most_in_flight = max(jobs.most_in_flight, in_flight)
+                    jobs.chunks_on_pool += threading.current_thread() is not caller
+            inside.job = True
+            try:
+                return fn(*args)
+            finally:
+                inside.job = False
+                with lock:
+                    jobs.running -= 1
+
+        def consumed(result):
+            nonlocal in_flight
+            consume(result)
+            with lock:
+                in_flight -= 1
+
+        return _RUN(task, tasks, cols, consume and consumed)
 
     monkeypatch.setattr(ops, "_run", spy)
-    return pooled
+    return jobs
 
 
 def conv1d_reference(x, w, b, stride=1, padding=0, dilation=1):

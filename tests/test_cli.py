@@ -1,12 +1,16 @@
 """CLI contracts and config handling, on a tiny synthetic corpus."""
 import csv
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavetransformer
 from wavetransformer.cli import main
 from wavetransformer.audio import write_wav
 from wavetransformer.config import SECTIONS, load_config
@@ -80,6 +84,30 @@ def make_corpus_dir(tmp_path: Path) -> tuple[Path, Path, Path]:
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(TINY_CONFIG)
     return audio_dir, caps_path, cfg_path
+
+
+class TestBlasThreads:
+    """Importing the CLI pins BLAS to one thread before numpy loads, so BLAS
+    threads do not oversubscribe the conv pool's; a count the user set
+    wins."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def _after_import(self, preset: dict) -> list:
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env.update(preset, PYTHONPATH=str(Path(wavetransformer.__file__).parents[1]))
+        code = ("import os, sys, wavetransformer\n"
+                "numpy_first = 'numpy' in sys.modules\n"
+                "import wavetransformer.cli\n"
+                f"print(numpy_first, *(os.environ[v] for v in {self.VARS!r}))\n")
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout.split()
+
+    def test_unset_counts_become_one(self):
+        assert self._after_import({}) == ["False", "1", "1", "1"]
+
+    def test_a_count_the_user_set_wins(self):
+        assert self._after_import(dict.fromkeys(self.VARS, "2")) == ["False", "2", "2", "2"]
 
 
 class TestConfigDefaults:

@@ -5,12 +5,18 @@ direct-summation reference implementations in helpers.py.  Gradients are
 checked against central finite differences in float64 mode, where the
 1e-3 tolerance is meaningful.
 """
+import os
+import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavetransformer
 from wavetransformer.errors import ConfigError, DimensionError, UsageError
 from wavetransformer.tensor import RngState, Tape, Tensor, backward, default_dtype
 from wavetransformer.tensor import ops
@@ -239,9 +245,18 @@ class TestConvWorkers:
     }
     # below the default tile size: one tile, inline
     INLINE = {"tiny", "stride2", "stride2_groups"}
+    # convs of 4 or more clips, whose VJP runs one chunk per clip when
+    # _VJP_CHUNK_BYTES is tiny
+    MANY_CHUNKS = {
+        "batch12": CASES["batch12"],
+        "batch12_depthwise": (ops.conv2d, (12, 16, 40, 16), (16, 1, 5, 5),
+                              dict(padding=2, groups=16)),
+        "stride2": CASES["stride2"],
+        "single_channel_b6": (ops.conv2d, (6, 1, 60, 16), (8, 1, 5, 5), dict(padding=2)),
+    }
 
-    def _run(self, case, workers, monkeypatch):
-        op, x_shape, w_shape, options = self.CASES[case]
+    def _run(self, spec, workers, monkeypatch):
+        op, x_shape, w_shape, options = spec
         monkeypatch.setattr(ops, "_WORKERS", workers)
         pooled = record_pooled_jobs(monkeypatch)
         rng = RngState(71)
@@ -258,17 +273,103 @@ class TestConvWorkers:
     def test_bits_do_not_depend_on_the_worker_count(self, case, tile_cols, monkeypatch):
         if tile_cols is not None:
             monkeypatch.setattr(ops, "_TILE_COLS", tile_cols)
-        one, pooled = self._run(case, 1, monkeypatch)
+        spec = self.CASES[case]
+        one, pooled = self._run(spec, 1, monkeypatch)
         assert (pooled == []) == (case == "tiny" or tile_cols is None and case in self.INLINE)
-        assert self._run(case, 2, monkeypatch) == (one, pooled)
+        assert self._run(spec, 2, monkeypatch) == (one, pooled)
         # more workers than cores, switching threads often: a task writing
         # outside its own slice would show
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            assert self._run(case, 3, monkeypatch) == (one, pooled)
+            assert self._run(spec, 3, monkeypatch) == (one, pooled)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("case", sorted(MANY_CHUNKS))
+    def test_vjp_chunks_run_on_the_pool_with_the_same_bits(self, case, monkeypatch):
+        spec = self.MANY_CHUNKS[case]
+        clips = spec[1][0]
+        whole, _ = self._run(spec, 1, monkeypatch)
+        monkeypatch.setattr(ops, "_VJP_CHUNK_BYTES", 1)  # one clip per chunk
+        monkeypatch.setattr(ops, "_TILE_COLS", 128)  # every chunk job leaves the caller
+        one, pooled = self._run(spec, 1, monkeypatch)
+        assert one == whole
+        assert clips in pooled and pooled.chunks_on_pool == 0
+        interval = sys.getswitchinterval()
+        try:
+            for workers in (2, 3):
+                if workers == 3:
+                    sys.setswitchinterval(1e-5)
+                bits, jobs = self._run(spec, workers, monkeypatch)
+                assert (bits, jobs) == (one, pooled)
+                assert jobs.chunks_on_pool == clips
+                assert 1 <= jobs.most_in_flight <= workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_failing_chunk_raises_after_the_chunks_in_flight_stop(self, monkeypatch):
+        # the third tap copy (the forward makes the first) fails inside a
+        # pool task; backward raises that error, and only after the other
+        # chunks in flight have finished with the caller's buffers
+        monkeypatch.setattr(ops, "_WORKERS", 2)
+        monkeypatch.setattr(ops, "_VJP_CHUNK_BYTES", 1)
+        jobs = record_pooled_jobs(monkeypatch)
+        tap_cols, calls, lock = ops._tap_cols, [], threading.Lock()
+
+        class ChunkFault(Exception):
+            pass
+
+        def faulty(*args, **kwargs):
+            with lock:
+                calls.append(threading.current_thread().name)
+                n = len(calls)
+            time.sleep(0.02)  # long enough for the other chunks to be in flight
+            if n == 3:
+                raise ChunkFault("third tap copy")
+            return tap_cols(*args, **kwargs)
+
+        monkeypatch.setattr(ops, "_tap_cols", faulty)
+        op, x_shape, w_shape, options = self.CASES["batch12"]
+        rng = RngState(73)
+        x, w = (Tensor(rng.uniform(-1, 1, shape).astype(np.float32), requires_grad=True)
+                for shape in (x_shape, w_shape))
+        with Tape() as tape:
+            loss = ops.tensor_sum(op(x, w, **options))
+        with pytest.raises(ChunkFault, match="third tap copy"):
+            backward(loss, tape)
+        seen, running = len(calls), jobs.running
+        time.sleep(0.1)  # a chunk still queued or running would copy taps meanwhile
+        assert running == 0 and len(calls) == seen
+        assert calls[2].startswith("conv-tile") and jobs.chunks_on_pool >= 2
+        assert len(calls) < 1 + 2 * x_shape[0]  # the chunks after the fault never ran
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+    def test_vjp_chunks_in_flight_do_not_grow_peak_memory(self):
+        # a block-2-shaped conv at the paper's batch: a second worker adds
+        # one slot of caller-owned buffers (about 6 MB); chunks that
+        # allocated their own buffers inside the pool threads added about
+        # 15 MB
+        script = (
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "from wavetransformer.tensor import RngState, Tape, Tensor, backward, ops\n"
+            "ops._WORKERS = int(sys.argv[1])\n"
+            "rng = RngState(0)\n"
+            "x = Tensor(rng.uniform(-1, 1, (12, 128, 100, 16)).astype(np.float32), requires_grad=True)\n"
+            "w = Tensor(rng.uniform(-0.05, 0.05, (128, 128, 5, 5)).astype(np.float32), requires_grad=True)\n"
+            "for _ in range(5):\n"
+            "    with Tape() as tape:\n"
+            "        loss = ops.tensor_sum(ops.conv2d(x, w, padding=2))\n"
+            "    backward(loss, tape)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(wavetransformer.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        peak_kib = [int(subprocess.run([sys.executable, "-c", script, str(workers)], env=env,
+                                       capture_output=True, text=True, check=True).stdout)
+                    for workers in (1, 2)]
+        assert peak_kib[1] <= peak_kib[0] + 8 * 1024, f"peak RSS {peak_kib} KiB at 1 and 2 workers"
 
     def test_tile_boundaries_depend_only_on_shapes(self, monkeypatch):
         tiles = ops._tiles(1, 1, 128, 2584, 16)

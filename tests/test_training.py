@@ -527,23 +527,31 @@ class TestWorkerCount:
     gradients, an encoding and greedy and beam captions have the same bits
     at one and two workers."""
 
-    def _outputs(self, workers, monkeypatch):
+    def _setup(self, workers, monkeypatch):
         monkeypatch.setattr(ops, "_WORKERS", workers)
         monkeypatch.setattr(ops, "_TILE_COLS", 64)  # the tiny model's convs run in tiles
         pooled = record_pooled_jobs(monkeypatch)
         tiny = tiny_model(seed=0, vocab_size=tiny_vocab().size)
         model = CaptionModel(replace(tiny.enc_cfg, dropout_tf=0.25),
                              replace(tiny.dec_cfg, dropout=0.25), seed=0)
-        vocab = tiny_vocab()
         feats = RngState(1).uniform(-1.0, 1.0, (2, 40, 4)).astype(np.float32)
+        return model, feats, pooled
+
+    def _step(self, model, feats) -> list:
+        """One training step's loss and every gradient, as bytes."""
+        vocab = tiny_vocab()
         tokens = np.array([[vocab.sos, 4, 5, 6, 7, 8, vocab.eos],
                            [vocab.sos, 9, 3, 4, vocab.eos, vocab.pad, vocab.pad]])
         with Tape() as tape:
             loss = batch_loss(model, Batch(feats, [40, 33], tokens, [7, 5]), vocab.pad,
                               training=True, rng=RngState(7))
         backward(loss, tape)
-        out = [loss.data.tobytes()]
-        out += [(name, t.grad.tobytes()) for name, t in model.params.items()]
+        return [loss.data.tobytes()] + [(name, t.grad.tobytes()) for name, t in model.params.items()]
+
+    def _outputs(self, workers, monkeypatch):
+        model, feats, pooled = self._setup(workers, monkeypatch)
+        vocab = tiny_vocab()
+        out = self._step(model, feats)
         z = model.encode(feats[0])
         out.append(z.data.tobytes())
         out.append(np.asarray(model.next_logprobs(model.begin(z), [vocab.sos])).tobytes())
@@ -555,3 +563,14 @@ class TestWorkerCount:
         one, pooled = self._outputs(1, monkeypatch)
         assert pooled, "no conv ran in tiles"
         assert self._outputs(2, monkeypatch) == (one, pooled)
+
+    def test_training_step_in_one_chunk_per_clip(self, monkeypatch):
+        model, feats, _ = self._setup(1, monkeypatch)
+        whole = self._step(model, feats)
+        # every conv VJP splits the batch of two into chunks of one clip,
+        # which run on the pool at two workers
+        monkeypatch.setattr(ops, "_VJP_CHUNK_BYTES", 1)
+        for workers in (1, 2):
+            model, feats, pooled = self._setup(workers, monkeypatch)
+            assert self._step(model, feats) == whole
+            assert (pooled.chunks_on_pool > 0) == (workers == 2)
