@@ -29,6 +29,15 @@ the pool too, at most one per worker, each in a slot of buffers the caller
 allocated once per VJP (buffers allocated inside the workers grow peak
 memory with the worker count); the caller adds each chunk's weight-gradient
 products in batch order, as one pass would.
+
+The memory-bound passes between the convs run as tiles of about
+`_TILE_BYTES` on the same pool (`_each_tile`): batch norm (training and
+eval, forward and VJP), max-pool and leaky ReLU (forward and VJP), dropout
+and, in `optim`, Adam.  A batch-norm tile is one clip's block of whole
+channels, so a per-channel reduction never splits a (clip, channel) row and
+adds the rows in batch order, as one pass over the array does; the others
+take flat ranges of elements.  These tiles too follow from shapes alone.
+The caller allocates every output and every per-lane scratch buffer.
 """
 from __future__ import annotations
 
@@ -42,7 +51,7 @@ import numpy as np
 
 from ..errors import ConfigError, DimensionError, UsageError
 from .core import Tensor, apply_op
-from .rng import RngState
+from .rng import GOLDEN, RngState, mix64
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -245,12 +254,31 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     slope would make max(inf, inf * 0) NaN; relu is that case)."""
     if not 0.0 < slope <= 1.0:
         raise ConfigError(f"leaky_relu slope must be in (0, 1], got {slope}")
-    out = np.maximum(a.data, a.data * a.data.dtype.type(slope))
+    x = a.data.reshape(-1)
+    tiles = _flat_tiles(x.size, x.itemsize)
+    out = np.empty_like(x)
+
+    def forward(t, _):
+        np.multiply(x[t], x.dtype.type(slope), out=out[t])
+        np.maximum(x[t], out[t], out=out[t])
+
+    _each_tile(forward, tiles, x.size)
 
     def vjp(g):
-        return (np.where(a.data >= 0, g, g * g.dtype.type(slope)),)
+        g1 = g.reshape(-1)
+        gx = np.empty_like(g1)
+        factors = np.array([slope, 1], dtype=g1.dtype)
 
-    return apply_op(out, (a,), vjp)
+        def tile(t, _):
+            # 1 where x >= 0, else (NaN too) the slope, by lookup, times g:
+            # the bits of g or g * slope
+            np.take(factors, np.greater_equal(x[t], 0).view(np.uint8), out=gx[t], mode="clip")
+            np.multiply(gx[t], g1[t], out=gx[t])
+
+        _each_tile(tile, tiles, x.size)
+        return (gx.reshape(a.shape),)
+
+    return apply_op(out.reshape(a.shape), (a,), vjp)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -260,7 +288,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * out * (1.0 - out),)
 
-    return apply_op(out.astype(a.data.dtype), (a,), vjp)
+    return apply_op(out.astype(a.data.dtype, copy=False), (a,), vjp)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -305,16 +333,51 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def dropout(a: Tensor, p: float, training: bool, rng: Optional[RngState] = None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-p); identity in eval mode."""
+    """Inverted dropout: survivors scaled by 1/(1-p); identity in eval mode.
+
+    The mask has the bits of `rng.random(a.shape) >= p`, one draw per
+    element in C order, and the stream advances as that call would.  The
+    draws are made tile by tile from their counters and compared as
+    integers: random() is the raw draw's top 53 bits times 2**-53, so
+    random() >= p iff the raw draw is at least ceil(p * 2**53) * 2**11.
+    """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return a
     if rng is None:
         raise UsageError("dropout in training mode needs an RngState")
-    keep = (rng.random(a.shape) >= p).astype(a.data.dtype)
-    m = keep / a.data.dtype.type(1.0 - p)
-    return mul_const(a, m)
+    x = a.data.reshape(-1)
+    n = x.size
+    least = np.uint64(math.ceil(p * 2.0**53) << 11)
+    keep = x.dtype.type(1) / x.dtype.type(1.0 - p)
+    first, seed, golden = rng.counter + 1, rng.seed, int(GOLDEN)
+    rng.counter += n
+    tiles = _flat_tiles(n, 8)
+    # the draw of counter k is mix64(seed + k * GOLDEN), wrapping at 2**64:
+    # a tile's words are its first word plus steps = (0, 1, ...) * GOLDEN
+    steps = np.arange(min(n, tiles[0].stop), dtype=np.uint64)
+    steps *= GOLDEN
+    mask = np.empty_like(x)
+    out = np.empty_like(x)
+
+    def forward(t, slot):
+        k = len(mask[t])
+        words, work = _carve(slot, (2, k), np.uint64)
+        np.add(steps[:k], np.uint64((seed + (first + t.start) * golden) & 0xFFFFFFFFFFFFFFFF),
+               out=words)
+        np.multiply(mix64(words, work) >= least, keep, out=mask[t])
+        np.multiply(x[t], mask[t], out=out[t])
+
+    _each_tile(forward, tiles, n, scratch=16 * len(steps))
+
+    def vjp(g):
+        g1 = g.reshape(-1)
+        gx = np.empty_like(g1)
+        _each_tile(lambda t, _: np.multiply(g1[t], mask[t], out=gx[t]), tiles, n)
+        return (gx.reshape(a.shape),)
+
+    return apply_op(out.reshape(a.shape), (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -410,24 +473,46 @@ def _run(fn, tasks, cols: int, consume=None) -> None:
     task writing its own part of buffers the caller allocated, with
     _lanes(cols, len(tasks)) tasks at a time.
 
-    Given `consume`, the caller's thread calls consume(fn(*task)) in task
-    order, and submits a task only once the one `lanes` places before it has
-    been consumed: at most `lanes` tasks are in flight, and task k may reuse
-    the buffers of task k - lanes.  Whatever a task raises propagates only
-    after every task in flight has finished, so none writes into the
-    caller's buffers after the call returns."""
+    Without `consume`, each lane is one pool task that runs the next task
+    not yet started until none is left, so a job of many tiles costs one
+    pool round trip per lane.  Given `consume`, the caller's thread calls
+    consume(fn(*task)) in task order, and submits a task only once the one
+    `lanes` places before it has been consumed: at most `lanes` tasks are in
+    flight, and task k may reuse the buffers of task k - lanes.  Whatever a
+    task raises propagates only after every task in flight has finished, so
+    none writes into the caller's buffers after the call returns."""
     lanes = _lanes(cols, len(tasks))
-    window = len(tasks) if consume is None else lanes
-    consume = consume or (lambda result: None)
     if lanes == 1:
         for task in tasks:
-            consume(fn(*task))
+            result = fn(*task)
+            if consume is not None:
+                consume(result)
         return
     pool = _executor()
     pending = collections.deque()
     try:
+        if consume is None:
+            order, lock = iter(tasks), threading.Lock()
+
+            def lane():
+                while True:
+                    with lock:
+                        task = next(order, None)
+                    if task is None:
+                        return
+                    try:
+                        fn(*task)
+                    except BaseException:
+                        with lock:
+                            collections.deque(order, maxlen=0)  # no lane starts another
+                        raise
+
+            pending.extend(pool.submit(lane) for _ in range(lanes))
+            while pending:
+                pending.popleft().result()
+            return
         for task in tasks:
-            if len(pending) == window:
+            if len(pending) == lanes:
                 consume(pending.popleft().result())
             pending.append(pool.submit(fn, *task))
         while pending:
@@ -443,6 +528,67 @@ def _split(n: int, size: int, cols: int) -> list:
     if cols < _TILE_COLS:
         return [slice(None)]
     return [slice(k, k + size) for k in range(0, n, size)]
+
+
+# A memory-bound pass runs as tiles of about this many bytes, which fit one
+# core's L2 cache with room for a second operand, on the conv pool; a job's
+# elements count as its columns.
+_TILE_BYTES = 1 << 20
+
+
+def _flat_tiles(n: int, unit_bytes: int) -> list:
+    """range(n), of units of `unit_bytes`, in even slices of about
+    _TILE_BYTES (one slice if n is 0)."""
+    step = _even(n, _TILE_BYTES // unit_bytes)
+    return [slice(k, k + step) for k in range(0, max(n, 1), step)]
+
+
+def _channel_tiles(lead: int, c: int, rest: int, itemsize: int) -> list:
+    """(clips, channels) of each tile of a (lead, C, rest) array: blocks of
+    whole clips of about _TILE_BYTES, or where a clip is larger, one clip's
+    blocks of whole channels; the blocks as even as _TILE_BYTES allows."""
+    clip = c * rest * itemsize
+    if clip <= _TILE_BYTES:
+        size = _even(lead, _TILE_BYTES // max(clip, 1))
+        return [(slice(i, i + size), slice(None)) for i in range(0, max(lead, 1), size)]
+    size = _even(c, _TILE_BYTES // (rest * itemsize))
+    return [(slice(i, i + 1), slice(k, k + size)) for i in range(lead) for k in range(0, c, size)]
+
+
+def _even(n: int, most: int) -> int:
+    """The size of the blocks of range(n) in as few blocks of at most `most`
+    (at least 1) as can be, as even as can be."""
+    blocks = -(-n // max(1, most)) or 1
+    return -(-n // blocks) or 1
+
+
+def _each_tile(fn, tiles, size: int, scratch: int = 0) -> None:
+    """Call fn(tile, slot) for every tile of a memory-bound pass over `size`
+    elements, on the pool as _run places a job of `size` columns.  With
+    `scratch`, `slot` is a flat uint64 buffer of at least `scratch` bytes
+    that no other tile running has: one per lane, allocated here in the
+    caller's thread and handed from tile to tile; without, it is None."""
+    if not scratch:
+        _run(fn, [(tile, None) for tile in tiles], size)
+        return
+    free = [np.empty(-(-scratch // 8), dtype=np.uint64) for _ in range(_lanes(size, len(tiles)))]
+    lock = threading.Lock()
+
+    def run(tile):
+        with lock:
+            slot = free.pop()
+        try:
+            fn(tile, slot)
+        finally:
+            with lock:
+                free.append(slot)
+
+    _run(run, [(tile,) for tile in tiles], size)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Dot products of the last-axis rows of a and b, into out (a.shape[:-1])."""
+    np.matmul(a[..., None, :], b[..., :, None], out=out[..., None, None])
 
 
 def _tiles(b, groups, og, h_out, w_out) -> list:
@@ -636,7 +782,11 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> T
         clip_bytes = kw * (c_in * hp * w_out + c_out * (hb - ph) * w)
         clip_taps = max(stride * c_in * kw * hs * w_out, c_out * kw * (hb - ph) * w)
         clip_pad = max(c_out * hb * wb, c_in * h * w, c_in * hs * stride * wp, c_out * cg * kh * kw)
+    # chunks of at most _VJP_CHUNK_BYTES of buffers, and at least two of a
+    # batch whose VJP leaves the caller's thread, so that a second worker has one
     step = min(b, max(1, _VJP_CHUNK_BYTES // (clip_bytes * x4.itemsize)))
+    if b * n_out >= _TILE_COLS:
+        step = min(step, -(-b // 2))
 
     # A chunk of the VJP runs in a slot of two flat buffers for up to `step`
     # clips, reused from chunk to chunk: `buf` holds the gradient's taps and
@@ -722,31 +872,55 @@ def max_pool_freq(x: Tensor, pool: int) -> Tensor:
         raise DimensionError(f"max_pool_freq: F={f} not divisible by pool={pool}")
     if pool == 1:
         return apply_op(x.data.copy(), (x,), lambda g: (g,))
-    windows = x.data.reshape(*x.shape[:-1], f // pool, pool)
-    out = windows[..., 0].copy()
-    for j in range(1, pool):
-        np.maximum(out, windows[..., j], out=out)
+    windows = x.data.reshape(-1, pool)
+    tiles = _flat_tiles(len(windows), pool * x.data.itemsize)
+    out = np.empty(len(windows), dtype=x.dtype)
+
+    def forward(t, _):
+        np.copyto(out[t], windows[t, 0])
+        for j in range(1, pool):
+            np.maximum(out[t], windows[t, j], out=out[t])
+
+    _each_tile(forward, tiles, x.size)
 
     def vjp(g):
-        gx = np.zeros_like(windows)
-        taken = np.zeros(out.shape, dtype=bool)
-        for j in range(pool):
-            hit = windows[..., j] == out
-            hit &= ~taken
-            np.multiply(g, hit, out=gx[..., j])
-            taken |= hit
+        g1 = g.reshape(-1)
+        gx = np.empty_like(windows)
+
+        def tile(t, _):
+            hit = np.empty(len(out[t]), dtype=bool)
+            free = np.ones_like(hit)  # windows whose maximum no slot has taken
+            for j in range(pool):
+                np.equal(windows[t, j], out[t], out=hit)
+                hit &= free
+                np.multiply(g1[t], hit, out=gx[t, j])
+                free ^= hit
+
+        _each_tile(tile, tiles, x.size)
         return (gx.reshape(x.shape),)
 
-    return apply_op(out, (x,), vjp)
+    return apply_op(out.reshape(*x.shape[:-1], f // pool), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
 
-def _channel_dot(a3: np.ndarray, b3: np.ndarray) -> np.ndarray:
-    """Per-channel dot product of two (lead, C, rest) arrays: (C,)."""
-    return np.matmul(a3[:, :, None, :], b3[:, :, :, None]).sum(axis=(0, 2, 3))
+def _bn_reduce(g3, x3, centre, tiles) -> tuple:
+    """The batch-norm VJP's reductions over the (lead, C, rest) gradient g3
+    and input x3: per channel, the sum of g3 and its dot with x3 - centre,
+    and an array holding x3 - centre."""
+    lead, c, _ = x3.shape
+    xc = np.empty_like(x3)
+    sums, dots = np.empty((2, lead, c), dtype=x3.dtype)
+
+    def tile(t, _):
+        np.subtract(x3[t], centre[t[1], None], out=xc[t])
+        np.sum(g3[t], axis=-1, out=sums[t])
+        _row_dots(g3[t], xc[t], dots[t])
+
+    _each_tile(tile, tiles, x3.size)
+    return sums.sum(axis=0), dots.sum(axis=0), xc
 
 
 def batch_norm(
@@ -777,53 +951,67 @@ def batch_norm(
     if running_mean.shape != (c,) or running_var.shape != (c,):
         raise DimensionError("batch_norm: running statistics shape mismatch")
 
+    # (lead, C, rest): per-channel sums are contiguous row sums
+    x3 = x.data.reshape(math.prod(x.shape[:channel_axis]), c, -1)
+    tiles = _channel_tiles(*x3.shape, x3.itemsize)
+    out = np.empty_like(x3)
     if training:
-        # (lead, C, rest): per-channel sums are contiguous row sums
-        x3 = x.data.reshape(int(np.prod(x.shape[:channel_axis])), c, -1)
         n = x.size // c
-        mean = x3.sum(axis=2).sum(axis=0) / n
-        out = x3 - mean[:, None]
-        var = _channel_dot(out, out) / n
+        sums, dots = np.empty((2, x3.shape[0], c), dtype=x3.dtype)
+        _each_tile(lambda t, _: np.sum(x3[t], axis=-1, out=sums[t]), tiles, x3.size)
+        mean = sums.sum(axis=0) / n
+
+        def centre(t, _):
+            np.subtract(x3[t], mean[t[1], None], out=out[t])
+            _row_dots(out[t], out[t], dots[t])
+
+        # each phase starts where the one before ended, on tiles still in cache
+        _each_tile(centre, tiles[::-1], x3.size)
+        var = dots.sum(axis=0) / n
         inv = 1.0 / np.sqrt(var + eps)
-        out *= (gamma.data * inv)[:, None]
-        out += beta.data[:, None]
+        scale_c, shift_c = gamma.data * inv, beta.data
         unbiased = var * (n / max(n - 1, 1))
         running_mean[:] = (1 - momentum) * running_mean + momentum * mean
         running_var[:] = (1 - momentum) * running_var + momentum * unbiased
+    else:
+        # the running statistics fold into one scale and one shift
+        mean = running_mean
+        inv = 1.0 / np.sqrt(running_var + eps)
+        scale_c = gamma.data * inv
+        shift_c = beta.data - running_mean * scale_c
+    src = out if training else x3  # training has centred x into out
 
-        def vjp(g):
-            # gx = inv*gamma*(g - sum(g)/n - xhat*sum(g*xhat)/n): two
-            # per-channel reductions over g and the recentred input, which
-            # the tape does not keep
-            g3 = g.reshape(x3.shape)
-            xc = x3 - mean[:, None]
-            gbeta = g3.sum(axis=2).sum(axis=0)
-            ggamma = _channel_dot(g3, xc) * inv
-            gx = g3 - (gbeta / n)[:, None]
-            xc *= (inv * ggamma / n)[:, None]
-            gx -= xc
-            gx *= (gamma.data * inv)[:, None]
-            return gx.reshape(x.shape), ggamma, gbeta
+    def affine(t, _):
+        np.multiply(src[t], scale_c[t[1], None], out=out[t])
+        np.add(out[t], shift_c[t[1], None], out=out[t])
 
-        return apply_op(out.reshape(x.shape), (x, gamma, beta), vjp)
-
-    # eval mode: the running statistics fold into one scale and one shift
-    axes = tuple(i for i in range(x.ndim) if i != channel_axis)
-    bshape = [1] * x.ndim
-    bshape[channel_axis] = c
-    inv = 1.0 / np.sqrt(running_var + eps)
-    scale_c = (gamma.data * inv).reshape(bshape)
-    shift_c = beta.data.reshape(bshape) - running_mean.reshape(bshape) * scale_c
-    out = x.data * scale_c
-    out += shift_c
+    _each_tile(affine, tiles, x3.size)
 
     def vjp(g):
-        gx = g * scale_c
-        ggamma = (g * (x.data - running_mean.reshape(bshape))).sum(axis=axes) * inv
-        gbeta = g.sum(axis=axes)
-        return gx.astype(x.data.dtype), ggamma, gbeta
+        # training: gx = inv*gamma*(g - sum(g)/n - xhat*sum(g*xhat)/n), from
+        # two per-channel reductions over g and the recentred input, which
+        # the tape does not keep; gx is computed in place over the latter
+        g3 = g.reshape(x3.shape)
+        gbeta, dot, gx = _bn_reduce(g3, x3, mean, tiles)
+        ggamma = dot * inv
+        if training:
+            shift_g, scale_xc = gbeta / n, inv * ggamma / n
 
-    return apply_op(out.astype(x.data.dtype, copy=False), (x, gamma, beta), vjp)
+            def combine(t, slot):
+                o = gx[t]
+                s = _carve(slot.view(o.dtype), o.shape, o.dtype)
+                np.subtract(g3[t], shift_g[t[1], None], out=s)
+                np.multiply(o, scale_xc[t[1], None], out=o)
+                np.subtract(s, o, out=o)
+                np.multiply(o, scale_c[t[1], None], out=o)
+
+            _each_tile(combine, tiles[::-1], x3.size, scratch=max(gx[t].nbytes for t in tiles))
+        else:
+            _each_tile(lambda t, _: np.multiply(g3[t], scale_c[t[1], None], out=gx[t]),
+                       tiles[::-1], x3.size)
+        return gx.reshape(x.shape), ggamma, gbeta
+
+    return apply_op(out.reshape(x.shape), (x, gamma, beta), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -845,9 +1033,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         gx = inv * (dxhat - m1 - xhat * m2)
         lead = tuple(range(x.ndim - 1))
-        return gx.astype(x.data.dtype), (g * xhat).sum(axis=lead), g.sum(axis=lead)
+        return gx.astype(x.data.dtype, copy=False), (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
-    return apply_op(out.astype(x.data.dtype), (x, gamma, beta), vjp)
+    return apply_op(out.astype(x.data.dtype, copy=False), (x, gamma, beta), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import UsageError
+from . import ops
 from .params import ParameterStore
 
 
@@ -14,21 +15,11 @@ class AdamState:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.step = 0
-        self._work: np.ndarray | None = None
 
     def ensure(self, name: str, like: np.ndarray) -> None:
         if name not in self.m:
             self.m[name] = np.zeros_like(like)
             self.v[name] = np.zeros_like(like)
-
-    def scratch(self, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Two work arrays shaped like `like`, views of one buffer kept
-        across steps (not part of the state a checkpoint saves)."""
-        work = self._work
-        if work is None or work.dtype != like.dtype or work.shape[1] < like.size:
-            work = self._work = np.empty((2, like.size), dtype=like.dtype)
-        return (work[0, : like.size].reshape(like.shape),
-                work[1, : like.size].reshape(like.shape))
 
 
 def adam_step(
@@ -43,7 +34,9 @@ def adam_step(
     """One bias-corrected Adam update over every parameter in the store.
 
     A parameter with no gradient this step contributes a zero gradient, so
-    its moments decay but (on a fresh state) it does not move.
+    its moments decay but (on a fresh state) it does not move.  The update
+    is elementwise, so it runs on the op pool as flat tiles of each
+    parameter (`ops._flat_tiles`), each in two scratch arrays of its lane.
     """
     if step is None:
         step = state.step + 1
@@ -52,16 +45,23 @@ def adam_step(
     state.step = step
     c1 = 1.0 - beta1 ** step
     c2 = 1.0 - beta2 ** step
+    tiles, scratch = [], 0
     for name, t in params.items():
         state.ensure(name, t.data)
-        m, v = state.m[name], state.v[name]
-        # in place, in the order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
-        # p -= lr*(m/c1) / (sqrt(v/c2) + eps)
-        a, b = state.scratch(t.data)
-        g = t.grad
+        arrays = (t.data, t.grad, state.m[name], state.v[name])
+        spans = ops._flat_tiles(t.size, t.data.itemsize)
+        tiles += [(arrays, span) for span in spans]
+        scratch = max(scratch, 2 * t.data.reshape(-1)[spans[0]].nbytes)
+
+    def update(tile, slot):
+        arrays, span = tile
+        p, g, m, v = (None if x is None else x.reshape(-1)[span] for x in arrays)
+        a, b = ops._carve(slot.view(p.dtype), (2, len(p)), p.dtype)
         if g is None:
             g = b
             g.fill(0)
+        # in place, in the order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g),
+        # p -= lr*(m/c1) / (sqrt(v/c2) + eps)
         m *= beta1
         m += np.multiply(g, 1.0 - beta1, out=a)
         v *= beta2
@@ -74,7 +74,9 @@ def adam_step(
         np.sqrt(b, out=b)
         b += eps
         a /= b
-        t.data -= a
+        p -= a
+
+    ops._each_tile(update, tiles, params.count(), scratch)
 
 
 def clip_grad_norm(params: ParameterStore, max_norm: float) -> float:

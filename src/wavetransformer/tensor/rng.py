@@ -15,13 +15,13 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
 
-def mix64(z: np.ndarray) -> np.ndarray:
+def mix64(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """SplitMix64 finalizer, bijective on 64-bit words (wraparound intended).
 
-    Mixes the uint64 array `z` in place, with one scratch array (a draw for
-    dropout is as large as an activation), and returns it.
+    Mixes the uint64 array `z` in place, with one scratch array of its shape
+    (`scratch`, or a new one), and returns it.
     """
-    t = np.empty_like(z)
+    t = np.empty_like(z) if scratch is None else scratch
     with np.errstate(over="ignore"):
         z ^= np.right_shift(z, np.uint64(30), out=t)
         z *= _M1

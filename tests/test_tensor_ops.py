@@ -18,7 +18,9 @@ import pytest
 
 import wavetransformer
 from wavetransformer.errors import ConfigError, DimensionError, UsageError
-from wavetransformer.tensor import RngState, Tape, Tensor, backward, default_dtype
+from wavetransformer.tensor import (
+    AdamState, ParameterStore, RngState, Tape, Tensor, adam_step, backward, default_dtype,
+)
 from wavetransformer.tensor import ops
 
 from helpers import conv1d_reference, conv2d_reference, gradcheck, record_pooled_jobs
@@ -371,6 +373,22 @@ class TestConvWorkers:
                     for workers in (1, 2)]
         assert peak_kib[1] <= peak_kib[0] + 8 * 1024, f"peak RSS {peak_kib} KiB at 1 and 2 workers"
 
+    def test_a_batch_in_one_chunk_splits_for_a_second_worker(self, monkeypatch):
+        # six clips fit one _VJP_CHUNK_BYTES chunk; a VJP job large enough
+        # to leave the caller's thread still runs as two chunks of three
+        # clips, one per worker, with the bits of the whole batch in one
+        spec = self.MANY_CHUNKS["single_channel_b6"]
+        clips = ops._VJP_CHUNK_BYTES // (5 * 5 * 60 * 16 * 4)
+        assert clips >= spec[1][0]
+        monkeypatch.setattr(ops, "_TILE_COLS", 1 << 30)  # nothing leaves the caller
+        whole, _ = self._run(spec, 2, monkeypatch)
+        monkeypatch.undo()
+        for workers in (1, 2):
+            bits, jobs = self._run(spec, workers, monkeypatch)
+            assert bits == whole
+            assert jobs.chunks_on_pool == (2 if workers == 2 else 0)
+            assert jobs.most_in_flight == workers
+
     def test_tile_boundaries_depend_only_on_shapes(self, monkeypatch):
         tiles = ops._tiles(1, 1, 128, 2584, 16)
         for workers in (1, 2, 3, 64):
@@ -395,6 +413,113 @@ class TestConvWorkers:
         futures = [ops._pool[1].submit(op, x, w, b, **options) for _ in range(3)]
         for future in futures:
             assert future.result(timeout=120).data.tobytes() == expected.tobytes()
+
+
+class TestPassWorkers:
+    """Batch norm, max-pool, leaky ReLU, dropout and Adam run as tiles on
+    the conv pool.  The tiles follow from shapes alone and a per-channel
+    reduction never splits a (clip, channel) row, so neither the worker
+    count nor the tile size may change a bit of a value, a gradient, a
+    running statistic or an optimizer moment."""
+
+    SHAPE = (5, 6, 7, 12)
+
+    @staticmethod
+    def _tensors(*shapes, seed=80, lo=-1.0, hi=1.0):
+        rng = RngState(seed)
+        return [Tensor(rng.uniform(lo, hi, s).astype(np.float32), requires_grad=True)
+                for s in shapes]
+
+    @staticmethod
+    def _grad_of(f, x, seed=81):
+        """f(x) and the gradient of sum(f(x) * a fixed random array)."""
+        with Tape() as tape:
+            out = f(x)
+            g = RngState(seed).uniform(-1, 1, out.shape).astype(np.float32)
+            loss = ops.tensor_sum(ops.mul_const(out, g))
+        backward(loss, tape)
+        return out.data
+
+    def _batch_norm(self, training):
+        x, gamma, beta = self._tensors(self.SHAPE, (6,), (6,))
+        stats = RngState(82).uniform(0.5, 1.5, (2, 6)).astype(np.float32)
+        out = self._grad_of(lambda t: ops.batch_norm(t, gamma, beta, stats[0], stats[1],
+                                                     training, channel_axis=1), x)
+        return [out, stats, x.grad, gamma.grad, beta.grad]
+
+    def _max_pool(self):
+        (x,) = self._tensors(self.SHAPE)
+        x.data[...] = np.round(x.data * 2) / 2  # five values: most windows tie
+        return [self._grad_of(lambda t: ops.max_pool_freq(t, 4), x), x.grad]
+
+    def _leaky_relu(self):
+        (x,) = self._tensors(self.SHAPE)
+        x.data[0, 0, 0, :3] = [0.0, -0.0, np.nan]
+        return [self._grad_of(lambda t: ops.leaky_relu(t, 0.1), x), x.grad]
+
+    def _dropout(self):
+        (x,) = self._tensors(self.SHAPE)
+        rng = RngState(83, 17)
+        return [self._grad_of(lambda t: ops.dropout(t, 0.25, True, rng), x), x.grad,
+                np.array(rng.counter)]
+
+    def _adam(self):
+        store = ParameterStore()
+        shapes = [(40, 7), (13,), (3, 3, 5), (9, 2)]
+        for i, t in enumerate(self._tensors(*shapes)):
+            store.add(f"p{i}", t)
+        state = AdamState()
+        for step in range(2):
+            for i, t in enumerate(store.tensors()):
+                t.grad = None if i == 3 else RngState(84 + step).uniform(-1, 1, t.shape).astype(np.float32)
+            adam_step(store, state, lr=1e-2)
+        return [a for name, t in store.items() for a in (t.data, state.m[name], state.v[name])]
+
+    CASES = ("batch_norm_train", "batch_norm_eval", "max_pool_freq", "leaky_relu", "dropout",
+             "adam_step")
+
+    def _run(self, case, workers, tile_bytes, monkeypatch):
+        monkeypatch.setattr(ops, "_WORKERS", workers)
+        if tile_bytes is not None:
+            monkeypatch.setattr(ops, "_TILE_BYTES", tile_bytes)
+            monkeypatch.setattr(ops, "_TILE_COLS", 16)  # every tiled pass leaves the caller
+        pooled = record_pooled_jobs(monkeypatch)
+        run = {"batch_norm_train": lambda: self._batch_norm(True),
+               "batch_norm_eval": lambda: self._batch_norm(False),
+               "max_pool_freq": self._max_pool, "leaky_relu": self._leaky_relu,
+               "dropout": self._dropout, "adam_step": self._adam}[case]
+        return [a.tobytes() for a in run()], pooled
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bits_do_not_depend_on_workers_or_tiles(self, case, monkeypatch):
+        whole, pooled = self._run(case, 1, None, monkeypatch)
+        assert pooled == []  # arrays below one tile: one tile, inline
+        # 96 bytes: one (clip, channel) row of batch norm, 24 floats, 12 draws
+        tiled, pooled = self._run(case, 1, 96, monkeypatch)
+        assert tiled == whole and pooled
+        assert self._run(case, 2, 96, monkeypatch) == (whole, pooled)
+        # more workers than cores, switching threads often: a tile writing
+        # outside its own part, or two sharing a scratch slot, would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert self._run(case, 3, 96, monkeypatch) == (whole, pooled)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_tiles_depend_only_on_shapes(self, monkeypatch):
+        shapes = [(12, 128, 6400), (12, 128, 1600), (12, 128, 400), (1, 128, 165376)]
+        tiles = [ops._channel_tiles(*s, 4) for s in shapes] + [ops._flat_tiles(10**6, 4)]
+        for workers in (1, 2, 3, 64):
+            monkeypatch.setattr(ops, "_WORKERS", workers)
+            assert [ops._channel_tiles(*s, 4) for s in shapes] + [ops._flat_tiles(10**6, 4)] == tiles
+        for (lead, c, rest), parts in zip(shapes, tiles):
+            rows = [(i, k) for clips, chans in parts
+                    for i in range(lead)[clips] for k in range(c)[chans]]
+            assert sorted(rows) == [(i, k) for i in range(lead) for k in range(c)]  # each row once
+            sizes = {len(range(lead)[clips]) * len(range(c)[chans]) * rest * 4 for clips, chans in parts}
+            assert max(sizes) <= max(ops._TILE_BYTES, rest * 4)
+        assert tiles[3] == [(slice(0, 1), slice(k, k + 1)) for k in range(128)]  # a row a tile
 
 
 class TestLinear:
@@ -531,6 +656,26 @@ class TestActivations:
         # survivors are 1/(1-p) w.p. (1-p): mean 1, var p/(1-p)
         sigma_mean = np.sqrt(p / (1 - p) / n)
         assert abs(out.data.mean() - 1.0) <= 3 * sigma_mean
+
+    @pytest.mark.parametrize("tile_bytes", [None, 8 * 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("p", [0.1, 0.25, 1 / 3, 0.5])
+    def test_dropout_mask_is_the_uniform_draw_at_least_p(self, p, dtype, tile_bytes, monkeypatch):
+        # the integer-domain keep test against the float draw it stands for,
+        # over 231 draws, which tiles of 64 draws do not divide
+        if tile_bytes is not None:
+            monkeypatch.setattr(ops, "_TILE_BYTES", tile_bytes)
+        shape = (3, 7, 11)
+        x = Tensor(RngState(4).uniform(0.5, 1.5, shape).astype(dtype), requires_grad=True)
+        rng, reference = RngState(21, 5), RngState(21, 5)
+        with Tape() as tape:
+            out = ops.dropout(x, p, training=True, rng=rng)
+            loss = ops.tensor_sum(out)
+        backward(loss, tape)
+        mask = (reference.random(shape) >= p).astype(dtype) / dtype(1.0 - p)
+        assert out.data.dtype == dtype and out.data.tobytes() == (x.data * mask).tobytes()
+        assert x.grad.tobytes() == mask.tobytes()
+        assert rng.counter == reference.counter == 5 + x.size
 
     def test_leaky_relu_slope(self):
         out = ops.leaky_relu(Tensor([-2.0, 2.0]), slope=0.01)

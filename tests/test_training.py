@@ -1,14 +1,19 @@
 """Loss arithmetic, early stopping, checkpoint round trips, determinism."""
 import json
 import mmap
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavetransformer
 from wavetransformer.decoder import DecoderConfig
 from wavetransformer.encoder import EncoderConfig
 from wavetransformer.errors import CheckpointError, TrainingError, UsageError
@@ -523,13 +528,14 @@ class TestFloat64Twin:
 
 
 class TestWorkerCount:
-    """The conv tiles follow from shapes alone, so a training step's
-    gradients, an encoding and greedy and beam captions have the same bits
-    at one and two workers."""
+    """The conv tiles and those of the memory-bound passes follow from
+    shapes alone, so a training step's gradients, an encoding and greedy
+    and beam captions have the same bits at one and two workers."""
 
     def _setup(self, workers, monkeypatch):
         monkeypatch.setattr(ops, "_WORKERS", workers)
         monkeypatch.setattr(ops, "_TILE_COLS", 64)  # the tiny model's convs run in tiles
+        monkeypatch.setattr(ops, "_TILE_BYTES", 256)  # and its batch norms, pools, dropouts
         pooled = record_pooled_jobs(monkeypatch)
         tiny = tiny_model(seed=0, vocab_size=tiny_vocab().size)
         model = CaptionModel(replace(tiny.enc_cfg, dropout_tf=0.25),
@@ -574,3 +580,55 @@ class TestWorkerCount:
             model, feats, pooled = self._setup(workers, monkeypatch)
             assert self._step(model, feats) == whole
             assert (pooled.chunks_on_pool > 0) == (workers == 2)
+
+
+class TestBlasThreadCount:
+    """A training step's loss and gradients have the same bits whatever
+    number of threads OpenBLAS runs, which is fixed when numpy loads, so
+    each count runs in its own process."""
+
+    SCRIPT = (
+        "import hashlib, os\n"
+        "import numpy as np\n"
+        "from wavetransformer.decoder import DecoderConfig\n"
+        "from wavetransformer.encoder import EncoderConfig\n"
+        "from wavetransformer.model import CaptionModel\n"
+        "from wavetransformer.tensor import RngState, Tape, backward\n"
+        "from wavetransformer.text import build_vocab\n"
+        "from wavetransformer.training import Batch, batch_loss\n"
+        "vocab = build_vocab([[f'w{i}' for i in range(20)]])\n"
+        # 32 channels: the TF convs' GEMMs are large enough for OpenBLAS to thread
+        "enc = EncoderConfig(n_temp_blocks=2, n_tf_blocks=2, channels=32, pool_factors=(2, 4),\n"
+        "                    dropout_tf=0.25, n_mels=8)\n"
+        "dec = DecoderConfig(vocab_size=vocab.size, n_blocks=1, n_heads=2, d_model=32,\n"
+        "                    dropout=0.25, max_len=24)\n"
+        "model = CaptionModel(enc, dec, seed=0)\n"
+        "feats = RngState(1).uniform(-1.0, 1.0, (3, 48, 8)).astype(np.float32)\n"
+        "tokens = np.array([[vocab.sos, 4, 5, 6, 7, 8, vocab.eos],\n"
+        "                   [vocab.sos, 9, 3, 4, vocab.eos, vocab.pad, vocab.pad],\n"
+        "                   [vocab.sos, 10, 11, 12, 13, vocab.eos, vocab.pad]])\n"
+        "with Tape() as tape:\n"
+        "    loss = batch_loss(model, Batch(feats, [48, 40, 31], tokens, [7, 5, 6]), vocab.pad,\n"
+        "                      training=True, rng=RngState(7))\n"
+        "backward(loss, tape)\n"
+        "h = hashlib.sha256(loss.data.tobytes())\n"
+        "for name, t in model.params.items():\n"
+        "    h.update(name.encode() + t.grad.tobytes())\n"
+        "print(h.hexdigest(), len(os.listdir('/proc/self/task')))\n"
+    )
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc")
+    def test_training_step_bits_at_one_and_two_blas_threads(self):
+        blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {}).get("name", "")
+        if "openblas" not in blas:
+            pytest.skip(f"numpy's BLAS is {blas!r}, not OpenBLAS")
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(wavetransformer.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env, capture_output=True,
+                                  text=True, check=True, timeout=300)
+            digest, tasks = done.stdout.split()
+            runs.append((digest, int(tasks)))
+        assert runs[1][1] > runs[0][1], f"OpenBLAS started no thread of its own: {runs}"
+        assert runs[0][0] == runs[1][0]
