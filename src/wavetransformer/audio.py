@@ -3,6 +3,15 @@
 The WAV reader is hand-rolled rather than delegated so that malformed files
 fail with the exact byte offset of the problem and a truncated data chunk
 never yields a partial clip.
+
+The STFT runs as tiles of whole frames on the op pool (`ops._each_tile`),
+each in a scratch slot of its lane that the caller allocates: a tile is
+windowed, transformed (`rfft(out=)`) and squared there, and feature
+extraction takes it on through the mel product and the log floor into the
+float32 feature matrix, so no whole-clip spectrum or power array is ever
+made.  Every tile has at least a fixed number of frames, set by the frame's
+bytes alone, and every step is per frame, so the features have the bits of
+one pass over the whole clip whatever the tile or worker count.
 """
 from __future__ import annotations
 
@@ -12,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AudioFormatError, ConfigError
+from .tensor import ops
 
 LOG_FLOOR = 1e-10  # power floor before the natural log; keeps features finite
 
@@ -98,7 +108,7 @@ def load_wav(path) -> AudioClip:
     """Read a RIFF/WAVE file: PCM 16-bit int or IEEE 32-bit float.
 
     Multi-channel audio is averaged to mono; 16-bit samples are scaled by
-    1/32768.
+    1/32768 (exactly: the scale is a power of two).
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -156,11 +166,11 @@ def load_wav(path) -> AudioClip:
             offset,
         )
     raw = np.frombuffer(blob, dtype=dtype, count=size // bytes_per, offset=offset)
-    frames = raw.reshape(-1, channels).astype(np.float64)
-    if audio_format == 1:
-        frames /= 32768.0
-    mono = frames.mean(axis=1)
-    return AudioClip(mono, sample_rate)
+    scale = 2.0**-15 if audio_format == 1 else 1.0
+    if channels == 1:
+        return AudioClip(np.multiply(raw, scale, dtype=np.float64), sample_rate)
+    frames = np.multiply(raw.reshape(-1, channels), scale, dtype=np.float64)
+    return AudioClip(frames.mean(axis=1), sample_rate)
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int, bits: int = 16) -> None:
@@ -200,13 +210,8 @@ def hamming_window(n: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1))
 
 
-def stft_power(clip: AudioClip, window_length: int, hop: int, n_fft: int) -> np.ndarray:
-    """Magnitude-squared single-sided spectrum of centered, windowed frames.
-
-    Frames are centered at t*hop via reflection padding, the Hamming window
-    of `window_length` samples sits centered inside the n_fft buffer, and
-    the frame count is exactly floor(len / hop) + 1.
-    """
+def _framing(clip: AudioClip, window_length: int, hop: int, n_fft: int) -> tuple:
+    """The clip's centered frames, a (T_a, n_fft) view, and the window."""
     if window_length > n_fft:
         raise ConfigError(f"window_length {window_length} exceeds n_fft {n_fft}")
     if window_length < 1:
@@ -229,8 +234,56 @@ def stft_power(clip: AudioClip, window_length: int, hop: int, n_fft: int) -> np.
     window = np.zeros(n_fft)
     left = (n_fft - window_length) // 2
     window[left : left + window_length] = hamming_window(window_length)
-    spectra = np.fft.rfft(frames * window, n=n_fft, axis=1)
-    return (spectra.real ** 2 + spectra.imag ** 2).astype(np.float64)
+    return frames, window
+
+
+def _power_tiles(frames: np.ndarray, window: np.ndarray, extra: int, finish) -> None:
+    """Call finish(tile, power, rest) for every tile of whole frames of
+    `frames` (T_a, n_fft), on the op pool: `power` holds the tile's power
+    spectra, (rows, n_fft//2 + 1) float64, and `rest` room for `extra`
+    float64 values per frame, both in the tile's scratch slot.
+
+    A tile has as many frames as fit ops._TILE_BYTES of scratch, and the
+    last one also takes the remainder, so no tile is shorter than that
+    unless the clip is: a GEMM of few rows may run on other BLAS kernels,
+    which round differently (OpenBLAS gives its small-matrix kernel a mel
+    product of 15 frames at the paper's geometry, where a tile has 31).
+    """
+    n, n_fft = frames.shape
+    bins = n_fft // 2 + 1
+    frame_bytes = 8 * (2 * bins + n_fft + extra)
+    rows = max(1, ops._TILE_BYTES // frame_bytes)
+    starts = list(range(0, n - rows + 1, rows)) or [0]
+    tiles = [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+    def tile(t, slot):
+        k = len(frames[t])
+        buf = slot.view(np.float64)
+        spectra = buf[: 2 * k * bins].view(np.complex128).reshape(k, bins)
+        windowed = buf[2 * k * bins : (2 * bins + n_fft) * k].reshape(k, n_fft)
+        np.multiply(frames[t], window, out=windowed)
+        np.fft.rfft(windowed, n=n_fft, axis=1, out=spectra)
+        # real**2 + imag**2, on the front of the windowed frames
+        power = windowed.reshape(-1)[: k * bins].reshape(k, bins)
+        np.multiply(spectra.real, spectra.real, out=power)
+        np.multiply(spectra.imag, spectra.imag, out=spectra.imag)
+        np.add(power, spectra.imag, out=power)
+        finish(t, power, buf[(2 * bins + n_fft) * k :])
+
+    ops._each_tile(tile, tiles, n * n_fft, scratch=frame_bytes * max(len(frames[t]) for t in tiles))
+
+
+def stft_power(clip: AudioClip, window_length: int, hop: int, n_fft: int) -> np.ndarray:
+    """Magnitude-squared single-sided spectrum of centered, windowed frames.
+
+    Frames are centered at t*hop via reflection padding, the Hamming window
+    of `window_length` samples sits centered inside the n_fft buffer, and
+    the frame count is exactly floor(len / hop) + 1.
+    """
+    frames, window = _framing(clip, window_length, hop, n_fft)
+    out = np.empty((len(frames), n_fft // 2 + 1))
+    _power_tiles(frames, window, 0, lambda t, power, _: np.copyto(out[t], power))
+    return out
 
 
 def hz_to_mel(f):
@@ -268,12 +321,19 @@ def mel_filterbank(
 
 def log_mel(power: np.ndarray, fb: MelFilterbank) -> np.ndarray:
     """Natural-log mel energies with a fixed floor: ln(max(P Wᵀ, 1e-10))."""
-    mel_power = power @ fb.weights.T
-    return np.log(np.maximum(mel_power, LOG_FLOOR))
+    return _log_mel(power, fb.weights, np.empty((len(power), len(fb.weights))))
+
+
+def _log_mel(power: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log_mel of `power` into the float64 array `out`."""
+    np.matmul(power, weights.T, out=out)
+    np.maximum(out, LOG_FLOOR, out=out)
+    return np.log(out, out=out)
 
 
 def extract_features(clip: AudioClip, cfg: AudioConfig) -> FeatureMatrix:
-    """Full pipeline: centered Hamming STFT -> mel energies -> natural log.
+    """Full pipeline: centered Hamming STFT -> mel energies -> natural log,
+    frame tile by frame tile (see the module docstring).
 
     The clip must be at `cfg.sample_rate`: hop and window are set in its
     samples, so another rate would yield other bands and frame times.
@@ -281,11 +341,17 @@ def extract_features(clip: AudioClip, cfg: AudioConfig) -> FeatureMatrix:
     if clip.sample_rate != cfg.sample_rate:
         raise ConfigError(f"clip sample rate is {clip.sample_rate} Hz but the [audio] "
                           f"sample_rate is {cfg.sample_rate} Hz")
-    power = stft_power(clip, cfg.window_length, cfg.hop, cfg.n_fft)
+    frames, window = _framing(clip, cfg.window_length, cfg.hop, cfg.n_fft)
     fb = mel_filterbank(cfg.n_mels, cfg.n_fft, cfg.sample_rate, cfg.f_min, cfg.f_max)
-    feats = log_mel(power, fb)
+    feats = np.empty((len(frames), cfg.n_mels), dtype=np.float32)
+
+    def finish(t, power, rest):
+        mel = rest[: power.shape[0] * cfg.n_mels].reshape(-1, cfg.n_mels)
+        np.copyto(feats[t], _log_mel(power, fb.weights, mel))
+
+    _power_tiles(frames, window, cfg.n_mels, finish)
     return FeatureMatrix(
-        feats.astype(np.float32),
+        feats,
         sample_rate=float(clip.sample_rate),
         frame_hop=cfg.hop,
         window_length=cfg.window_length,

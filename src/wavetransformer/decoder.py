@@ -11,7 +11,10 @@ residual addition.
 There is one path through the blocks.  A `DecodeState` holds each block's
 cross-attention keys and values of the audio, projected once, and a
 per-row cache of self-attention keys and values; feeding it new positions
-runs them through every block and appends their keys and values.
+runs them through every block and appends their keys and values.  Keys
+are kept transposed, (B, H, d/H, L), so a query multiplies them as they
+are: the audio's keys are transposed once per clip, not once per step and
+block, and the self-attention cache grows along its last axis.
 Captioning starts a state with `begin` and feeds one position per
 hypothesis row with each `step`, so a step costs O(length), not
 O(length^2).  The teacher-forced `forward` is the same path, fed every
@@ -69,24 +72,25 @@ class MultiHeadAttention:
         self.v = Linear(space, f"{name}.v", d_kv, d_model)
         self.out = Linear(space, f"{name}.out", d_model, d_model)
 
-    def heads(self, t: Tensor) -> Tensor:
-        """(B, L, d) -> (B, H, L, d/H)."""
+    def heads(self, t: Tensor, axes=(0, 2, 1, 3)) -> Tensor:
+        """(B, L, d) -> (B, H, L, d/H), or the (B, L, H, d/H) split under `axes`."""
         b, length, _ = t.shape
         h = self.n_heads
-        return ops.transpose(ops.reshape(t, (b, length, h, self.d_model // h)), (0, 2, 1, 3))
+        return ops.transpose(ops.reshape(t, (b, length, h, self.d_model // h)), axes)
 
     def keys_values(self, kv_in: Tensor) -> tuple[Tensor, Tensor]:
-        """Projected, head-split keys and values: two (B, H, L_k, d/H)."""
-        return self.heads(self.k(kv_in)), self.heads(self.v(kv_in))
+        """Projected, head-split keys, transposed, and values: (B, H, d/H,
+        L_k) and (B, H, L_k, d/H)."""
+        return self.heads(self.k(kv_in), (0, 2, 3, 1)), self.heads(self.v(kv_in))
 
     def queries(self, q_in: Tensor) -> Tensor:
         """Projected, head-split queries: (B, H, L_q, d/H)."""
         return self.heads(self.q(q_in))
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        """Head-split queries against head-split keys and values; (B, L_q, d) out."""
+        """Head-split queries against `keys_values`' keys and values; (B, L_q, d) out."""
         b, h, l_q, dh = q.shape
-        scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+        scores = ops.scale(ops.matmul(q, k), 1.0 / math.sqrt(dh))
         weights = ops.softmax(scores, axis=-1, mask=mask)
         ctx = ops.matmul(weights, v)  # (B, H, L_q, dh)
         merged = ops.reshape(ops.transpose(ctx, (0, 2, 1, 3)), (b, l_q, self.d_model))
@@ -111,18 +115,19 @@ class DecoderBlock:
         """L new positions per row, x (rows, L, d).
 
         `self_kv` holds the self-attention keys and values of the earlier
-        positions, (rows, H, t, d/H) each; the block returns its output and
-        `self_kv` extended by the L new positions.  `cross_kv` holds the
-        audio's keys and values, (clips, H, T, d/H) each.  Rows are grouped
-        by clip, rows/clips consecutive rows per clip: one clip per row in
-        training, one clip for all beam rows in decoding.
+        positions, (rows, H, d/H, t) and (rows, H, t, d/H); the block returns
+        its output and `self_kv` extended by the L new positions.  `cross_kv`
+        holds the audio's keys and values, (clips, H, d/H, T) and (clips, H,
+        T, d/H).  Rows are grouped by clip, rows/clips consecutive rows per
+        clip: one clip per row in training, one clip for all beam rows in
+        decoding.
         """
         sa, ca = self.self_attn, self.cross_attn
         # queries first: backward sums the gradients reaching x in reverse
         # tape order, so the projection order fixes the training bits
         q = sa.queries(x)
         k, v = sa.keys_values(x)
-        self_kv = (ops.concat([self_kv[0], k], axis=2), ops.concat([self_kv[1], v], axis=2))
+        self_kv = (ops.concat([self_kv[0], k], axis=3), ops.concat([self_kv[1], v], axis=2))
         a = ops.dropout(sa(q, *self_kv, self_mask), self.p, training, rng)
         x = self.ln1(ops.add(x, a))
         # each clip's rows become the query axis of that clip's batch item
@@ -138,10 +143,11 @@ class DecodeState:
     """Decoding state of clips fed to `Decoder`, one hypothesis per row.
 
     `cross[i]` holds block i's cross-attention keys and values of the
-    audio, (clips, H, T, d/H) each, projected once; `cross_mask` hides
-    padded frames.  Rows are grouped by clip; with one clip every row
-    shares it.  `self_kv[i]` holds block i's self-attention keys and values
-    of the `length` positions fed so far, (rows, H, length, d/H) each.
+    audio, (clips, H, d/H, T) and (clips, H, T, d/H), projected and
+    transposed once; `cross_mask` hides padded frames.  Rows are grouped by
+    clip; with one clip every row shares it.  `self_kv[i]` holds block i's
+    self-attention keys and values of the `length` positions fed so far,
+    (rows, H, d/H, length) and (rows, H, length, d/H).
     """
 
     def __init__(self, cross: list[tuple[Tensor, Tensor]], cross_mask: np.ndarray | None,
@@ -211,9 +217,10 @@ class Decoder:
         """Empty state of `rows` rows over the clips of z, (..., T, d_audio)."""
         z = ops.reshape(z, (-1, *z.shape[-2:]))
         h = self.cfg.n_heads
-        empty = Tensor(np.zeros((rows, h, 0, self.cfg.d_model // h), dtype=self.emb_weight.dtype))
+        empty = np.zeros((rows, h, 0, self.cfg.d_model // h), dtype=self.emb_weight.dtype)
+        self_kv = (Tensor(empty.transpose(0, 1, 3, 2)), Tensor(empty))
         return DecodeState([block.cross_attn.keys_values(z) for block in self.blocks],
-                           cross_mask, [(empty, empty)] * len(self.blocks), rows)
+                           cross_mask, [self_kv] * len(self.blocks), rows)
 
     def _extend(self, state: DecodeState, tokens: np.ndarray, training: bool,
                 rng: RngState | None) -> Tensor:

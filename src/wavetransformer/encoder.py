@@ -112,8 +112,15 @@ class TFBlock:
         self.dropout = dropout
 
     def __call__(self, x: Tensor, training: bool, rng: RngState | None = None) -> Tensor:
-        s = self.pcnn(self.bn_a(ops.leaky_relu(self.scnn(x)), training))
-        out = ops.max_pool_freq(self.bn_b(s, training), self.pool)
+        s = self.bn_a(ops.leaky_relu(self.scnn(x)), training)
+        if training:
+            out = ops.max_pool_freq(self.bn_b(self.pcnn(s), training), self.pool)
+        else:
+            # bn_b and the pooling run inside the P-CNN's output tiles unless a tape records
+            bn = self.bn_b
+            out = ops.conv2d_bn_pool(s, self.pcnn.weight, self.pcnn.bias, self.pcnn.padding,
+                                     bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+                                     bn.eps, self.pool)
         return ops.dropout(out, self.dropout, training, rng)
 
 

@@ -38,6 +38,15 @@ channels, so a per-channel reduction never splits a (clip, channel) row and
 adds the rows in batch order, as one pass over the array does; the others
 take flat ranges of elements.  These tiles too follow from shapes alone.
 The caller allocates every output and every per-lane scratch buffer.
+
+`_per_tap` takes an epilogue that runs on each output tile while it is in
+cache.  The eval tail of a TF block, conv -> batch norm -> frequency
+max-pool, uses it when no tape records (`conv2d_bn_pool`): each P-CNN tile
+is made, with its tap products, in its lane's scratch slot, scaled and
+shifted there by the batch norm's running statistics, and pooled into the
+output, so the full-size conv and batch-norm outputs are never made.  A tile
+holds whole frequency rows, so no pooling window crosses a tile, and every
+step is the one the three ops take, so the bits are theirs.
 """
 from __future__ import annotations
 
@@ -50,7 +59,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigError, DimensionError, UsageError
-from .core import Tensor, apply_op
+from .core import Tensor, active_tape, apply_op
 from .rng import GOLDEN, RngState, mix64
 
 
@@ -562,16 +571,22 @@ def _even(n: int, most: int) -> int:
     return -(-n // blocks) or 1
 
 
-def _each_tile(fn, tiles, size: int, scratch: int = 0) -> None:
+def _each_tile(fn, tiles, size: int, scratch=0) -> None:
     """Call fn(tile, slot) for every tile of a memory-bound pass over `size`
     elements, on the pool as _run places a job of `size` columns.  With
     `scratch`, `slot` is a flat uint64 buffer of at least `scratch` bytes
     that no other tile running has: one per lane, allocated here in the
-    caller's thread and handed from tile to tile; without, it is None."""
+    caller's thread and handed from tile to tile; for a tuple of sizes it is
+    a tuple of such buffers, one per size (blocks of several MB fit the
+    allocator's free blocks better apart than as one); without, it is None."""
     if not scratch:
         _run(fn, [(tile, None) for tile in tiles], size)
         return
-    free = [np.empty(-(-scratch // 8), dtype=np.uint64) for _ in range(_lanes(size, len(tiles)))]
+    lanes = _lanes(size, len(tiles))
+    if isinstance(scratch, tuple):
+        free = [tuple(np.empty(-(-n // 8), dtype=np.uint64) for n in scratch) for _ in range(lanes)]
+    else:
+        free = [np.empty(-(-scratch // 8), dtype=np.uint64) for _ in range(lanes)]
     lock = threading.Lock()
 
     def run(tile):
@@ -661,7 +676,8 @@ def _window(cols, clips, grp, i, dilation, r0, r1) -> np.ndarray:
     return window.reshape(*window.shape[:3], -1)
 
 
-def _per_tap(cols, wt, dilation, h_out, w_out, bias=None, out=None, tap=None) -> np.ndarray:
+def _per_tap(cols, wt, dilation, h_out, w_out, bias=None, out=None, tap=None,
+             epilogue=None) -> Optional[np.ndarray]:
     """Convolve with tap weights wt (kh, groups, og, k), given the kw
     frequency taps of the padded input by row phase, (B, stride, C_in, kw,
     Hp/stride, W_out): (B, groups, og, h_out * w_out), into `out` if given.
@@ -669,26 +685,48 @@ def _per_tap(cols, wt, dilation, h_out, w_out, bias=None, out=None, tap=None) ->
 
     Each time tap is one matmul on a window of rows, the groups a batch
     axis.  A tile adds its taps in index order, then the bias.
+
+    With `epilogue`, there is no output: each tile is made, with its tap
+    products, in a scratch slot of its lane (`_each_tile`), and handed on
+    while in cache to epilogue(tile, clips, channels, r0, r1), the tile
+    (clips, channels, (r1 - r0) * w_out) holding output rows r0..r1.
     """
     kh, groups, og, k = wt.shape
     b, stride, _, _, hs, _ = cols.shape
     cols = cols.reshape(b, stride, groups, k, hs, w_out)
-    if out is None:
-        out = np.empty((b, groups, og, h_out * w_out), dtype=cols.dtype)
-    if kh > 1:
-        tap = _carve(tap, out.shape, out.dtype)
+    tiles = _tiles(b, groups, og, h_out, w_out)
+    scratch = 0
+    if epilogue is not None:
+        tile_bytes = cols.itemsize * og * w_out * max(
+            len(range(b)[c]) * len(range(groups)[g]) * (r1 - r0) for c, g, r0, r1 in tiles)
+        scratch = (tile_bytes,) * min(kh, 2)  # the tile, and its tap products
+    else:
+        if out is None:
+            out = np.empty((b, groups, og, h_out * w_out), dtype=cols.dtype)
+        if kh > 1:
+            tap = _carve(tap, out.shape, out.dtype)
 
-    def tile(clips, grp, r0, r1):
+    def tile(t, slot):
+        clips, grp, r0, r1 = t
         span = slice(r0 * w_out, r1 * w_out)
-        o = out[clips, grp, :, span]
+        if slot is None:
+            o = out[clips, grp, :, span]
+            p = None if kh == 1 else tap[clips, grp, :, span]
+        else:
+            shape = (len(range(b)[clips]), len(range(groups)[grp]), og, (r1 - r0) * w_out)
+            # p is unused where kh == 1
+            o, p = (_carve(buf.view(cols.dtype), shape, cols.dtype) for buf in (slot[0], slot[-1]))
         np.matmul(wt[0, grp], _window(cols, clips, grp, 0, dilation, r0, r1), out=o)
         for i in range(1, kh):
-            o += np.matmul(wt[i, grp], _window(cols, clips, grp, i, dilation, r0, r1),
-                           out=tap[clips, grp, :, span])
+            o += np.matmul(wt[i, grp], _window(cols, clips, grp, i, dilation, r0, r1), out=p)
         if bias is not None:
             o += bias.reshape(groups, og, 1)[grp]
+        if epilogue is not None:
+            g = range(groups)[grp]
+            epilogue(o.reshape(len(o), -1, o.shape[-1]), clips, slice(g.start * og, g.stop * og),
+                     r0, r1)
 
-    _run(tile, _tiles(b, groups, og, h_out, w_out), b * h_out * w_out)
+    _each_tile(tile, tiles, b * h_out * w_out, scratch)
     return out
 
 
@@ -712,7 +750,8 @@ def _weight_grad(cols, g4, kh, dilation, h_out, w_out, prod=None) -> np.ndarray:
     return prod
 
 
-def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> Tensor:
+def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
+               pooled=None) -> Tensor:
     """The one convolution kernel, for 1D (weight (C_out, C_in, k)) and 2D
     (weight (C_out, C_in/groups, kh, kw)); a 1D input is a 2D one of width 1.
 
@@ -720,6 +759,11 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> T
     single-channel regime is the per-tap one with one time tap of all kh*kw
     taps.  The tape keeps the input, not a tap buffer: the VJP rebuilds the
     buffers over chunks of clips of about `_VJP_CHUNK_BYTES`.
+
+    pooled=(scale, shift, pool) asks for the forward value only, of
+    max_pool_freq(out * scale + shift, pool), scale and shift per output
+    channel: each output tile is scaled, shifted and pooled in its scratch
+    slot (`_per_tap`'s epilogue), and the full-size output is never made.
     """
     name = f"conv{spatial}d"
     if x.ndim not in (spatial + 1, spatial + 2) or weight.ndim != spatial + 2:
@@ -745,6 +789,17 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> T
     hs = -(-hp // stride)  # rows per phase: the padded buffer has hs * stride rows
     fold = groups == 1 and c_in == 1
     b_data = None if bias is None else bias.data
+    epilogue = None
+    if pooled is not None:
+        scale_c, shift_c, pool = pooled
+        _check_pool(w_out, pool)
+        w_pooled = w_out // pool
+        res = np.empty((b, c_out, h_out * w_pooled), dtype=x4.dtype)
+
+        def epilogue(o, clips, chans, r0, r1):
+            _affine(o, scale_c[chans, None], shift_c[chans, None], o)
+            _max_into(o.reshape(*o.shape[:2], -1, pool),
+                      res[clips, chans, r0 * w_pooled : r1 * w_pooled])
 
     def padded(xs, buf=None):
         xp = _zeros(buf, (len(xs), c_in, hs * stride, wp), xs.dtype)
@@ -759,7 +814,7 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> T
             cols = _tap_cols(padded(xs, pad), rows, kw, stride, w_out, buf)
             return cols.reshape(len(xs), 1, 1, kh * kw, h_out, w_out)
 
-        out = _per_tap(taps(x4), w2, 1, h_out, w_out, b_data)
+        out = _per_tap(taps(x4), w2, 1, h_out, w_out, b_data, epilogue=epilogue)
     else:
         wt = _tap_weights(w4, groups)
         phases = [slice(p, None, stride) for p in range(stride)]
@@ -767,7 +822,9 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> T
         def taps(xs, pad=None, buf=None):
             return _tap_cols(padded(xs, pad), phases, kw, stride, w_out, buf)
 
-        out = _per_tap(taps(x4), wt, dilation, h_out, w_out, b_data)
+        out = _per_tap(taps(x4), wt, dilation, h_out, w_out, b_data, epilogue=epilogue)
+    if pooled is not None:
+        return Tensor(res.reshape(*x.shape[: x.ndim - 3], c_out, h_out, w_pooled))
     out = out.reshape((*x.shape[: x.ndim - spatial - 1], c_out, h_out, w_out)[: x.ndim])
 
     # the input gradient of the per-tap regime: g goes into a zero buffer at
@@ -861,6 +918,51 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups) -> T
     return apply_op(out, inputs, vjp)
 
 
+def conv2d_bn_pool(
+    x: Tensor,
+    weight: Tensor,
+    bias: Optional[Tensor],
+    padding: int,
+    gamma: Tensor,
+    beta: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    eps: float,
+    pool: int,
+) -> Tensor:
+    """max_pool_freq(batch_norm(conv2d(x, weight, bias, padding=padding),
+    ..., training=False), pool), the eval tail of a TF block, with the bits
+    of those three ops.
+
+    Where a tape tracks an input, it is those three ops, and gradients flow.
+    Otherwise the batch norm's affine map and the pooling run on each conv
+    output tile while it is in cache, in a scratch slot of its lane: the
+    same elementwise steps on the same values, and no full-size conv or
+    batch-norm output is made.
+    """
+    tape = active_tape()
+    if tape is not None and any(tape.tracks(t) for t in (x, weight, bias, gamma, beta)
+                                if t is not None):
+        s = batch_norm(conv2d(x, weight, bias, padding=padding), gamma, beta,
+                       running_mean, running_var, False, eps=eps, channel_axis=-3)
+        return max_pool_freq(s, pool)
+    _check_bn(weight.shape[0], gamma, beta, running_mean, running_var, eps)
+    _, scale_c, shift_c = _bn_fold(gamma, beta, running_mean, running_var, eps)
+    return _conv_taps(2, x, weight, bias, 1, padding, 1, 1, pooled=(scale_c, shift_c, pool))
+
+
+def _check_pool(f: int, pool: int) -> None:
+    if pool < 1 or f % pool:
+        raise DimensionError(f"max_pool_freq: F={f} not divisible by pool={pool}")
+
+
+def _max_into(windows: np.ndarray, out: np.ndarray) -> None:
+    """The maximum over the last axis of `windows`, in index order, into `out`."""
+    np.copyto(out, windows[..., 0])
+    for j in range(1, windows.shape[-1]):
+        np.maximum(out, windows[..., j], out=out)
+
+
 def max_pool_freq(x: Tensor, pool: int) -> Tensor:
     """Max over non-overlapping windows along the last (frequency) axis.
 
@@ -868,20 +970,14 @@ def max_pool_freq(x: Tensor, pool: int) -> Tensor:
     maximum), keeping backward deterministic.
     """
     f = x.shape[-1]
-    if pool < 1 or f % pool:
-        raise DimensionError(f"max_pool_freq: F={f} not divisible by pool={pool}")
+    _check_pool(f, pool)
     if pool == 1:
         return apply_op(x.data.copy(), (x,), lambda g: (g,))
     windows = x.data.reshape(-1, pool)
     tiles = _flat_tiles(len(windows), pool * x.data.itemsize)
     out = np.empty(len(windows), dtype=x.dtype)
 
-    def forward(t, _):
-        np.copyto(out[t], windows[t, 0])
-        for j in range(1, pool):
-            np.maximum(out[t], windows[t, j], out=out[t])
-
-    _each_tile(forward, tiles, x.size)
+    _each_tile(lambda t, _: _max_into(windows[t], out[t]), tiles, x.size)
 
     def vjp(g):
         g1 = g.reshape(-1)
@@ -923,6 +1019,30 @@ def _bn_reduce(g3, x3, centre, tiles) -> tuple:
     return sums.sum(axis=0), dots.sum(axis=0), xc
 
 
+def _check_bn(c, gamma, beta, running_mean, running_var, eps) -> None:
+    if eps <= 0:
+        raise ConfigError(f"batch_norm eps must be > 0, got {eps}")
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise DimensionError(
+            f"batch_norm: gamma/beta must have shape ({c},), got {gamma.shape}/{beta.shape}"
+        )
+    if running_mean.shape != (c,) or running_var.shape != (c,):
+        raise DimensionError("batch_norm: running statistics shape mismatch")
+
+
+def _bn_fold(gamma, beta, running_mean, running_var, eps) -> tuple:
+    """Eval batch norm as one per-channel scale and shift: (1/std, scale, shift)."""
+    inv = 1.0 / np.sqrt(running_var + eps)
+    scale_c = gamma.data * inv
+    return inv, scale_c, beta.data - running_mean * scale_c
+
+
+def _affine(x: np.ndarray, scale_c: np.ndarray, shift_c: np.ndarray, out: np.ndarray) -> None:
+    """x * scale_c + shift_c into out, in two roundings."""
+    np.multiply(x, scale_c, out=out)
+    np.add(out, shift_c, out=out)
+
+
 def batch_norm(
     x: Tensor,
     gamma: Tensor,
@@ -940,16 +1060,9 @@ def batch_norm(
     through them) and updates the running buffers in place; eval mode applies
     the running statistics as a fixed affine map.
     """
-    if eps <= 0:
-        raise ConfigError(f"batch_norm eps must be > 0, got {eps}")
     c = x.shape[channel_axis]
     channel_axis %= x.ndim
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise DimensionError(
-            f"batch_norm: gamma/beta must have shape ({c},), got {gamma.shape}/{beta.shape}"
-        )
-    if running_mean.shape != (c,) or running_var.shape != (c,):
-        raise DimensionError("batch_norm: running statistics shape mismatch")
+    _check_bn(c, gamma, beta, running_mean, running_var, eps)
 
     # (lead, C, rest): per-channel sums are contiguous row sums
     x3 = x.data.reshape(math.prod(x.shape[:channel_axis]), c, -1)
@@ -974,18 +1087,11 @@ def batch_norm(
         running_mean[:] = (1 - momentum) * running_mean + momentum * mean
         running_var[:] = (1 - momentum) * running_var + momentum * unbiased
     else:
-        # the running statistics fold into one scale and one shift
         mean = running_mean
-        inv = 1.0 / np.sqrt(running_var + eps)
-        scale_c = gamma.data * inv
-        shift_c = beta.data - running_mean * scale_c
+        inv, scale_c, shift_c = _bn_fold(gamma, beta, running_mean, running_var, eps)
     src = out if training else x3  # training has centred x into out
-
-    def affine(t, _):
-        np.multiply(src[t], scale_c[t[1], None], out=out[t])
-        np.add(out[t], shift_c[t[1], None], out=out[t])
-
-    _each_tile(affine, tiles, x3.size)
+    _each_tile(lambda t, _: _affine(src[t], scale_c[t[1], None], shift_c[t[1], None], out[t]),
+               tiles, x3.size)
 
     def vjp(g):
         # training: gx = inv*gamma*(g - sum(g)/n - xhat*sum(g*xhat)/n), from

@@ -1,7 +1,11 @@
 """Audio frontend: WAV parsing, STFT geometry, mel filters, log floor."""
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from wavetransformer import audio
 from wavetransformer.audio import (
     AudioClip,
     AudioConfig,
@@ -16,6 +20,9 @@ from wavetransformer.audio import (
 )
 from wavetransformer.errors import AudioFormatError, ConfigError, DataError
 from wavetransformer.fileformats import read_wtf1, write_wtf1
+from wavetransformer.tensor import ops
+
+from helpers import record_pooled_jobs
 
 
 def dft_power_oracle(frame: np.ndarray, n_fft: int) -> np.ndarray:
@@ -193,6 +200,123 @@ class TestLogMel:
         fm = extract_features(clip, AudioConfig())
         assert fm.values.shape == (44100 // 512 + 1, 64)
         assert np.isfinite(fm.values).all()
+
+
+class TestFeatureTiles:
+    """The STFT and the features run as tiles of whole frames on the op
+    pool; the bits are those of one pass over the whole clip."""
+
+    @staticmethod
+    def whole_array(clip, cfg):
+        """The features and power spectra as one pass over the clip makes
+        them: every frame at once, then the mel product, floor and log."""
+        x, n_fft, hop = clip.samples, cfg.n_fft, cfg.hop
+        padded = np.pad(x, n_fft // 2, mode="reflect")
+        frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop][: x.size // hop + 1]
+        window = np.zeros(n_fft)
+        left = (n_fft - cfg.window_length) // 2
+        window[left : left + cfg.window_length] = hamming_window(cfg.window_length)
+        spectra = np.fft.rfft(frames * window, n=n_fft, axis=1)
+        power = (spectra.real ** 2 + spectra.imag ** 2).astype(np.float64)
+        fb = mel_filterbank(cfg.n_mels, n_fft, cfg.sample_rate, cfg.f_min, cfg.f_max)
+        feats = np.log(np.maximum(power @ fb.weights.T, LOG_FLOOR))
+        return feats, power
+
+    @staticmethod
+    def clip_of(frames, seed=0):
+        hop = AudioConfig().hop
+        rng = np.random.default_rng(seed)
+        samples = rng.uniform(-1, 1, (frames - 1) * hop + 300) * 10.0 ** rng.uniform(-6, 0)
+        return AudioClip(samples, AudioConfig().sample_rate)
+
+    @staticmethod
+    def tile_rows(frames, monkeypatch):
+        """The frames of each tile of one extraction of `frames` frames."""
+        rows, each_tile = [], ops._each_tile
+
+        def spy(fn, tiles, size, scratch=0):
+            rows.extend(len(range(frames)[t]) for t in tiles)
+            return each_tile(fn, tiles, size, scratch)
+
+        with monkeypatch.context() as m:
+            m.setattr(ops, "_each_tile", spy)
+            extract_features(TestFeatureTiles.clip_of(frames), AudioConfig())
+        return rows
+
+    def test_tiles_are_whole_frames_none_short(self, monkeypatch):
+        per_tile = self.tile_rows(10_000, monkeypatch)[0]
+        # OpenBLAS gives a mel product of 15 rows or fewer, at 64 bands and
+        # 1,025 bins, to its small-matrix kernel, which rounds differently
+        assert 16 <= per_tile < 10_000
+        for frames in (3, per_tile, per_tile + 1, 2 * per_tile - 1, 2 * per_tile, 431, 2584):
+            rows = self.tile_rows(frames, monkeypatch)
+            assert sum(rows) == frames
+            # a short clip is one tile; otherwise every tile has per_tile
+            # frames and the last takes the remainder
+            assert rows[:-1] == [per_tile] * (len(rows) - 1)
+            if frames < 2 * per_tile:
+                assert rows == [frames]
+            else:
+                assert per_tile <= rows[-1] < 2 * per_tile
+
+    # 3 is the fewest frames a clip can have at these settings: it must be
+    # longer than half an FFT
+    @pytest.mark.parametrize("frames", [3, "tile", "tile+1", "2 tiles", 431, 2584])
+    def test_bits_are_the_whole_array_formula(self, frames, monkeypatch):
+        per_tile = self.tile_rows(10_000, monkeypatch)[0]
+        named = {"tile": per_tile, "tile+1": per_tile + 1, "2 tiles": 2 * per_tile}
+        frames = named.get(frames, frames)
+        clip, cfg = self.clip_of(frames, seed=frames), AudioConfig()
+        want64, power = self.whole_array(clip, cfg)
+        want = want64.astype(np.float32)
+        # the float64 log mel energies too, tile by tile in frame order: the
+        # float32 cast would hide most of a last-bit difference in the mel GEMM
+        tiles64, log_mel_into = [], audio._log_mel
+
+        def spy(power, weights, out):
+            tiles64.append(log_mel_into(power, weights, out).copy())
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(audio, "_log_mel", spy)
+            monkeypatch.setattr(ops, "_WORKERS", 1)
+            extract_features(clip, cfg)
+        assert np.concatenate(tiles64).tobytes() == want64.tobytes()
+        interval = sys.getswitchinterval()
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(ops, "_WORKERS", workers)
+                if workers == 3:
+                    sys.setswitchinterval(1e-5)  # a tile writing outside its part would show
+                got = extract_features(clip, cfg).values
+                assert got.shape == (frames, cfg.n_mels)
+                assert got.tobytes() == want.tobytes(), workers
+                got = stft_power(clip, cfg.window_length, cfg.hop, cfg.n_fft)
+                assert got.tobytes() == power.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("tile_bytes", [1 << 21, 1 << 22])
+    def test_bits_do_not_depend_on_the_tile_size(self, tile_bytes, monkeypatch):
+        clip, cfg = self.clip_of(431, seed=5), AudioConfig()
+        want = extract_features(clip, cfg).values
+        monkeypatch.setattr(ops, "_TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(ops, "_WORKERS", 2)
+        jobs = record_pooled_jobs(monkeypatch)
+        assert extract_features(clip, cfg).values.tobytes() == want.tobytes()
+        assert jobs and jobs[0] >= 2  # the tiles ran on the pool
+
+    def test_thirty_second_extract_makes_no_whole_clip_temporaries(self):
+        clip = AudioClip(np.random.default_rng(6).uniform(-1, 1, 30 * 44100), 44100)
+        tracemalloc.start()
+        try:
+            extract_features(clip, AudioConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the padded clip (10.6 MB) and a few MB of tiles; one pass over the
+        # whole clip peaked at 91 MB
+        assert peak <= 25e6, peak / 1e6
 
 
 class TestWtf1:

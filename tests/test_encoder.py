@@ -1,5 +1,6 @@
 """Encoder: wave blocks, TF blocks, merge, modes, receptive field."""
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,8 @@ from wavetransformer.errors import ConfigError, DimensionError
 from wavetransformer.layers import ModelSpace
 from wavetransformer.tensor import ParameterStore, RngState, Tape, Tensor, backward
 from wavetransformer.tensor import ops
+
+from helpers import record_pooled_jobs
 
 
 def make_space(seed=0):
@@ -87,6 +90,99 @@ class TestTFBlock:
         np.testing.assert_array_equal(full[0], part[0])
         np.testing.assert_array_equal(full[2], part[2])
         assert not np.array_equal(full[1], part[1])
+
+
+class TestEvalTFBlockTiles:
+    """In eval mode, with no tape recording, bn_b and the frequency pooling
+    run inside the P-CNN's output tiles.  The bits are those of pcnn ->
+    bn_b -> max_pool_freq, at any worker count."""
+
+    # (c_in, c_out, F, pool) of the paper's three blocks, at 8 channels:
+    # block 1's P-CNN has one input channel (the fold regime), blocks 2 and
+    # 3 take the per-tap regime
+    GEOMETRIES = {"block1": (1, 8, 64, 4), "block2": (8, 8, 16, 4), "block3": (8, 8, 4, 4)}
+
+    def block_and_input(self, geometry, frames=300):
+        c_in, c_out, f, pool = self.GEOMETRIES[geometry]
+        block = TFBlock(make_space(21), "b", c_in, c_out, pcnn_kernel=5, pool=pool, dropout=0.25)
+        rng = RngState(22)
+        for bn in (block.bn_a, block.bn_b):
+            c = bn.gamma.shape
+            bn.gamma.data[...] = rng.uniform(0.5, 2.0, c)
+            bn.running_var[...] = rng.uniform(0.2, 3.0, c)
+        for t in (block.bn_b.beta.data, block.bn_b.running_mean, block.pcnn.bias.data):
+            t[...] = rng.uniform(-1, 1, t.shape)
+        x = rng.uniform(-1, 1, (2, c_in, frames, f)).astype(np.float32)
+        # zero frames stay zero up to the P-CNN, whose output there is its
+        # bias: pooling windows of equal values
+        x[:, :, 40:80] = 0.0
+        return block, Tensor(x)
+
+    @staticmethod
+    def unfused(block, x):
+        s = block.bn_a(ops.leaky_relu(block.scnn(x)), False)
+        pre = block.bn_b(block.pcnn(s), False)
+        return ops.max_pool_freq(pre, block.pool), pre
+
+    def count_pools(self, monkeypatch):
+        """A list that grows by one on each `ops.max_pool_freq` call."""
+        calls, max_pool = [], ops.max_pool_freq
+
+        def counted(*args):
+            calls.append(args)
+            return max_pool(*args)
+
+        monkeypatch.setattr(ops, "max_pool_freq", counted)
+        return calls
+
+    @pytest.mark.parametrize("tile_cols", [None, 128])
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_bits_are_the_three_ops_at_any_worker_count(self, geometry, tile_cols, monkeypatch):
+        if tile_cols is not None:
+            monkeypatch.setattr(ops, "_TILE_COLS", tile_cols)
+        block, x = self.block_and_input(geometry)
+        want, pre = self.unfused(block, x)
+        windows = pre.data.reshape(-1, block.pool)
+        assert ((windows == windows.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()  # ties
+        pools = self.count_pools(monkeypatch)
+        interval = sys.getswitchinterval()
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(ops, "_WORKERS", workers)
+                if workers == 3:
+                    sys.setswitchinterval(1e-5)  # a tile writing outside its part would show
+                jobs = record_pooled_jobs(monkeypatch)
+                got = block(x, training=False)
+                assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()
+                assert not pools  # no full-size output was pooled
+                if workers > 1 and (tile_cols or geometry != "block3"):
+                    assert jobs  # the P-CNN tiles ran on the pool
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_tape_tracking_the_input_runs_the_three_ops(self, monkeypatch):
+        block, x = self.block_and_input("block2", frames=40)
+        grads = []
+        for via_block in (False, True):
+            x.zero_grad()
+            x.requires_grad = True
+            pools = self.count_pools(monkeypatch)
+            with Tape() as tape:
+                out = block(x, training=False) if via_block else self.unfused(block, x)[0]
+                loss = ops.tensor_sum(ops.tanh(out))
+            assert pools
+            backward(loss, tape)
+            grads.append([t.grad.tobytes() for t in (x, block.pcnn.weight, block.bn_b.gamma)])
+            for t in block.pcnn.weight, block.bn_b.gamma:
+                t.zero_grad()
+        assert np.abs(x.grad).sum() > 0
+        assert grads[0] == grads[1]
+
+    def test_pool_must_divide_the_frequency_axis(self):
+        block, x = self.block_and_input("block3", frames=10)
+        block.pool = 3
+        with pytest.raises(DimensionError, match="not divisible by pool=3"):
+            block(x, training=False)
 
 
 class TestMerge:

@@ -1,4 +1,6 @@
 """Greedy and beam decoding: equivalence, optimality, termination."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -332,6 +334,29 @@ def tiny_model_vocab_clip():
     model = CaptionModel(enc, dec, seed=5)
     z = model.encode(RngState(2).uniform(-1, 1, (5, 4)).astype(np.float32))
     return model, vocab_of([f"w{k}" for k in range(5)]), z
+
+
+class TestIncrementalStepMemory:
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_a_step_copies_no_cross_attention_keys(self, rows):
+        # paper decoder width (d_model 128, 4 heads, 3 blocks) over a 30 s
+        # clip: the audio's keys are kept transposed, so a step multiplies
+        # them in place instead of copying 1.3 MB of them per block
+        enc = EncoderConfig(n_temp_blocks=1, n_tf_blocks=1, channels=128,
+                            pool_factors=(4,), n_mels=4)
+        model = CaptionModel(enc, DecoderConfig(vocab_size=8), seed=3)
+        state = model.begin(Tensor(RngState(4).uniform(-1, 1, (2584, 128)).astype(np.float32)))
+        model.next_logprobs(state, [0])
+        state.keep([0] * rows)
+        keys = state.cross[0][0].data.nbytes  # one block's cross keys
+        tracemalloc.start()
+        try:
+            model.next_logprobs(state, [3] * rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert keys == 4 * 32 * 2584 * 4
+        assert peak < keys / 2, (peak, keys)
 
 
 class TestReservedTokens:
