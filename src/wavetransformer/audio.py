@@ -4,8 +4,8 @@ The WAV reader is hand-rolled rather than delegated so that malformed files
 fail with the exact byte offset of the problem and a truncated data chunk
 never yields a partial clip.
 
-The STFT runs as tiles of whole frames on the op pool (`ops._each_tile`),
-each in a scratch slot of its lane that the caller allocates: a tile is
+The STFT runs as tiles of whole frames on the op pool (`pool.run`), each
+in a scratch slot of its lane that the pool allocates: a tile is
 windowed, transformed (`rfft(out=)`) and squared there, and feature
 extraction takes it on through the mel product and the log floor into the
 float32 feature matrix, so no whole-clip spectrum or power array is ever
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AudioFormatError, ConfigError
-from .tensor import ops
+from .tensor import pool
 
 LOG_FLOOR = 1e-10  # power floor before the natural log; keeps features finite
 
@@ -243,22 +243,20 @@ def _power_tiles(frames: np.ndarray, window: np.ndarray, extra: int, finish) -> 
     spectra, (rows, n_fft//2 + 1) float64, and `rest` room for `extra`
     float64 values per frame, both in the tile's scratch slot.
 
-    A tile has as many frames as fit ops._TILE_BYTES of scratch, and the
-    last one also takes the remainder, so no tile is shorter than that
-    unless the clip is: a GEMM of few rows may run on other BLAS kernels,
-    which round differently (OpenBLAS gives its small-matrix kernel a mel
-    product of 15 frames at the paper's geometry, where a tile has 31).
+    A tile has as many frames as fit pool.TILE_BYTES of scratch, and the
+    last one also takes the remainder (`pool.blocks`), so no tile is shorter
+    than that unless the clip is: a GEMM of few rows may run on other BLAS
+    kernels, which round differently (OpenBLAS gives its small-matrix kernel
+    a mel product of 15 frames at the paper's geometry, where a tile has 31).
     """
     n, n_fft = frames.shape
     bins = n_fft // 2 + 1
     frame_bytes = 8 * (2 * bins + n_fft + extra)
-    rows = max(1, ops._TILE_BYTES // frame_bytes)
-    starts = list(range(0, n - rows + 1, rows)) or [0]
-    tiles = [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+    tiles = pool.blocks(n, max(1, pool.TILE_BYTES // frame_bytes))
 
     def tile(t, slot):
         k = len(frames[t])
-        buf = slot.view(np.float64)
+        buf = pool.carve(slot, (k * frame_bytes // 8,), np.float64)
         spectra = buf[: 2 * k * bins].view(np.complex128).reshape(k, bins)
         windowed = buf[2 * k * bins : (2 * bins + n_fft) * k].reshape(k, n_fft)
         np.multiply(frames[t], window, out=windowed)
@@ -270,7 +268,7 @@ def _power_tiles(frames: np.ndarray, window: np.ndarray, extra: int, finish) -> 
         np.add(power, spectra.imag, out=power)
         finish(t, power, buf[(2 * bins + n_fft) * k :])
 
-    ops._each_tile(tile, tiles, n * n_fft, scratch=frame_bytes * max(len(frames[t]) for t in tiles))
+    pool.run(tile, tiles, n * n_fft, scratch=(frame_bytes * max(len(frames[t]) for t in tiles),))
 
 
 def stft_power(clip: AudioClip, window_length: int, hop: int, n_fft: int) -> np.ndarray:

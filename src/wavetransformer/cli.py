@@ -151,23 +151,26 @@ def cmd_train(args) -> int:
 
     log_rows = []
 
-    def log(epoch, tr, vl):
+    def save(result):
+        with open(out_dir / "loss_log.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["epoch", "train_loss", "val_loss"])
+            for epoch, tr, vl in log_rows:
+                writer.writerow([epoch, f"{tr:.6f}", "" if vl is None else f"{vl:.6f}"])
+        save_checkpoint(out_dir / "best.wtck", result.best_checkpoint)
+        save_checkpoint(out_dir / "last.wtck", result.final_checkpoint)
+
+    def log(epoch, tr, vl, result):
         log_rows.append((epoch, tr, vl))
         msg = f"epoch {epoch}: train {tr:.4f}"
         if vl is not None:
             msg += f"  val {vl:.4f}"
         print(msg)
+        save(result)  # so that a crash in a later epoch leaves this one's outputs
 
     result = train(model, train_items, val_items, cfg.train, vocab, log=log)
-
-    with open(out_dir / "loss_log.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for epoch, tr, vl in log_rows:
-            writer.writerow([epoch, f"{tr:.6f}", "" if vl is None else f"{vl:.6f}"])
-
-    save_checkpoint(out_dir / "best.wtck", result.best_checkpoint)
-    save_checkpoint(out_dir / "last.wtck", result.final_checkpoint)
+    if not log_rows:  # no epoch ran: the outputs of the model as built
+        save(result)
     print(f"best epoch {result.best_epoch} of {result.epochs_run}; "
           f"checkpoints in {out_dir}")
     return EXIT_OK

@@ -15,50 +15,30 @@ kernel, `_conv_taps`, with two regimes picked from the weight's shape:
   dilation*(kh-1) - pad) with the flipped, group-transposed kernel, so it
   costs about what the forward does.
 
-The GEMMs run as tiles of (clip, block of output rows) on one thread pool
-(`_run`); the weight gradient spreads its (time tap, clip) products over
-the pool.  Tile boundaries follow from the conv's shapes alone and every
-tile keeps the accumulation order of the whole GEMM, so results are
-bit-reproducible run to run and do not depend on the worker count.
+The GEMMs run as tiles of (clip, block of output rows) on the thread pool
+of `pool`, as do the weight gradient's (time tap, clip) products and the
+memory-bound passes: batch norm, max-pool, leaky ReLU and dropout.
 
 A VJP keeps what it needs to run and no more: the tape holds each op's
 inputs anyway, so the convolutions rebuild their tap buffers from them, a
-few clips at a time, and training batch norm recentres its input, rather
-than keeping copies until backward.  The conv VJP's chunks of clips run on
-the pool too, at most one per worker, each in a slot of buffers the caller
-allocated once per VJP (buffers allocated inside the workers grow peak
-memory with the worker count); the caller adds each chunk's weight-gradient
-products in batch order, as one pass would.
-
-The memory-bound passes between the convs run as tiles of about
-`_TILE_BYTES` on the same pool (`_each_tile`): batch norm (training and
-eval, forward and VJP), max-pool and leaky ReLU (forward and VJP), dropout
-and, in `optim`, Adam.  A batch-norm tile is one clip's block of whole
-channels, so a per-channel reduction never splits a (clip, channel) row and
-adds the rows in batch order, as one pass over the array does; the others
-take flat ranges of elements.  These tiles too follow from shapes alone.
-The caller allocates every output and every per-lane scratch buffer.
+few clips at a time, in chunks that run on the pool, and training batch
+norm recentres its input, rather than keeping copies until backward.  The
+caller adds each chunk's weight-gradient products in batch order, as one
+pass would.
 
 `_per_tap` takes an epilogue that runs on each output tile while it is in
-cache.  The eval tail of a TF block, conv -> batch norm -> frequency
-max-pool, uses it when no tape records (`conv2d_bn_pool`): each P-CNN tile
-is made, with its tap products, in its lane's scratch slot, scaled and
-shifted there by the batch norm's running statistics, and pooled into the
-output, so the full-size conv and batch-norm outputs are never made.  A tile
-holds whole frequency rows, so no pooling window crosses a tile, and every
-step is the one the three ops take, so the bits are theirs.
+cache, which the eval tail of a TF block, conv -> batch norm -> frequency
+max-pool, uses when no tape records (`conv2d_bn_pool`).
 """
 from __future__ import annotations
 
-import collections
 import math
-import os
-import threading
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigError, DimensionError, UsageError
+from . import pool as tile_pool  # `pool` names the max-pool width in this module
 from .core import Tensor, active_tape, apply_op
 from .rng import GOLDEN, RngState, mix64
 
@@ -264,27 +244,27 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     if not 0.0 < slope <= 1.0:
         raise ConfigError(f"leaky_relu slope must be in (0, 1], got {slope}")
     x = a.data.reshape(-1)
-    tiles = _flat_tiles(x.size, x.itemsize)
+    tiles = tile_pool.flat_tiles(x.size, x.itemsize)
     out = np.empty_like(x)
 
-    def forward(t, _):
+    def forward(t):
         np.multiply(x[t], x.dtype.type(slope), out=out[t])
         np.maximum(x[t], out[t], out=out[t])
 
-    _each_tile(forward, tiles, x.size)
+    tile_pool.run(forward, tiles, x.size)
 
     def vjp(g):
         g1 = g.reshape(-1)
         gx = np.empty_like(g1)
         factors = np.array([slope, 1], dtype=g1.dtype)
 
-        def tile(t, _):
+        def tile(t):
             # 1 where x >= 0, else (NaN too) the slope, by lookup, times g:
             # the bits of g or g * slope
             np.take(factors, np.greater_equal(x[t], 0).view(np.uint8), out=gx[t], mode="clip")
             np.multiply(gx[t], g1[t], out=gx[t])
 
-        _each_tile(tile, tiles, x.size)
+        tile_pool.run(tile, tiles, x.size)
         return (gx.reshape(a.shape),)
 
     return apply_op(out.reshape(a.shape), (a,), vjp)
@@ -362,7 +342,7 @@ def dropout(a: Tensor, p: float, training: bool, rng: Optional[RngState] = None)
     keep = x.dtype.type(1) / x.dtype.type(1.0 - p)
     first, seed, golden = rng.counter + 1, rng.seed, int(GOLDEN)
     rng.counter += n
-    tiles = _flat_tiles(n, 8)
+    tiles = tile_pool.flat_tiles(n, 8)
     # the draw of counter k is mix64(seed + k * GOLDEN), wrapping at 2**64:
     # a tile's words are its first word plus steps = (0, 1, ...) * GOLDEN
     steps = np.arange(min(n, tiles[0].stop), dtype=np.uint64)
@@ -372,18 +352,18 @@ def dropout(a: Tensor, p: float, training: bool, rng: Optional[RngState] = None)
 
     def forward(t, slot):
         k = len(mask[t])
-        words, work = _carve(slot, (2, k), np.uint64)
+        words, work = tile_pool.carve(slot, (2, k), np.uint64)
         np.add(steps[:k], np.uint64((seed + (first + t.start) * golden) & 0xFFFFFFFFFFFFFFFF),
                out=words)
         np.multiply(mix64(words, work) >= least, keep, out=mask[t])
         np.multiply(x[t], mask[t], out=out[t])
 
-    _each_tile(forward, tiles, n, scratch=16 * len(steps))
+    tile_pool.run(forward, tiles, n, scratch=(16 * len(steps),))
 
     def vjp(g):
         g1 = g.reshape(-1)
         gx = np.empty_like(g1)
-        _each_tile(lambda t, _: np.multiply(g1[t], mask[t], out=gx[t]), tiles, n)
+        tile_pool.run(lambda t: np.multiply(g1[t], mask[t], out=gx[t]), tiles, n)
         return (gx.reshape(a.shape),)
 
     return apply_op(out.reshape(a.shape), (a,), vjp)
@@ -426,179 +406,17 @@ def conv2d(
 
 # The conv VJP builds its tap buffers a few clips at a time: as many clips
 # as fit this many bytes of them, and at least one.
-_VJP_CHUNK_BYTES = 8 << 20
+VJP_CHUNK_BYTES = 8 << 20
 
-# The conv GEMMs, and the conv VJP's chunks, run on a pool of one thread per
-# CPU this process may use, made on first use.  A job of fewer than _TILE_COLS output columns over the
-# batch runs whole, inline.  Otherwise an output tile is one clip's block of
-# rows: a multiple of _TILE_ROWS rows and at least _TILE_COLS columns where
-# the clip has them, so every tile but a clip's last starts and ends on the
-# BLAS kernels' column blocks, as the whole GEMM's do.  A conv with one
-# output channel per group is a GEMV per group, whose bits depend on its
-# column count, so it is tiled by blocks of _TILE_GROUPS groups instead,
-# every GEMV whole.  Copies split by the same blocks of channels.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_TILE_COLS = 4096
-_TILE_ROWS = 16
+# A conv's output tile is one clip's block of rows: a multiple of TILE_ROWS
+# rows and at least pool.TILE_COLS columns where the clip has them, so every
+# tile but a clip's last starts and ends on the BLAS kernels' column blocks,
+# as the whole GEMM's do.  A conv with one output channel per group is a GEMV
+# per group, whose bits depend on its column count, so it is tiled by blocks
+# of _TILE_GROUPS groups instead, every GEMV whole.  Copies split by the same
+# blocks of channels.
+TILE_ROWS = 16
 _TILE_GROUPS = 16
-_pool: Optional[tuple] = None  # ((pid, workers), executor)
-_pool_lock = threading.Lock()
-_worker = threading.local()
-
-
-def _mark_worker() -> None:
-    _worker.active = True
-
-
-def _lanes(cols: int, n: int) -> int:
-    """How many of the n tasks of a job of `cols` output columns run at
-    once.  A job below _TILE_COLS, a single task, one worker, and a call
-    from inside a pool task (which would wait on tasks queued behind it) run
-    inline, one at a time; any other job runs on up to _WORKERS threads."""
-    if cols < _TILE_COLS or n < 2 or _WORKERS < 2 or getattr(_worker, "active", False):
-        return 1
-    return min(n, _WORKERS)
-
-
-def _executor():
-    """The pool, made on first use and again in a forked child or after
-    _WORKERS changes."""
-    global _pool
-    key = (os.getpid(), _WORKERS)
-    with _pool_lock:
-        if _pool is None or _pool[0] != key:
-            # imported here: concurrent.futures adds ~10 ms to every start-up
-            from concurrent.futures import ThreadPoolExecutor
-
-            if _pool is not None and _pool[0][0] == key[0]:
-                _pool[1].shutdown(wait=False)
-            _pool = (key, ThreadPoolExecutor(_WORKERS, thread_name_prefix="conv-tile",
-                                             initializer=_mark_worker))
-        return _pool[1]
-
-
-def _run(fn, tasks, cols: int, consume=None) -> None:
-    """Call fn(*task) for every task of a job of `cols` output columns, each
-    task writing its own part of buffers the caller allocated, with
-    _lanes(cols, len(tasks)) tasks at a time.
-
-    Without `consume`, each lane is one pool task that runs the next task
-    not yet started until none is left, so a job of many tiles costs one
-    pool round trip per lane.  Given `consume`, the caller's thread calls
-    consume(fn(*task)) in task order, and submits a task only once the one
-    `lanes` places before it has been consumed: at most `lanes` tasks are in
-    flight, and task k may reuse the buffers of task k - lanes.  Whatever a
-    task raises propagates only after every task in flight has finished, so
-    none writes into the caller's buffers after the call returns."""
-    lanes = _lanes(cols, len(tasks))
-    if lanes == 1:
-        for task in tasks:
-            result = fn(*task)
-            if consume is not None:
-                consume(result)
-        return
-    pool = _executor()
-    pending = collections.deque()
-    try:
-        if consume is None:
-            order, lock = iter(tasks), threading.Lock()
-
-            def lane():
-                while True:
-                    with lock:
-                        task = next(order, None)
-                    if task is None:
-                        return
-                    try:
-                        fn(*task)
-                    except BaseException:
-                        with lock:
-                            collections.deque(order, maxlen=0)  # no lane starts another
-                        raise
-
-            pending.extend(pool.submit(lane) for _ in range(lanes))
-            while pending:
-                pending.popleft().result()
-            return
-        for task in tasks:
-            if len(pending) == lanes:
-                consume(pending.popleft().result())
-            pending.append(pool.submit(fn, *task))
-        while pending:
-            consume(pending.popleft().result())
-    finally:
-        for future in pending:
-            future.exception()  # waits; an error already propagating wins
-
-
-def _split(n: int, size: int, cols: int) -> list:
-    """range(n) in slices of `size`, or whole for a job of `cols` columns
-    that runs inline."""
-    if cols < _TILE_COLS:
-        return [slice(None)]
-    return [slice(k, k + size) for k in range(0, n, size)]
-
-
-# A memory-bound pass runs as tiles of about this many bytes, which fit one
-# core's L2 cache with room for a second operand, on the conv pool; a job's
-# elements count as its columns.
-_TILE_BYTES = 1 << 20
-
-
-def _flat_tiles(n: int, unit_bytes: int) -> list:
-    """range(n), of units of `unit_bytes`, in even slices of about
-    _TILE_BYTES (one slice if n is 0)."""
-    step = _even(n, _TILE_BYTES // unit_bytes)
-    return [slice(k, k + step) for k in range(0, max(n, 1), step)]
-
-
-def _channel_tiles(lead: int, c: int, rest: int, itemsize: int) -> list:
-    """(clips, channels) of each tile of a (lead, C, rest) array: blocks of
-    whole clips of about _TILE_BYTES, or where a clip is larger, one clip's
-    blocks of whole channels; the blocks as even as _TILE_BYTES allows."""
-    clip = c * rest * itemsize
-    if clip <= _TILE_BYTES:
-        size = _even(lead, _TILE_BYTES // max(clip, 1))
-        return [(slice(i, i + size), slice(None)) for i in range(0, max(lead, 1), size)]
-    size = _even(c, _TILE_BYTES // (rest * itemsize))
-    return [(slice(i, i + 1), slice(k, k + size)) for i in range(lead) for k in range(0, c, size)]
-
-
-def _even(n: int, most: int) -> int:
-    """The size of the blocks of range(n) in as few blocks of at most `most`
-    (at least 1) as can be, as even as can be."""
-    blocks = -(-n // max(1, most)) or 1
-    return -(-n // blocks) or 1
-
-
-def _each_tile(fn, tiles, size: int, scratch=0) -> None:
-    """Call fn(tile, slot) for every tile of a memory-bound pass over `size`
-    elements, on the pool as _run places a job of `size` columns.  With
-    `scratch`, `slot` is a flat uint64 buffer of at least `scratch` bytes
-    that no other tile running has: one per lane, allocated here in the
-    caller's thread and handed from tile to tile; for a tuple of sizes it is
-    a tuple of such buffers, one per size (blocks of several MB fit the
-    allocator's free blocks better apart than as one); without, it is None."""
-    if not scratch:
-        _run(fn, [(tile, None) for tile in tiles], size)
-        return
-    lanes = _lanes(size, len(tiles))
-    if isinstance(scratch, tuple):
-        free = [tuple(np.empty(-(-n // 8), dtype=np.uint64) for n in scratch) for _ in range(lanes)]
-    else:
-        free = [np.empty(-(-scratch // 8), dtype=np.uint64) for _ in range(lanes)]
-    lock = threading.Lock()
-
-    def run(tile):
-        with lock:
-            slot = free.pop()
-        try:
-            fn(tile, slot)
-        finally:
-            with lock:
-                free.append(slot)
-
-    _run(run, [(tile,) for tile in tiles], size)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
@@ -606,54 +424,36 @@ def _row_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     np.matmul(a[..., None, :], b[..., :, None], out=out[..., None, None])
 
 
-def _tiles(b, groups, og, h_out, w_out) -> list:
-    """(clips, groups, first row, end row) of each output tile; see _TILE_COLS."""
+def conv_tiles(b, groups, og, h_out, w_out) -> list:
+    """(clips, groups, first row, end row) of each output tile; see TILE_ROWS."""
     cols = b * h_out * w_out
     if og == 1:
-        return [(c, g, 0, h_out) for c in _split(b, 1, cols)
-                for g in _split(groups, _TILE_GROUPS, cols)]
-    starts = [0]
-    if cols >= _TILE_COLS:
-        # as many tiles as a clip has whole _TILE_COLS, in whole _TILE_ROWS
-        rows = h_out // max(1, h_out * w_out // _TILE_COLS) // _TILE_ROWS * _TILE_ROWS
-        if rows:
-            starts = list(range(0, h_out - rows + 1, rows))
-    return [(c, slice(None), r, end) for c in _split(b, 1, cols)
-            for r, end in zip(starts, starts[1:] + [h_out])]
-
-
-def _carve(buf, shape, dtype) -> np.ndarray:
-    """An array of `shape` on the front of the flat buffer `buf`, or a new
-    one if `buf` is None."""
-    if buf is None:
-        return np.empty(shape, dtype=dtype)
-    return buf[: math.prod(shape)].reshape(shape)
-
-
-def _zeros(buf, shape, dtype) -> np.ndarray:
-    """Zeros of `shape` on the front of the flat buffer `buf`, or new ones if
-    `buf` is None."""
-    if buf is None:
-        return np.zeros(shape, dtype=dtype)
-    out = _carve(buf, shape, dtype)
-    out.fill(0)
-    return out
+        return [(c, g, 0, h_out) for c in tile_pool.split(b, 1, cols)
+                for g in tile_pool.split(groups, _TILE_GROUPS, cols)]
+    rows = h_out
+    if cols >= tile_pool.TILE_COLS:
+        # as many tiles as a clip has whole TILE_COLS, in whole TILE_ROWS, or one
+        per_clip = max(1, h_out * w_out // tile_pool.TILE_COLS)
+        rows = h_out // per_clip // TILE_ROWS * TILE_ROWS or h_out
+    return [(c, slice(None), r.start, r.stop) for c in tile_pool.split(b, 1, cols)
+            for r in tile_pool.blocks(h_out, rows)]
 
 
 def _tap_cols(xp, rows, kw, stride, w_out, out=None) -> np.ndarray:
     """Taps of the padded input xp (B, C, Hp, Wp): (B, len(rows), C, kw, H', W_out),
     [:, a, :, j] holding time rows `rows[a]` at frequency tap j; on the front
-    of the flat buffer `out` if given."""
+    of the flat byte buffer `out` if given."""
     b, c, hp, _ = xp.shape
     h = len(range(*rows[0].indices(hp)))
-    cols = _carve(out, (b, len(rows), c, kw, h, w_out), xp.dtype)
+    cols = tile_pool.carve(out, (b, len(rows), c, kw, h, w_out), xp.dtype)
 
-    def copy(a, ch):
+    def copy(task):
+        a, ch = task
         for j in range(kw):
             cols[:, a, ch, j] = xp[:, ch, rows[a], j : j + stride * w_out : stride]
 
-    _run(copy, [(a, ch) for a in range(len(rows)) for ch in _split(c, _TILE_GROUPS, b * h * w_out)],
-         b * h * w_out)
+    channels = tile_pool.split(c, _TILE_GROUPS, b * h * w_out)
+    tile_pool.run(copy, [(a, ch) for a in range(len(rows)) for ch in channels], b * h * w_out)
     return cols
 
 
@@ -681,21 +481,21 @@ def _per_tap(cols, wt, dilation, h_out, w_out, bias=None, out=None, tap=None,
     """Convolve with tap weights wt (kh, groups, og, k), given the kw
     frequency taps of the padded input by row phase, (B, stride, C_in, kw,
     Hp/stride, W_out): (B, groups, og, h_out * w_out), into `out` if given.
-    `tap` is an optional flat scratch buffer of at least out's size.
+    `tap` is an optional flat byte buffer of at least out's size.
 
     Each time tap is one matmul on a window of rows, the groups a batch
     axis.  A tile adds its taps in index order, then the bias.
 
     With `epilogue`, there is no output: each tile is made, with its tap
-    products, in a scratch slot of its lane (`_each_tile`), and handed on
+    products, in a scratch slot of its lane (`pool.run`), and handed on
     while in cache to epilogue(tile, clips, channels, r0, r1), the tile
     (clips, channels, (r1 - r0) * w_out) holding output rows r0..r1.
     """
     kh, groups, og, k = wt.shape
     b, stride, _, _, hs, _ = cols.shape
     cols = cols.reshape(b, stride, groups, k, hs, w_out)
-    tiles = _tiles(b, groups, og, h_out, w_out)
-    scratch = 0
+    tiles = conv_tiles(b, groups, og, h_out, w_out)
+    scratch = ()
     if epilogue is not None:
         tile_bytes = cols.itemsize * og * w_out * max(
             len(range(b)[c]) * len(range(groups)[g]) * (r1 - r0) for c, g, r0, r1 in tiles)
@@ -704,18 +504,18 @@ def _per_tap(cols, wt, dilation, h_out, w_out, bias=None, out=None, tap=None,
         if out is None:
             out = np.empty((b, groups, og, h_out * w_out), dtype=cols.dtype)
         if kh > 1:
-            tap = _carve(tap, out.shape, out.dtype)
+            tap = tile_pool.carve(tap, out.shape, out.dtype)
 
-    def tile(t, slot):
+    def tile(t, *slot):
         clips, grp, r0, r1 = t
         span = slice(r0 * w_out, r1 * w_out)
-        if slot is None:
+        if not slot:
             o = out[clips, grp, :, span]
             p = None if kh == 1 else tap[clips, grp, :, span]
         else:
             shape = (len(range(b)[clips]), len(range(groups)[grp]), og, (r1 - r0) * w_out)
             # p is unused where kh == 1
-            o, p = (_carve(buf.view(cols.dtype), shape, cols.dtype) for buf in (slot[0], slot[-1]))
+            o, p = (tile_pool.carve(buf, shape, cols.dtype) for buf in (slot[0], slot[-1]))
         np.matmul(wt[0, grp], _window(cols, clips, grp, 0, dilation, r0, r1), out=o)
         for i in range(1, kh):
             o += np.matmul(wt[i, grp], _window(cols, clips, grp, i, dilation, r0, r1), out=p)
@@ -726,27 +526,29 @@ def _per_tap(cols, wt, dilation, h_out, w_out, bias=None, out=None, tap=None,
             epilogue(o.reshape(len(o), -1, o.shape[-1]), clips, slice(g.start * og, g.stop * og),
                      r0, r1)
 
-    _each_tile(tile, tiles, b * h_out * w_out, scratch)
+    tile_pool.run(tile, tiles, b * h_out * w_out, scratch)
     return out
 
 
 def _weight_grad(cols, g4, kh, dilation, h_out, w_out, prod=None) -> np.ndarray:
     """The weight gradient of output gradient g4 (n, groups, og, h_out *
     w_out) over the taps `cols` (as in _per_tap), per time tap and clip:
-    (kh, n, groups, og, k), on the front of the flat buffer `prod` if given.
+    (kh, n, groups, og, k), on the front of the flat byte buffer `prod` if given.
     The products run per (tap, clip) on the pool; the caller adds them clip
     by clip in batch order, the order of a sum over the batch axis."""
     n, groups, og, _ = g4.shape
     k = cols.shape[2] * cols.shape[3] // groups
     cols = cols.reshape(n, cols.shape[1], groups, k, cols.shape[-2], w_out)
-    prod = _carve(prod, (kh, n, groups, og, k), g4.dtype)
+    prod = tile_pool.carve(prod, (kh, n, groups, og, k), g4.dtype)
 
-    def product(i, clips):
+    def product(task):
+        i, clips = task
         window = _window(cols, clips, slice(None), i, dilation, 0, h_out)
         np.matmul(g4[clips], window.swapaxes(-1, -2), out=prod[i, clips])
 
     n_out = h_out * w_out
-    _run(product, [(i, c) for i in range(kh) for c in _split(n, 1, n * n_out)], n * n_out)
+    clips = tile_pool.split(n, 1, n * n_out)
+    tile_pool.run(product, [(i, c) for i in range(kh) for c in clips], n * n_out)
     return prod
 
 
@@ -758,7 +560,7 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
     The weight's shape picks the regime (see the module docstring); the
     single-channel regime is the per-tap one with one time tap of all kh*kw
     taps.  The tape keeps the input, not a tap buffer: the VJP rebuilds the
-    buffers over chunks of clips of about `_VJP_CHUNK_BYTES`.
+    buffers over chunks of clips of about `VJP_CHUNK_BYTES`.
 
     pooled=(scale, shift, pool) asks for the forward value only, of
     max_pool_freq(out * scale + shift, pool), scale and shift per output
@@ -802,7 +604,7 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
                       res[clips, chans, r0 * w_pooled : r1 * w_pooled])
 
     def padded(xs, buf=None):
-        xp = _zeros(buf, (len(xs), c_in, hs * stride, wp), xs.dtype)
+        xp = tile_pool.zeros(buf, (len(xs), c_in, hs * stride, wp), xs.dtype)
         xp[:, :, ph : ph + h, pw : pw + w] = xs
         return xp
 
@@ -839,41 +641,41 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
         clip_bytes = kw * (c_in * hp * w_out + c_out * (hb - ph) * w)
         clip_taps = max(stride * c_in * kw * hs * w_out, c_out * kw * (hb - ph) * w)
         clip_pad = max(c_out * hb * wb, c_in * h * w, c_in * hs * stride * wp, c_out * cg * kh * kw)
-    # chunks of at most _VJP_CHUNK_BYTES of buffers, and at least two of a
+    # chunks of at most VJP_CHUNK_BYTES of buffers, and at least two of a
     # batch whose VJP leaves the caller's thread, so that a second worker has one
-    step = min(b, max(1, _VJP_CHUNK_BYTES // (clip_bytes * x4.itemsize)))
-    if b * n_out >= _TILE_COLS:
+    step = min(b, max(1, VJP_CHUNK_BYTES // (clip_bytes * x4.itemsize)))
+    if b * n_out >= tile_pool.TILE_COLS:
         step = min(step, -(-b // 2))
 
-    # A chunk of the VJP runs in a slot of two flat buffers for up to `step`
-    # clips, reused from chunk to chunk: `buf` holds the gradient's taps and
-    # then the input's, and `pad` the zero-inserted gradient (the fold's
-    # col2im target), _per_tap's scratch, the zero-bordered input and at last
-    # the weight-gradient products, which the chunk returns for the caller to
-    # add in batch order.  It writes its input gradient into gxs.
-    def fold_chunk(xs, gs, gxs, slot, w_in):
-        pad, buf = slot
+    # A chunk of the VJP runs in a scratch slot of two byte buffers for up to
+    # `step` clips: `buf` holds the gradient's taps and then the input's, and
+    # `pad` the zero-inserted gradient (the fold's col2im target), _per_tap's
+    # scratch, the zero-bordered input and at last the weight-gradient
+    # products, which the chunk returns for the caller to add in batch order.
+    # It writes its input gradient into gxs.
+    def fold_chunk(task, pad, buf):
+        xs, gs, gxs, w_in = task
         n = len(xs)
         # W^T g, then col2im clip by clip
         gcols = _per_tap(gs.reshape(n, 1, c_out, 1, h_out, w_out), w_in, 1, h_out, w_out,
-                         out=_carve(buf, (n, 1, kh * kw, n_out), xs.dtype))
+                         out=tile_pool.carve(buf, (n, 1, kh * kw, n_out), xs.dtype))
         gcols = gcols.reshape(n, kh * kw, h_out, w_out)
-        gxp = _zeros(pad, (n, 1, hs * stride, wp), xs.dtype)
+        gxp = tile_pool.zeros(pad, (n, 1, hs * stride, wp), xs.dtype)
 
         def col2im(c):
             for a in range(kh):
                 for j in range(kw):
                     gxp[c, 0, rows[a], j : j + stride * w_out : stride] += gcols[c, a * kw + j]
 
-        _run(col2im, [(c,) for c in _split(n, 1, n * n_out)], n * n_out)
+        tile_pool.run(col2im, tile_pool.split(n, 1, n * n_out), n * n_out)
         gxs[...] = gxp[:, :, ph : ph + h, pw : pw + w]
         cols = taps(xs, pad, buf)
         return _weight_grad(cols, gs.reshape(n, 1, c_out, n_out), 1, 1, h_out, w_out, pad)
 
-    def per_tap_chunk(xs, gs, gxs, slot, w_in):
-        pad, buf = slot
+    def per_tap_chunk(task, pad, buf):
+        xs, gs, gxs, w_in = task
         n = len(xs)
-        gb = _zeros(pad, (n, c_out, hb, wb), xs.dtype)
+        gb = tile_pool.zeros(pad, (n, c_out, hb, wb), xs.dtype)
         gb[:, :, eh : eh + stride * h_out : stride, ew : ew + stride * w_out : stride] = (
             gs.reshape(n, c_out, h_out, w_out)
         )
@@ -891,20 +693,16 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
         else:
             flipped = w4.reshape(groups, og, cg, kh, kw).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
             w_in = _tap_weights(flipped.reshape(c_in, og, kh, kw), groups)
-        starts = range(0, b, step)
-        # at most `lanes` chunks run at once, chunk k in slot k % lanes
-        lanes = _lanes(b * n_out, len(starts))
-        slots = [tuple(np.empty(step * size, dtype=x4.dtype) for size in (clip_pad, clip_taps))
-                 for _ in range(lanes)]
 
         def add(prod):
             for gw_i, prods in zip(gw, prod):
                 for clip in prods:
                     gw_i += clip
 
-        tasks = [(x4[s : s + step], g3[s : s + step], gx[s : s + step], slots[k % lanes], w_in)
-                 for k, s in enumerate(starts)]
-        _run(fold_chunk if fold else per_tap_chunk, tasks, b * n_out, add)
+        tasks = [(x4[s : s + step], g3[s : s + step], gx[s : s + step], w_in)
+                 for s in range(0, b, step)]
+        scratch = (step * clip_pad * x4.itemsize, step * clip_taps * x4.itemsize)
+        tile_pool.run(fold_chunk if fold else per_tap_chunk, tasks, b * n_out, scratch, add)
         gx = gx.reshape(x.shape)
         if fold:
             gw = gw.reshape(weight.shape)
@@ -935,10 +733,11 @@ def conv2d_bn_pool(
     of those three ops.
 
     Where a tape tracks an input, it is those three ops, and gradients flow.
-    Otherwise the batch norm's affine map and the pooling run on each conv
-    output tile while it is in cache, in a scratch slot of its lane: the
-    same elementwise steps on the same values, and no full-size conv or
-    batch-norm output is made.
+    Otherwise each P-CNN tile is made, with its tap products, in its lane's
+    scratch slot, scaled and shifted there by the running statistics, and
+    pooled into the output while in cache: the same elementwise steps on the
+    same values, and no full-size conv or batch-norm output is made.  A tile
+    holds whole frequency rows, so no pooling window crosses a tile.
     """
     tape = active_tape()
     if tape is not None and any(tape.tracks(t) for t in (x, weight, bias, gamma, beta)
@@ -974,16 +773,16 @@ def max_pool_freq(x: Tensor, pool: int) -> Tensor:
     if pool == 1:
         return apply_op(x.data.copy(), (x,), lambda g: (g,))
     windows = x.data.reshape(-1, pool)
-    tiles = _flat_tiles(len(windows), pool * x.data.itemsize)
+    tiles = tile_pool.flat_tiles(len(windows), pool * x.data.itemsize)
     out = np.empty(len(windows), dtype=x.dtype)
 
-    _each_tile(lambda t, _: _max_into(windows[t], out[t]), tiles, x.size)
+    tile_pool.run(lambda t: _max_into(windows[t], out[t]), tiles, x.size)
 
     def vjp(g):
         g1 = g.reshape(-1)
         gx = np.empty_like(windows)
 
-        def tile(t, _):
+        def tile(t):
             hit = np.empty(len(out[t]), dtype=bool)
             free = np.ones_like(hit)  # windows whose maximum no slot has taken
             for j in range(pool):
@@ -992,7 +791,7 @@ def max_pool_freq(x: Tensor, pool: int) -> Tensor:
                 np.multiply(g1[t], hit, out=gx[t, j])
                 free ^= hit
 
-        _each_tile(tile, tiles, x.size)
+        tile_pool.run(tile, tiles, x.size)
         return (gx.reshape(x.shape),)
 
     return apply_op(out.reshape(*x.shape[:-1], f // pool), (x,), vjp)
@@ -1010,12 +809,12 @@ def _bn_reduce(g3, x3, centre, tiles) -> tuple:
     xc = np.empty_like(x3)
     sums, dots = np.empty((2, lead, c), dtype=x3.dtype)
 
-    def tile(t, _):
+    def tile(t):
         np.subtract(x3[t], centre[t[1], None], out=xc[t])
         np.sum(g3[t], axis=-1, out=sums[t])
         _row_dots(g3[t], xc[t], dots[t])
 
-    _each_tile(tile, tiles, x3.size)
+    tile_pool.run(tile, tiles, x3.size)
     return sums.sum(axis=0), dots.sum(axis=0), xc
 
 
@@ -1064,22 +863,23 @@ def batch_norm(
     channel_axis %= x.ndim
     _check_bn(c, gamma, beta, running_mean, running_var, eps)
 
-    # (lead, C, rest): per-channel sums are contiguous row sums
+    # (lead, C, rest): per-channel sums are contiguous row sums, and no tile
+    # splits a (clip, channel) row, so rows add in batch order, as in one pass
     x3 = x.data.reshape(math.prod(x.shape[:channel_axis]), c, -1)
-    tiles = _channel_tiles(*x3.shape, x3.itemsize)
+    tiles = tile_pool.channel_tiles(*x3.shape, x3.itemsize)
     out = np.empty_like(x3)
     if training:
         n = x.size // c
         sums, dots = np.empty((2, x3.shape[0], c), dtype=x3.dtype)
-        _each_tile(lambda t, _: np.sum(x3[t], axis=-1, out=sums[t]), tiles, x3.size)
+        tile_pool.run(lambda t: np.sum(x3[t], axis=-1, out=sums[t]), tiles, x3.size)
         mean = sums.sum(axis=0) / n
 
-        def centre(t, _):
+        def centre(t):
             np.subtract(x3[t], mean[t[1], None], out=out[t])
             _row_dots(out[t], out[t], dots[t])
 
         # each phase starts where the one before ended, on tiles still in cache
-        _each_tile(centre, tiles[::-1], x3.size)
+        tile_pool.run(centre, tiles[::-1], x3.size)
         var = dots.sum(axis=0) / n
         inv = 1.0 / np.sqrt(var + eps)
         scale_c, shift_c = gamma.data * inv, beta.data
@@ -1090,8 +890,8 @@ def batch_norm(
         mean = running_mean
         inv, scale_c, shift_c = _bn_fold(gamma, beta, running_mean, running_var, eps)
     src = out if training else x3  # training has centred x into out
-    _each_tile(lambda t, _: _affine(src[t], scale_c[t[1], None], shift_c[t[1], None], out[t]),
-               tiles, x3.size)
+    tile_pool.run(lambda t: _affine(src[t], scale_c[t[1], None], shift_c[t[1], None], out[t]),
+                  tiles, x3.size)
 
     def vjp(g):
         # training: gx = inv*gamma*(g - sum(g)/n - xhat*sum(g*xhat)/n), from
@@ -1105,16 +905,16 @@ def batch_norm(
 
             def combine(t, slot):
                 o = gx[t]
-                s = _carve(slot.view(o.dtype), o.shape, o.dtype)
+                s = tile_pool.carve(slot, o.shape, o.dtype)
                 np.subtract(g3[t], shift_g[t[1], None], out=s)
                 np.multiply(o, scale_xc[t[1], None], out=o)
                 np.subtract(s, o, out=o)
                 np.multiply(o, scale_c[t[1], None], out=o)
 
-            _each_tile(combine, tiles[::-1], x3.size, scratch=max(gx[t].nbytes for t in tiles))
+            tile_pool.run(combine, tiles[::-1], x3.size, scratch=(max(gx[t].nbytes for t in tiles),))
         else:
-            _each_tile(lambda t, _: np.multiply(g3[t], scale_c[t[1], None], out=gx[t]),
-                       tiles[::-1], x3.size)
+            tile_pool.run(lambda t: np.multiply(g3[t], scale_c[t[1], None], out=gx[t]),
+                          tiles[::-1], x3.size)
         return gx.reshape(x.shape), ggamma, gbeta
 
     return apply_op(out.reshape(x.shape), (x, gamma, beta), vjp)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import UsageError
-from . import ops
+from . import pool
 from .params import ParameterStore
 
 
@@ -36,7 +36,7 @@ def adam_step(
     A parameter with no gradient this step contributes a zero gradient, so
     its moments decay but (on a fresh state) it does not move.  The update
     is elementwise, so it runs on the op pool as flat tiles of each
-    parameter (`ops._flat_tiles`), each in two scratch arrays of its lane.
+    parameter (`pool.flat_tiles`), each in two scratch arrays of its lane.
     """
     if step is None:
         step = state.step + 1
@@ -49,14 +49,14 @@ def adam_step(
     for name, t in params.items():
         state.ensure(name, t.data)
         arrays = (t.data, t.grad, state.m[name], state.v[name])
-        spans = ops._flat_tiles(t.size, t.data.itemsize)
+        spans = pool.flat_tiles(t.size, t.data.itemsize)
         tiles += [(arrays, span) for span in spans]
         scratch = max(scratch, 2 * t.data.reshape(-1)[spans[0]].nbytes)
 
     def update(tile, slot):
         arrays, span = tile
         p, g, m, v = (None if x is None else x.reshape(-1)[span] for x in arrays)
-        a, b = ops._carve(slot.view(p.dtype), (2, len(p)), p.dtype)
+        a, b = pool.carve(slot, (2, len(p)), p.dtype)
         if g is None:
             g = b
             g.fill(0)
@@ -76,7 +76,7 @@ def adam_step(
         a /= b
         p -= a
 
-    ops._each_tile(update, tiles, params.count(), scratch)
+    pool.run(update, tiles, params.count(), (scratch,))
 
 
 def clip_grad_norm(params: ParameterStore, max_norm: float) -> float:

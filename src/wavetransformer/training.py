@@ -388,7 +388,9 @@ def train(
     """Early-stopped optimization; keeps the best-validation checkpoint.
 
     With no validation items the loop runs to max_epochs and "best" means
-    the final epoch (the overfit/smoke path).
+    the final epoch (the overfit/smoke path).  After every epoch, `log` is
+    called with (epoch, train loss, validation loss or None, result), the
+    result's best and final checkpoints as of that epoch.
     """
     optimizer = resume.restore_optimizer() if resume else AdamState()
     dropout_rng = RngState.from_state(resume.rng_state) if resume else RngState(derive_seed(cfg.seed, 0xD0))
@@ -401,28 +403,27 @@ def train(
     for epoch in range(start_epoch + 1, cfg.max_epochs + 1):
         tr = train_epoch(model, train_items, optimizer, cfg, epoch, vocab.pad, dropout_rng)
         train_history.append(tr)
+        vl, stop = None, False
         if val_items:
             vl = validation_loss(model, val_items, cfg, vocab.pad)
             val_history.append(vl)
-            stop, best = early_stopping(val_history, cfg.patience)
-            if best == len(val_history):
-                result.best_checkpoint = Checkpoint.capture(
-                    model, optimizer, cfg, vocab, epoch, train_history, val_history, dropout_rng
-                )
-            result.best_epoch = best
-            if log:
-                log(epoch, tr, vl)
-            result.epochs_run = epoch
-            if stop:
-                break
+            stop, result.best_epoch = early_stopping(val_history, cfg.patience)
         else:
-            if log:
-                log(epoch, tr, None)
-            result.epochs_run = epoch
             result.best_epoch = epoch
-    result.final_checkpoint = Checkpoint.capture(
-        model, optimizer, cfg, vocab, result.epochs_run, train_history, val_history, dropout_rng
-    )
+        result.epochs_run = epoch
+        result.final_checkpoint = Checkpoint.capture(
+            model, optimizer, cfg, vocab, epoch, train_history, val_history, dropout_rng
+        )
+        if not val_items or result.best_epoch == len(val_history):
+            result.best_checkpoint = result.final_checkpoint
+        if log:
+            log(epoch, tr, vl, result)
+        if stop:
+            break
+    if result.final_checkpoint is None:  # no epoch ran
+        result.final_checkpoint = Checkpoint.capture(
+            model, optimizer, cfg, vocab, result.epochs_run, train_history, val_history, dropout_rng
+        )
     if result.best_checkpoint is None:
         result.best_checkpoint = result.final_checkpoint
     return result

@@ -11,9 +11,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from wavetransformer.tensor import Tape, Tensor, backward, ops
+from wavetransformer.audio import AudioClip, AudioConfig, extract_features
+from wavetransformer.tensor import Tape, Tensor, backward, pool
 
-_RUN = ops._run
+_RUN = pool.run
 
 
 def rel_err(a: np.ndarray, b: np.ndarray, floor: float) -> np.ndarray:
@@ -67,7 +68,7 @@ def gradcheck(
 
 
 class PooledJobs(list):
-    """The task counts of the conv pool's jobs large enough to leave the
+    """The task counts of the pool's jobs large enough to leave the
     caller's thread, in call order.  A job run from inside a task of one of
     them runs inline and is not listed, so the list does not depend on the
     worker count.
@@ -84,15 +85,15 @@ class PooledJobs(list):
 
 
 def record_pooled_jobs(monkeypatch) -> PooledJobs:
-    """Wrap the conv pool's `ops._run` for the rest of the test and record
-    its jobs in the returned PooledJobs."""
+    """Wrap `pool.run` for the rest of the test and record its jobs in the
+    returned PooledJobs."""
     jobs = PooledJobs()
     lock = threading.Lock()
     inside = threading.local()
 
-    def spy(fn, tasks, cols, consume=None):
-        if getattr(inside, "job", False) or cols < ops._TILE_COLS or len(tasks) < 2:
-            return _RUN(fn, tasks, cols, consume)
+    def spy(fn, tasks, cols, scratch=(), consume=None):
+        if getattr(inside, "job", False) or pool.inline(cols, len(tasks)):
+            return _RUN(fn, tasks, cols, scratch, consume)
         jobs.append(len(tasks))
         caller = threading.current_thread()
         in_flight = 0
@@ -119,10 +120,27 @@ def record_pooled_jobs(monkeypatch) -> PooledJobs:
             with lock:
                 in_flight -= 1
 
-        return _RUN(task, tasks, cols, consume and consumed)
+        return _RUN(task, tasks, cols, scratch, consume and consumed)
 
-    monkeypatch.setattr(ops, "_run", spy)
+    monkeypatch.setattr(pool, "run", spy)
     return jobs
+
+
+def frame_tile_rows(frames: int, monkeypatch) -> list:
+    """The frames of each tile of one feature extraction of a clip of
+    `frames` frames, as `pool.run` is given them."""
+    rows, run = [], pool.run
+
+    def spy(fn, tiles, cols, scratch=(), consume=None):
+        rows.extend(len(range(frames)[t]) for t in tiles)
+        return run(fn, tiles, cols, scratch, consume)
+
+    cfg = AudioConfig()
+    samples = np.random.default_rng(0).uniform(-1, 1, (frames - 1) * cfg.hop + 300)
+    with monkeypatch.context() as m:
+        m.setattr(pool, "run", spy)
+        extract_features(AudioClip(samples, cfg.sample_rate), cfg)
+    return rows
 
 
 def conv1d_reference(x, w, b, stride=1, padding=0, dilation=1):

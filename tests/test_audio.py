@@ -20,9 +20,9 @@ from wavetransformer.audio import (
 )
 from wavetransformer.errors import AudioFormatError, ConfigError, DataError
 from wavetransformer.fileformats import read_wtf1, write_wtf1
-from wavetransformer.tensor import ops
+from wavetransformer.tensor import pool
 
-from helpers import record_pooled_jobs
+from helpers import frame_tile_rows, record_pooled_jobs
 
 
 def dft_power_oracle(frame: np.ndarray, n_fft: int) -> np.ndarray:
@@ -229,41 +229,11 @@ class TestFeatureTiles:
         samples = rng.uniform(-1, 1, (frames - 1) * hop + 300) * 10.0 ** rng.uniform(-6, 0)
         return AudioClip(samples, AudioConfig().sample_rate)
 
-    @staticmethod
-    def tile_rows(frames, monkeypatch):
-        """The frames of each tile of one extraction of `frames` frames."""
-        rows, each_tile = [], ops._each_tile
-
-        def spy(fn, tiles, size, scratch=0):
-            rows.extend(len(range(frames)[t]) for t in tiles)
-            return each_tile(fn, tiles, size, scratch)
-
-        with monkeypatch.context() as m:
-            m.setattr(ops, "_each_tile", spy)
-            extract_features(TestFeatureTiles.clip_of(frames), AudioConfig())
-        return rows
-
-    def test_tiles_are_whole_frames_none_short(self, monkeypatch):
-        per_tile = self.tile_rows(10_000, monkeypatch)[0]
-        # OpenBLAS gives a mel product of 15 rows or fewer, at 64 bands and
-        # 1,025 bins, to its small-matrix kernel, which rounds differently
-        assert 16 <= per_tile < 10_000
-        for frames in (3, per_tile, per_tile + 1, 2 * per_tile - 1, 2 * per_tile, 431, 2584):
-            rows = self.tile_rows(frames, monkeypatch)
-            assert sum(rows) == frames
-            # a short clip is one tile; otherwise every tile has per_tile
-            # frames and the last takes the remainder
-            assert rows[:-1] == [per_tile] * (len(rows) - 1)
-            if frames < 2 * per_tile:
-                assert rows == [frames]
-            else:
-                assert per_tile <= rows[-1] < 2 * per_tile
-
     # 3 is the fewest frames a clip can have at these settings: it must be
     # longer than half an FFT
     @pytest.mark.parametrize("frames", [3, "tile", "tile+1", "2 tiles", 431, 2584])
     def test_bits_are_the_whole_array_formula(self, frames, monkeypatch):
-        per_tile = self.tile_rows(10_000, monkeypatch)[0]
+        per_tile = frame_tile_rows(10_000, monkeypatch)[0]
         named = {"tile": per_tile, "tile+1": per_tile + 1, "2 tiles": 2 * per_tile}
         frames = named.get(frames, frames)
         clip, cfg = self.clip_of(frames, seed=frames), AudioConfig()
@@ -279,13 +249,13 @@ class TestFeatureTiles:
 
         with monkeypatch.context() as m:
             m.setattr(audio, "_log_mel", spy)
-            monkeypatch.setattr(ops, "_WORKERS", 1)
+            monkeypatch.setattr(pool, "WORKERS", 1)
             extract_features(clip, cfg)
         assert np.concatenate(tiles64).tobytes() == want64.tobytes()
         interval = sys.getswitchinterval()
         try:
             for workers in (1, 2, 3):
-                monkeypatch.setattr(ops, "_WORKERS", workers)
+                monkeypatch.setattr(pool, "WORKERS", workers)
                 if workers == 3:
                     sys.setswitchinterval(1e-5)  # a tile writing outside its part would show
                 got = extract_features(clip, cfg).values
@@ -300,8 +270,8 @@ class TestFeatureTiles:
     def test_bits_do_not_depend_on_the_tile_size(self, tile_bytes, monkeypatch):
         clip, cfg = self.clip_of(431, seed=5), AudioConfig()
         want = extract_features(clip, cfg).values
-        monkeypatch.setattr(ops, "_TILE_BYTES", tile_bytes)
-        monkeypatch.setattr(ops, "_WORKERS", 2)
+        monkeypatch.setattr(pool, "TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(pool, "WORKERS", 2)
         jobs = record_pooled_jobs(monkeypatch)
         assert extract_features(clip, cfg).values.tobytes() == want.tobytes()
         assert jobs and jobs[0] >= 2  # the tiles ran on the pool

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import wavetransformer
+from wavetransformer import training
 from wavetransformer.cli import main
 from wavetransformer.audio import write_wav
 from wavetransformer.config import SECTIONS, load_config
-from wavetransformer.errors import ConfigError
+from wavetransformer.errors import ConfigError, TrainingError
 from wavetransformer.fileformats import read_wtf1, write_wtf1
 from wavetransformer.training import load_checkpoint
 
@@ -269,6 +270,30 @@ class TestPipeline:
 
         assert main(["evaluate", "--predictions", str(preds),
                      "--references", str(caps)]) == 0
+
+    def test_a_crash_in_epoch_two_leaves_epoch_one_outputs(self, tmp_path, capsys, monkeypatch):
+        audio_dir, caps, cfg = make_corpus_dir(tmp_path)
+        feat_dir, run_dir = tmp_path / "features", tmp_path / "run"
+        assert main(["extract", "--audio-dir", str(audio_dir),
+                     "--out-dir", str(feat_dir), "--config", str(cfg)]) == 0
+        train_epoch = training.train_epoch
+
+        def crashing(model, items, optimizer, train_cfg, epoch, *args):
+            if epoch == 2:
+                raise TrainingError("gradient is not finite in epoch 2")
+            return train_epoch(model, items, optimizer, train_cfg, epoch, *args)
+
+        monkeypatch.setattr(training, "train_epoch", crashing)
+        assert main(["train", "--features", str(feat_dir), "--captions", str(caps),
+                     "--out", str(run_dir), "--config", str(cfg)]) == 2
+        assert "not finite in epoch 2" in capsys.readouterr().err
+        rows = list(csv.reader(open(run_dir / "loss_log.csv")))
+        assert rows[0] == ["epoch", "train_loss", "val_loss"] and [r[0] for r in rows[1:]] == ["1"]
+        for name in ("best.wtck", "last.wtck"):
+            ckpt = load_checkpoint(run_dir / name)
+            assert ckpt.epoch == 1
+            assert ckpt.train_history == pytest.approx([float(rows[1][1])], abs=1e-6)
+            ckpt.build_model()
 
     def test_caption_verbose_prints_encode_and_decode_time(self, tmp_path, capsys):
         audio_dir, caps, cfg = make_corpus_dir(tmp_path)

@@ -10,7 +10,7 @@ from wavetransformer.encoder import Encoder, EncoderConfig, MergeNet, TFBlock, W
 from wavetransformer.errors import ConfigError, DimensionError
 from wavetransformer.layers import ModelSpace
 from wavetransformer.tensor import ParameterStore, RngState, Tape, Tensor, backward
-from wavetransformer.tensor import ops
+from wavetransformer.tensor import ops, pool
 
 from helpers import record_pooled_jobs
 
@@ -139,7 +139,7 @@ class TestEvalTFBlockTiles:
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     def test_bits_are_the_three_ops_at_any_worker_count(self, geometry, tile_cols, monkeypatch):
         if tile_cols is not None:
-            monkeypatch.setattr(ops, "_TILE_COLS", tile_cols)
+            monkeypatch.setattr(pool, "TILE_COLS", tile_cols)
         block, x = self.block_and_input(geometry)
         want, pre = self.unfused(block, x)
         windows = pre.data.reshape(-1, block.pool)
@@ -148,7 +148,7 @@ class TestEvalTFBlockTiles:
         interval = sys.getswitchinterval()
         try:
             for workers in (1, 2, 3):
-                monkeypatch.setattr(ops, "_WORKERS", workers)
+                monkeypatch.setattr(pool, "WORKERS", workers)
                 if workers == 3:
                     sys.setswitchinterval(1e-5)  # a tile writing outside its part would show
                 jobs = record_pooled_jobs(monkeypatch)

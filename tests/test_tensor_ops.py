@@ -21,7 +21,7 @@ from wavetransformer.errors import ConfigError, DimensionError, UsageError
 from wavetransformer.tensor import (
     AdamState, ParameterStore, RngState, Tape, Tensor, adam_step, backward, default_dtype,
 )
-from wavetransformer.tensor import ops
+from wavetransformer.tensor import ops, pool
 
 from helpers import conv1d_reference, conv2d_reference, gradcheck, record_pooled_jobs
 
@@ -216,7 +216,7 @@ class TestConvVjpChunks:
     def test_chunked_vjp_is_bit_equal(self, case, clips, monkeypatch):
         whole, chunks = self._grads(case, monkeypatch)
         assert chunks == [5]
-        monkeypatch.setattr(ops, "_VJP_CHUNK_BYTES", max(1, clips * 4 * self.CASES[case][-1]))
+        monkeypatch.setattr(ops, "VJP_CHUNK_BYTES", max(1, clips * 4 * self.CASES[case][-1]))
         chunked, chunks = self._grads(case, monkeypatch)
         assert chunks == {1: [1] * 5, 2: [2, 2, 1]}[clips]
         for a, b in zip(whole, chunked):
@@ -248,7 +248,7 @@ class TestConvWorkers:
     # below the default tile size: one tile, inline
     INLINE = {"tiny", "stride2", "stride2_groups"}
     # convs of 4 or more clips, whose VJP runs one chunk per clip when
-    # _VJP_CHUNK_BYTES is tiny
+    # VJP_CHUNK_BYTES is tiny
     MANY_CHUNKS = {
         "batch12": CASES["batch12"],
         "batch12_depthwise": (ops.conv2d, (12, 16, 40, 16), (16, 1, 5, 5),
@@ -259,7 +259,7 @@ class TestConvWorkers:
 
     def _run(self, spec, workers, monkeypatch):
         op, x_shape, w_shape, options = spec
-        monkeypatch.setattr(ops, "_WORKERS", workers)
+        monkeypatch.setattr(pool, "WORKERS", workers)
         pooled = record_pooled_jobs(monkeypatch)
         rng = RngState(71)
         x, w, b = (Tensor(rng.uniform(-1, 1, shape).astype(np.float32), requires_grad=True)
@@ -274,7 +274,7 @@ class TestConvWorkers:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_bits_do_not_depend_on_the_worker_count(self, case, tile_cols, monkeypatch):
         if tile_cols is not None:
-            monkeypatch.setattr(ops, "_TILE_COLS", tile_cols)
+            monkeypatch.setattr(pool, "TILE_COLS", tile_cols)
         spec = self.CASES[case]
         one, pooled = self._run(spec, 1, monkeypatch)
         assert (pooled == []) == (case == "tiny" or tile_cols is None and case in self.INLINE)
@@ -293,8 +293,8 @@ class TestConvWorkers:
         spec = self.MANY_CHUNKS[case]
         clips = spec[1][0]
         whole, _ = self._run(spec, 1, monkeypatch)
-        monkeypatch.setattr(ops, "_VJP_CHUNK_BYTES", 1)  # one clip per chunk
-        monkeypatch.setattr(ops, "_TILE_COLS", 128)  # every chunk job leaves the caller
+        monkeypatch.setattr(ops, "VJP_CHUNK_BYTES", 1)  # one clip per chunk
+        monkeypatch.setattr(pool, "TILE_COLS", 128)  # every chunk job leaves the caller
         one, pooled = self._run(spec, 1, monkeypatch)
         assert one == whole
         assert clips in pooled and pooled.chunks_on_pool == 0
@@ -314,8 +314,8 @@ class TestConvWorkers:
         # the third tap copy (the forward makes the first) fails inside a
         # pool task; backward raises that error, and only after the other
         # chunks in flight have finished with the caller's buffers
-        monkeypatch.setattr(ops, "_WORKERS", 2)
-        monkeypatch.setattr(ops, "_VJP_CHUNK_BYTES", 1)
+        monkeypatch.setattr(pool, "WORKERS", 2)
+        monkeypatch.setattr(ops, "VJP_CHUNK_BYTES", 1)
         jobs = record_pooled_jobs(monkeypatch)
         tap_cols, calls, lock = ops._tap_cols, [], threading.Lock()
 
@@ -355,8 +355,8 @@ class TestConvWorkers:
         script = (
             "import resource, sys\n"
             "import numpy as np\n"
-            "from wavetransformer.tensor import RngState, Tape, Tensor, backward, ops\n"
-            "ops._WORKERS = int(sys.argv[1])\n"
+            "from wavetransformer.tensor import RngState, Tape, Tensor, backward, ops, pool\n"
+            "pool.WORKERS = int(sys.argv[1])\n"
             "rng = RngState(0)\n"
             "x = Tensor(rng.uniform(-1, 1, (12, 128, 100, 16)).astype(np.float32), requires_grad=True)\n"
             "w = Tensor(rng.uniform(-0.05, 0.05, (128, 128, 5, 5)).astype(np.float32), requires_grad=True)\n"
@@ -374,13 +374,13 @@ class TestConvWorkers:
         assert peak_kib[1] <= peak_kib[0] + 8 * 1024, f"peak RSS {peak_kib} KiB at 1 and 2 workers"
 
     def test_a_batch_in_one_chunk_splits_for_a_second_worker(self, monkeypatch):
-        # six clips fit one _VJP_CHUNK_BYTES chunk; a VJP job large enough
+        # six clips fit one VJP_CHUNK_BYTES chunk; a VJP job large enough
         # to leave the caller's thread still runs as two chunks of three
         # clips, one per worker, with the bits of the whole batch in one
         spec = self.MANY_CHUNKS["single_channel_b6"]
-        clips = ops._VJP_CHUNK_BYTES // (5 * 5 * 60 * 16 * 4)
+        clips = ops.VJP_CHUNK_BYTES // (5 * 5 * 60 * 16 * 4)
         assert clips >= spec[1][0]
-        monkeypatch.setattr(ops, "_TILE_COLS", 1 << 30)  # nothing leaves the caller
+        monkeypatch.setattr(pool, "TILE_COLS", 1 << 30)  # nothing leaves the caller
         whole, _ = self._run(spec, 2, monkeypatch)
         monkeypatch.undo()
         for workers in (1, 2):
@@ -389,30 +389,28 @@ class TestConvWorkers:
             assert jobs.chunks_on_pool == (2 if workers == 2 else 0)
             assert jobs.most_in_flight == workers
 
-    def test_tile_boundaries_depend_only_on_shapes(self, monkeypatch):
-        tiles = ops._tiles(1, 1, 128, 2584, 16)
-        for workers in (1, 2, 3, 64):
-            monkeypatch.setattr(ops, "_WORKERS", workers)
-            assert ops._tiles(1, 1, 128, 2584, 16) == tiles
-        spans = [(r0, r1) for _, _, r0, r1 in tiles]
-        assert spans[0][0] == 0 and spans[-1][1] == 2584
-        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-        assert all((r1 - r0) % ops._TILE_ROWS == 0 for r0, r1 in spans[:-1])
-        assert all((r1 - r0) * 16 >= ops._TILE_COLS for r0, r1 in spans)
-
     def test_conv_inside_a_pool_task_runs_inline_and_finishes(self, monkeypatch):
         # a conv called from a pool task must not queue tiles behind itself:
         # with every worker busy that would wait forever
-        monkeypatch.setattr(ops, "_WORKERS", 2)
+        monkeypatch.setattr(pool, "WORKERS", 2)
         op, x_shape, w_shape, options = self.CASES["long_dense"]
         rng = RngState(72)
         x, w, b = (Tensor(rng.uniform(-1, 1, shape).astype(np.float32))
                    for shape in (x_shape, w_shape, w_shape[:1]))
         expected = op(x, w, b, **options).data
-        assert ops._pool is not None and ops._pool[0][1] == 2
-        futures = [ops._pool[1].submit(op, x, w, b, **options) for _ in range(3)]
-        for future in futures:
-            assert future.result(timeout=120).data.tobytes() == expected.tobytes()
+        done = []
+
+        def task(_):
+            done.append((threading.current_thread().name, op(x, w, b, **options).data.tobytes()))
+
+        # three convs on two workers, in a thread of its own so that a hang fails
+        runner = threading.Thread(target=pool.run, args=(task, [0, 1, 2], pool.TILE_COLS),
+                                  daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive()
+        assert [bits for _, bits in done] == [expected.tobytes()] * 3
+        assert all(name.startswith("conv-tile") for name, _ in done)
 
 
 class TestPassWorkers:
@@ -479,10 +477,10 @@ class TestPassWorkers:
              "adam_step")
 
     def _run(self, case, workers, tile_bytes, monkeypatch):
-        monkeypatch.setattr(ops, "_WORKERS", workers)
+        monkeypatch.setattr(pool, "WORKERS", workers)
         if tile_bytes is not None:
-            monkeypatch.setattr(ops, "_TILE_BYTES", tile_bytes)
-            monkeypatch.setattr(ops, "_TILE_COLS", 16)  # every tiled pass leaves the caller
+            monkeypatch.setattr(pool, "TILE_BYTES", tile_bytes)
+            monkeypatch.setattr(pool, "TILE_COLS", 16)  # every tiled pass leaves the caller
         pooled = record_pooled_jobs(monkeypatch)
         run = {"batch_norm_train": lambda: self._batch_norm(True),
                "batch_norm_eval": lambda: self._batch_norm(False),
@@ -506,20 +504,6 @@ class TestPassWorkers:
             assert self._run(case, 3, 96, monkeypatch) == (whole, pooled)
         finally:
             sys.setswitchinterval(interval)
-
-    def test_tiles_depend_only_on_shapes(self, monkeypatch):
-        shapes = [(12, 128, 6400), (12, 128, 1600), (12, 128, 400), (1, 128, 165376)]
-        tiles = [ops._channel_tiles(*s, 4) for s in shapes] + [ops._flat_tiles(10**6, 4)]
-        for workers in (1, 2, 3, 64):
-            monkeypatch.setattr(ops, "_WORKERS", workers)
-            assert [ops._channel_tiles(*s, 4) for s in shapes] + [ops._flat_tiles(10**6, 4)] == tiles
-        for (lead, c, rest), parts in zip(shapes, tiles):
-            rows = [(i, k) for clips, chans in parts
-                    for i in range(lead)[clips] for k in range(c)[chans]]
-            assert sorted(rows) == [(i, k) for i in range(lead) for k in range(c)]  # each row once
-            sizes = {len(range(lead)[clips]) * len(range(c)[chans]) * rest * 4 for clips, chans in parts}
-            assert max(sizes) <= max(ops._TILE_BYTES, rest * 4)
-        assert tiles[3] == [(slice(0, 1), slice(k, k + 1)) for k in range(128)]  # a row a tile
 
 
 class TestLinear:
@@ -664,7 +648,7 @@ class TestActivations:
         # the integer-domain keep test against the float draw it stands for,
         # over 231 draws, which tiles of 64 draws do not divide
         if tile_bytes is not None:
-            monkeypatch.setattr(ops, "_TILE_BYTES", tile_bytes)
+            monkeypatch.setattr(pool, "TILE_BYTES", tile_bytes)
         shape = (3, 7, 11)
         x = Tensor(RngState(4).uniform(0.5, 1.5, shape).astype(dtype), requires_grad=True)
         rng, reference = RngState(21, 5), RngState(21, 5)

@@ -22,7 +22,7 @@ from wavetransformer.model import CaptionModel
 from wavetransformer.tensor import (
     AdamState, RngState, Tape, Tensor, backward, default_dtype, derive_seed,
 )
-from wavetransformer.tensor import ops
+from wavetransformer.tensor import ops, pool
 from wavetransformer.text import build_vocab, encode
 from wavetransformer.training import (
     Batch,
@@ -533,9 +533,9 @@ class TestWorkerCount:
     and beam captions have the same bits at one and two workers."""
 
     def _setup(self, workers, monkeypatch):
-        monkeypatch.setattr(ops, "_WORKERS", workers)
-        monkeypatch.setattr(ops, "_TILE_COLS", 64)  # the tiny model's convs run in tiles
-        monkeypatch.setattr(ops, "_TILE_BYTES", 256)  # and its batch norms, pools, dropouts
+        monkeypatch.setattr(pool, "WORKERS", workers)
+        monkeypatch.setattr(pool, "TILE_COLS", 64)  # the tiny model's convs run in tiles
+        monkeypatch.setattr(pool, "TILE_BYTES", 256)  # and its batch norms, pools, dropouts
         pooled = record_pooled_jobs(monkeypatch)
         tiny = tiny_model(seed=0, vocab_size=tiny_vocab().size)
         model = CaptionModel(replace(tiny.enc_cfg, dropout_tf=0.25),
@@ -575,7 +575,7 @@ class TestWorkerCount:
         whole = self._step(model, feats)
         # every conv VJP splits the batch of two into chunks of one clip,
         # which run on the pool at two workers
-        monkeypatch.setattr(ops, "_VJP_CHUNK_BYTES", 1)
+        monkeypatch.setattr(ops, "VJP_CHUNK_BYTES", 1)
         for workers in (1, 2):
             model, feats, pooled = self._setup(workers, monkeypatch)
             assert self._step(model, feats) == whole
