@@ -237,6 +237,8 @@ def _finite(text: str) -> float:
 
 def cmd_evaluate(args) -> int:
     predictions = _read_by_file(args.predictions, ["file_name", "caption_predicted"])
+    if not predictions:
+        raise DataError(f"{args.predictions}: no prediction rows")
     references = load_caption_csv(args.references)
     ref_by_name = {e.file_name: e for e in references.entries}
     corpus = []

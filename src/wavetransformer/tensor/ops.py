@@ -2,22 +2,24 @@
 
 Every function computes a forward value in numpy and registers a
 vector-Jacobian product on the active tape.  conv1d and conv2d share one
-kernel, `_conv_taps`, with two regimes picked from the weight's shape:
+kernel, `_conv_taps`: the frequency taps are copied once into a buffer, and
+each time tap is a batched matmul on a window of its rows (`_per_tap`).  The
+weight's shape picks the layout of the taps and the input gradient:
 
-* single input channel (groups == 1, C_in == 1, the first TF block): all
-  kh*kw taps fold into K, and the conv is one GEMM over a (K, H_out*W_out)
-  column buffer per clip, K times the input; the input gradient is the
-  col2im of W^T g, again K rows;
-* every other conv: the kw frequency taps are copied once into a buffer kw
-  times the padded input, its time rows split by phase mod stride, and each
-  time tap is a batched matmul on a window of its rows.  The input gradient
-  is the same kernel run on g (zero-inserted for stride > 1, padded by
+* single input channel (groups == 1, C_in == 1, the first TF block): one
+  time tap whose K holds all kh*kw taps, so the conv is one GEMM over a
+  (K, H_out*W_out) column buffer per clip, K times the input; the input
+  gradient is the col2im of W^T g, again K rows;
+* every other conv: kh time taps over a buffer kw times the padded input,
+  its time rows split by phase mod stride.  The input gradient is the same
+  kernel run on g (zero-inserted for stride > 1, padded by
   dilation*(kh-1) - pad) with the flipped, group-transposed kernel, so it
   costs about what the forward does.
 
 The GEMMs run as tiles of (clip, block of output rows) on the thread pool
 of `pool`, as do the weight gradient's (time tap, clip) products and the
-memory-bound passes: batch norm, max-pool, leaky ReLU and dropout.
+memory-bound passes: batch norm, max-pool, leaky ReLU and dropout.  A conv
+tile makes its tap products in a scratch slot of its lane.
 
 A VJP keeps what it needs to run and no more: the tape holds each op's
 inputs anyway, so the convolutions rebuild their tap buffers from them, a
@@ -196,9 +198,10 @@ def embedding(tokens: np.ndarray, weight: Tensor, bias: Optional[Tensor] = None)
     """
     tokens = np.asarray(tokens)
     d, w_count = weight.shape
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= w_count):
+    outside = (tokens < 0) | (tokens >= w_count)
+    if outside.any():
         raise UsageError(
-            f"token index out of range [0, {w_count}): {int(tokens.max())}"
+            f"token index out of range [0, {w_count}): {int(tokens[outside][0])}"
         )
     out = weight.data.T[tokens]
     if bias is not None:
@@ -476,49 +479,43 @@ def _window(cols, clips, grp, i, dilation, r0, r1) -> np.ndarray:
     return window.reshape(*window.shape[:3], -1)
 
 
-def _per_tap(cols, wt, dilation, h_out, w_out, bias=None, out=None, tap=None,
+def _per_tap(cols, wt, dilation, h_out, w_out, bias=None, out=None,
              epilogue=None) -> Optional[np.ndarray]:
     """Convolve with tap weights wt (kh, groups, og, k), given the kw
     frequency taps of the padded input by row phase, (B, stride, C_in, kw,
     Hp/stride, W_out): (B, groups, og, h_out * w_out), into `out` if given.
-    `tap` is an optional flat byte buffer of at least out's size.
 
     Each time tap is one matmul on a window of rows, the groups a batch
-    axis.  A tile adds its taps in index order, then the bias.
+    axis.  A tile adds its taps in index order, then the bias; it makes its
+    tap products in a scratch slot of its lane (`pool.run`), so no buffer
+    the size of the output holds them.
 
-    With `epilogue`, there is no output: each tile is made, with its tap
-    products, in a scratch slot of its lane (`pool.run`), and handed on
-    while in cache to epilogue(tile, clips, channels, r0, r1), the tile
-    (clips, channels, (r1 - r0) * w_out) holding output rows r0..r1.
+    With `epilogue`, there is no output: each tile is made in the slot too,
+    and handed on while in cache to epilogue(tile, clips, channels, r0, r1),
+    the tile (clips, channels, (r1 - r0) * w_out) holding output rows r0..r1.
     """
     kh, groups, og, k = wt.shape
     b, stride, _, _, hs, _ = cols.shape
     cols = cols.reshape(b, stride, groups, k, hs, w_out)
     tiles = conv_tiles(b, groups, og, h_out, w_out)
-    scratch = ()
-    if epilogue is not None:
-        tile_bytes = cols.itemsize * og * w_out * max(
-            len(range(b)[c]) * len(range(groups)[g]) * (r1 - r0) for c, g, r0, r1 in tiles)
-        scratch = (tile_bytes,) * min(kh, 2)  # the tile, and its tap products
-    else:
-        if out is None:
-            out = np.empty((b, groups, og, h_out * w_out), dtype=cols.dtype)
-        if kh > 1:
-            tap = tile_pool.carve(tap, out.shape, out.dtype)
+    if out is None and epilogue is None:
+        out = np.empty((b, groups, og, h_out * w_out), dtype=cols.dtype)
+    tile_bytes = cols.itemsize * og * w_out * max(
+        len(range(b)[c]) * len(range(groups)[g]) * (r1 - r0) for c, g, r0, r1 in tiles)
+    # a lane's slot: the tile where there is an epilogue, then its tap products
+    scratch = (tile_bytes,) * ((epilogue is not None) + (kh > 1))
 
     def tile(t, *slot):
         clips, grp, r0, r1 = t
-        span = slice(r0 * w_out, r1 * w_out)
-        if not slot:
-            o = out[clips, grp, :, span]
-            p = None if kh == 1 else tap[clips, grp, :, span]
+        shape = (len(range(b)[clips]), len(range(groups)[grp]), og, (r1 - r0) * w_out)
+        if epilogue is None:
+            o = out[clips, grp, :, r0 * w_out : r1 * w_out]
         else:
-            shape = (len(range(b)[clips]), len(range(groups)[grp]), og, (r1 - r0) * w_out)
-            # p is unused where kh == 1
-            o, p = (tile_pool.carve(buf, shape, cols.dtype) for buf in (slot[0], slot[-1]))
+            o = tile_pool.carve(slot[0], shape, cols.dtype)
         np.matmul(wt[0, grp], _window(cols, clips, grp, 0, dilation, r0, r1), out=o)
         for i in range(1, kh):
-            o += np.matmul(wt[i, grp], _window(cols, clips, grp, i, dilation, r0, r1), out=p)
+            o += np.matmul(wt[i, grp], _window(cols, clips, grp, i, dilation, r0, r1),
+                           out=tile_pool.carve(slot[-1], shape, cols.dtype))
         if bias is not None:
             o += bias.reshape(groups, og, 1)[grp]
         if epilogue is not None:
@@ -589,7 +586,29 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
         )
     hp, wp, n_out = h + 2 * ph, w + 2 * pw, h_out * w_out
     hs = -(-hp // stride)  # rows per phase: the padded buffer has hs * stride rows
+    # the per-tap input gradient: g goes into a zero buffer at rows eh +
+    # o*stride, columns ew + v*stride, and the stride-1 conv of the buffer
+    # from row ph, column pw with the flipped weights is gx
+    eh, ew = dilation * (kh - 1), kw - 1
+    hb, wb = h + ph + max(eh, ph), w + pw + max(ew, pw)
+    # the VJP's buffers per clip, in floats: clip_bytes of taps, which set
+    # the chunk size, and the slot's two, clip_pad and clip_taps (see `chunk`)
     fold = groups == 1 and c_in == 1
+    if fold:
+        # one time tap (kt) whose K holds all kh*kw taps, over the output rows
+        # that each kernel row reads
+        kt, kf = 1, kh * kw
+        rows = [slice(i * dilation, i * dilation + stride * h_out, stride) for i in range(kh)]
+        clip_bytes = clip_taps = kh * kw * n_out
+        clip_pad = max(c_in * hs * stride * wp, c_out * kh * kw)
+    else:
+        # kh time taps over the padded rows of each phase mod stride
+        kt, kf = kh, kw
+        rows = [slice(p, None, stride) for p in range(stride)]
+        clip_bytes = kw * (c_in * hp * w_out + c_out * (hb - ph) * w)
+        clip_taps = max(stride * c_in * kw * hs * w_out, c_out * kw * (hb - ph) * w)
+        clip_pad = max(c_out * hb * wb, c_in * hs * stride * wp, c_out * cg * kh * kw)
+    wt = _tap_weights(w4.reshape(c_out, cg, kt, kf), groups)
     b_data = None if bias is None else bias.data
     epilogue = None
     if pooled is not None:
@@ -608,39 +627,15 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
         xp[:, :, ph : ph + h, pw : pw + w] = xs
         return xp
 
-    if fold:
-        w2 = w4.reshape(1, 1, c_out, kh * kw)
-        rows = [slice(i * dilation, i * dilation + stride * h_out, stride) for i in range(kh)]
+    def taps(xs, pad=None, buf=None):
+        cols = _tap_cols(padded(xs, pad), rows, kw, stride, w_out, buf)
+        return cols.reshape(len(xs), -1, c_in, kf, *cols.shape[-2:])
 
-        def taps(xs, pad=None, buf=None):
-            cols = _tap_cols(padded(xs, pad), rows, kw, stride, w_out, buf)
-            return cols.reshape(len(xs), 1, 1, kh * kw, h_out, w_out)
-
-        out = _per_tap(taps(x4), w2, 1, h_out, w_out, b_data, epilogue=epilogue)
-    else:
-        wt = _tap_weights(w4, groups)
-        phases = [slice(p, None, stride) for p in range(stride)]
-
-        def taps(xs, pad=None, buf=None):
-            return _tap_cols(padded(xs, pad), phases, kw, stride, w_out, buf)
-
-        out = _per_tap(taps(x4), wt, dilation, h_out, w_out, b_data, epilogue=epilogue)
+    out = _per_tap(taps(x4), wt, dilation, h_out, w_out, b_data, epilogue=epilogue)
     if pooled is not None:
         return Tensor(res.reshape(*x.shape[: x.ndim - 3], c_out, h_out, w_pooled))
     out = out.reshape((*x.shape[: x.ndim - spatial - 1], c_out, h_out, w_out)[: x.ndim])
 
-    # the input gradient of the per-tap regime: g goes into a zero buffer at
-    # rows eh + o*stride, columns ew + v*stride, and the stride-1 conv of the
-    # buffer from row ph, column pw with the flipped weights is gx
-    eh, ew = dilation * (kh - 1), kw - 1
-    hb, wb = h + ph + max(eh, ph), w + pw + max(ew, pw)
-    if fold:
-        clip_bytes = clip_taps = kh * kw * n_out
-        clip_pad = max(c_in * hs * stride * wp, c_out * kh * kw)
-    else:
-        clip_bytes = kw * (c_in * hp * w_out + c_out * (hb - ph) * w)
-        clip_taps = max(stride * c_in * kw * hs * w_out, c_out * kw * (hb - ph) * w)
-        clip_pad = max(c_out * hb * wb, c_in * h * w, c_in * hs * stride * wp, c_out * cg * kh * kw)
     # chunks of at most VJP_CHUNK_BYTES of buffers, and at least two of a
     # batch whose VJP leaves the caller's thread, so that a second worker has one
     step = min(b, max(1, VJP_CHUNK_BYTES // (clip_bytes * x4.itemsize)))
@@ -649,68 +644,60 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
 
     # A chunk of the VJP runs in a scratch slot of two byte buffers for up to
     # `step` clips: `buf` holds the gradient's taps and then the input's, and
-    # `pad` the zero-inserted gradient (the fold's col2im target), _per_tap's
-    # scratch, the zero-bordered input and at last the weight-gradient
-    # products, which the chunk returns for the caller to add in batch order.
-    # It writes its input gradient into gxs.
-    def fold_chunk(task, pad, buf):
-        xs, gs, gxs, w_in = task
+    # `pad` the zero-inserted gradient (the fold's col2im target), the
+    # zero-bordered input and at last the weight-gradient products, which
+    # the chunk returns for the caller to add in batch order.  It writes its
+    # input gradient into gxs.
+    def chunk(task, pad, buf):
+        xs, gs, gxs, w_flip = task
         n = len(xs)
-        # W^T g, then col2im clip by clip
-        gcols = _per_tap(gs.reshape(n, 1, c_out, 1, h_out, w_out), w_in, 1, h_out, w_out,
-                         out=tile_pool.carve(buf, (n, 1, kh * kw, n_out), xs.dtype))
-        gcols = gcols.reshape(n, kh * kw, h_out, w_out)
-        gxp = tile_pool.zeros(pad, (n, 1, hs * stride, wp), xs.dtype)
+        if fold:
+            # W^T g, then col2im clip by clip
+            gcols = _per_tap(gs.reshape(n, 1, c_out, 1, h_out, w_out), wt.swapaxes(-1, -2),
+                             1, h_out, w_out,
+                             out=tile_pool.carve(buf, (n, 1, kh * kw, n_out), xs.dtype))
+            gcols = gcols.reshape(n, kh * kw, h_out, w_out)
+            gxp = tile_pool.zeros(pad, (n, 1, hs * stride, wp), xs.dtype)
 
-        def col2im(c):
-            for a in range(kh):
-                for j in range(kw):
-                    gxp[c, 0, rows[a], j : j + stride * w_out : stride] += gcols[c, a * kw + j]
+            def col2im(c):
+                for a in range(kh):
+                    for j in range(kw):
+                        gxp[c, 0, rows[a], j : j + stride * w_out : stride] += gcols[c, a * kw + j]
 
-        tile_pool.run(col2im, tile_pool.split(n, 1, n * n_out), n * n_out)
-        gxs[...] = gxp[:, :, ph : ph + h, pw : pw + w]
+            tile_pool.run(col2im, tile_pool.split(n, 1, n * n_out), n * n_out)
+            gxs[...] = gxp[:, :, ph : ph + h, pw : pw + w]
+        else:
+            gb = tile_pool.zeros(pad, (n, c_out, hb, wb), xs.dtype)
+            gb[:, :, eh : eh + stride * h_out : stride, ew : ew + stride * w_out : stride] = (
+                gs.reshape(n, c_out, h_out, w_out)
+            )
+            cols = _tap_cols(gb[:, :, ph:, pw:], [slice(None)], kw, 1, w, buf)
+            _per_tap(cols, w_flip, dilation, h, w, out=gxs.reshape(n, groups, cg, h * w))
         cols = taps(xs, pad, buf)
-        return _weight_grad(cols, gs.reshape(n, 1, c_out, n_out), 1, 1, h_out, w_out, pad)
-
-    def per_tap_chunk(task, pad, buf):
-        xs, gs, gxs, w_in = task
-        n = len(xs)
-        gb = tile_pool.zeros(pad, (n, c_out, hb, wb), xs.dtype)
-        gb[:, :, eh : eh + stride * h_out : stride, ew : ew + stride * w_out : stride] = (
-            gs.reshape(n, c_out, h_out, w_out)
-        )
-        cols = _tap_cols(gb[:, :, ph:, pw:], [slice(None)], kw, 1, w, buf)
-        _per_tap(cols, w_in, dilation, h, w, out=gxs.reshape(n, groups, cg, h * w), tap=pad)
-        cols = taps(xs, pad, buf)
-        return _weight_grad(cols, gs.reshape(n, groups, og, n_out), kh, dilation, h_out, w_out, pad)
+        return _weight_grad(cols, gs.reshape(n, groups, og, n_out), kt, dilation, h_out, w_out, pad)
 
     def vjp(g):
         g3 = g.reshape(b, c_out, n_out)
         gx = np.empty(x4.shape, dtype=x4.dtype)
-        gw = np.zeros_like(w2 if fold else wt)
-        if fold:
-            w_in = w2.swapaxes(-1, -2)
-        else:
-            flipped = w4.reshape(groups, og, cg, kh, kw).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
-            w_in = _tap_weights(flipped.reshape(c_in, og, kh, kw), groups)
+        gw = np.zeros_like(wt)
+        # the per-tap input gradient's flipped, group-transposed kernel
+        # (c_out * kh * kw floats, unused, where the taps fold)
+        flipped = w4.reshape(groups, og, cg, kh, kw).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
+        w_flip = _tap_weights(flipped.reshape(c_in, og, kh, kw), groups)
 
         def add(prod):
             for gw_i, prods in zip(gw, prod):
                 for clip in prods:
                     gw_i += clip
 
-        tasks = [(x4[s : s + step], g3[s : s + step], gx[s : s + step], w_in)
+        tasks = [(x4[s : s + step], g3[s : s + step], gx[s : s + step], w_flip)
                  for s in range(0, b, step)]
         scratch = (step * clip_pad * x4.itemsize, step * clip_taps * x4.itemsize)
-        tile_pool.run(fold_chunk if fold else per_tap_chunk, tasks, b * n_out, scratch, add)
-        gx = gx.reshape(x.shape)
-        if fold:
-            gw = gw.reshape(weight.shape)
-        else:
-            gw = gw.reshape(kh, groups, og, cg, kw).transpose(1, 2, 3, 0, 4).reshape(weight.shape)
+        tile_pool.run(chunk, tasks, b * n_out, scratch, add)
+        gw = gw.reshape(kt, groups, og, cg, kf).transpose(1, 2, 3, 0, 4).reshape(weight.shape)
         if bias is None:
-            return gx, gw
-        return gx, gw, g3.sum(axis=(0, 2))
+            return gx.reshape(x.shape), gw
+        return gx.reshape(x.shape), gw, g3.sum(axis=(0, 2))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return apply_op(out, inputs, vjp)
@@ -801,21 +788,21 @@ def max_pool_freq(x: Tensor, pool: int) -> Tensor:
 # normalization
 # ---------------------------------------------------------------------------
 
-def _bn_reduce(g3, x3, centre, tiles) -> tuple:
-    """The batch-norm VJP's reductions over the (lead, C, rest) gradient g3
-    and input x3: per channel, the sum of g3 and its dot with x3 - centre,
-    and an array holding x3 - centre."""
-    lead, c, _ = x3.shape
-    xc = np.empty_like(x3)
-    sums, dots = np.empty((2, lead, c), dtype=x3.dtype)
+def _bn_reduce(g2, x2, centre, chan, tiles) -> tuple:
+    """The batch-norm VJP's reductions over the gradient g2 and input x2,
+    (lead * C, rest) rows of channels `chan`: per channel, the sum of g2 and
+    its dot with x2 - centre, and an array holding x2 - centre."""
+    xc = np.empty_like(x2)
+    sums, dots = np.empty((2, len(x2)), dtype=x2.dtype)
 
     def tile(t):
-        np.subtract(x3[t], centre[t[1], None], out=xc[t])
-        np.sum(g3[t], axis=-1, out=sums[t])
-        _row_dots(g3[t], xc[t], dots[t])
+        np.subtract(x2[t], centre[chan[t], None], out=xc[t])
+        np.sum(g2[t], axis=-1, out=sums[t])
+        _row_dots(g2[t], xc[t], dots[t])
 
-    tile_pool.run(tile, tiles, x3.size)
-    return sums.sum(axis=0), dots.sum(axis=0), xc
+    tile_pool.run(tile, tiles, x2.size)
+    c = len(centre)
+    return sums.reshape(-1, c).sum(axis=0), dots.reshape(-1, c).sum(axis=0), xc
 
 
 def _check_bn(c, gamma, beta, running_mean, running_var, eps) -> None:
@@ -863,24 +850,26 @@ def batch_norm(
     channel_axis %= x.ndim
     _check_bn(c, gamma, beta, running_mean, running_var, eps)
 
-    # (lead, C, rest): per-channel sums are contiguous row sums, and no tile
-    # splits a (clip, channel) row, so rows add in batch order, as in one pass
-    x3 = x.data.reshape(math.prod(x.shape[:channel_axis]), c, -1)
-    tiles = tile_pool.channel_tiles(*x3.shape, x3.itemsize)
-    out = np.empty_like(x3)
+    # (lead * C, rest) rows, row r of channel chan[r]: a per-channel sum adds
+    # row sums in batch order, and no tile splits a row
+    lead = math.prod(x.shape[:channel_axis])
+    x2 = x.data.reshape(lead * c, -1)
+    tiles = tile_pool.flat_tiles(len(x2), x2.shape[1] * x2.itemsize)
+    chan = np.tile(np.arange(c), lead)
+    out = np.empty_like(x2)
     if training:
         n = x.size // c
-        sums, dots = np.empty((2, x3.shape[0], c), dtype=x3.dtype)
-        tile_pool.run(lambda t: np.sum(x3[t], axis=-1, out=sums[t]), tiles, x3.size)
-        mean = sums.sum(axis=0) / n
+        sums, dots = np.empty((2, len(x2)), dtype=x2.dtype)
+        tile_pool.run(lambda t: np.sum(x2[t], axis=-1, out=sums[t]), tiles, x2.size)
+        mean = sums.reshape(lead, c).sum(axis=0) / n
 
         def centre(t):
-            np.subtract(x3[t], mean[t[1], None], out=out[t])
+            np.subtract(x2[t], mean[chan[t], None], out=out[t])
             _row_dots(out[t], out[t], dots[t])
 
         # each phase starts where the one before ended, on tiles still in cache
-        tile_pool.run(centre, tiles[::-1], x3.size)
-        var = dots.sum(axis=0) / n
+        tile_pool.run(centre, tiles[::-1], x2.size)
+        var = dots.reshape(lead, c).sum(axis=0) / n
         inv = 1.0 / np.sqrt(var + eps)
         scale_c, shift_c = gamma.data * inv, beta.data
         unbiased = var * (n / max(n - 1, 1))
@@ -889,32 +878,32 @@ def batch_norm(
     else:
         mean = running_mean
         inv, scale_c, shift_c = _bn_fold(gamma, beta, running_mean, running_var, eps)
-    src = out if training else x3  # training has centred x into out
-    tile_pool.run(lambda t: _affine(src[t], scale_c[t[1], None], shift_c[t[1], None], out[t]),
-                  tiles, x3.size)
+    src = out if training else x2  # training has centred x into out
+    tile_pool.run(lambda t: _affine(src[t], scale_c[chan[t], None], shift_c[chan[t], None], out[t]),
+                  tiles, x2.size)
 
     def vjp(g):
         # training: gx = inv*gamma*(g - sum(g)/n - xhat*sum(g*xhat)/n), from
         # two per-channel reductions over g and the recentred input, which
         # the tape does not keep; gx is computed in place over the latter
-        g3 = g.reshape(x3.shape)
-        gbeta, dot, gx = _bn_reduce(g3, x3, mean, tiles)
+        g2 = g.reshape(x2.shape)
+        gbeta, dot, gx = _bn_reduce(g2, x2, mean, chan, tiles)
         ggamma = dot * inv
         if training:
             shift_g, scale_xc = gbeta / n, inv * ggamma / n
 
             def combine(t, slot):
-                o = gx[t]
+                o, k = gx[t], chan[t]
                 s = tile_pool.carve(slot, o.shape, o.dtype)
-                np.subtract(g3[t], shift_g[t[1], None], out=s)
-                np.multiply(o, scale_xc[t[1], None], out=o)
+                np.subtract(g2[t], shift_g[k, None], out=s)
+                np.multiply(o, scale_xc[k, None], out=o)
                 np.subtract(s, o, out=o)
-                np.multiply(o, scale_c[t[1], None], out=o)
+                np.multiply(o, scale_c[k, None], out=o)
 
-            tile_pool.run(combine, tiles[::-1], x3.size, scratch=(max(gx[t].nbytes for t in tiles),))
+            tile_pool.run(combine, tiles[::-1], x2.size, scratch=(max(gx[t].nbytes for t in tiles),))
         else:
-            tile_pool.run(lambda t: np.multiply(g3[t], scale_c[t[1], None], out=gx[t]),
-                          tiles[::-1], x3.size)
+            tile_pool.run(lambda t: np.multiply(g2[t], scale_c[chan[t], None], out=gx[t]),
+                          tiles[::-1], x2.size)
         return gx.reshape(x.shape), ggamma, gbeta
 
     return apply_op(out.reshape(x.shape), (x, gamma, beta), vjp)

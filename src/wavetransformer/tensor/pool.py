@@ -11,23 +11,25 @@ Tiles.  How a pass splits into tasks follows from its shapes alone, never
 from the worker count, and every task keeps the accumulation order of the
 whole pass, so results are bit-reproducible run to run and do not depend on
 the worker count.  The generic rules are here: `blocks` and `split` cut a
-range into blocks of a fixed size, and `flat_tiles` and `channel_tiles` a
-pass into tiles of about TILE_BYTES, which fit one core's L2 cache with room
-for a second operand.
+range into blocks of a fixed size, and `flat_tiles` a pass into tiles of
+about TILE_BYTES, which fit one core's L2 cache with room for a second
+operand: of elements, or of whole rows, as batch norm's (clip, channel) rows.
 
 Scratch slots.  A job names its scratch memory as a tuple of byte sizes,
 and `run` allocates one slot of that many separate byte buffers per lane, in
 the caller's thread: buffers allocated inside the workers would grow peak
 memory with the worker count, and blocks of several MB fit the allocator's
-free blocks better apart than as one.  In a free-running job lane i keeps
-slot i for the whole job; in an in-order job (one with a `consume`) task k
-gets slot k % lanes, which task k - lanes has finished with.  `carve` views
-the front of a slot as an array of any dtype.
+free blocks better apart than as one.  A job started inside a pool task
+maps its slot afresh, as the worker's malloc arena would keep it.  In a
+free-running job lane i keeps slot i for the whole job; in an in-order job
+(one with a `consume`) task k gets slot k % lanes, which task k - lanes has
+finished with.  `carve` views the front of a slot as an array of any dtype.
 """
 from __future__ import annotations
 
 import collections
 import math
+import mmap
 import os
 import threading
 from typing import Optional
@@ -94,7 +96,7 @@ def run(fn, tasks, cols: int, scratch=(), consume=None) -> None:
     propagates only after every task in flight has finished, so none writes
     into the caller's buffers after the call returns."""
     lanes = _lanes(cols, len(tasks))
-    slots = [tuple(np.empty(size, dtype=np.uint8) for size in scratch) for _ in range(lanes)]
+    slots = [tuple(map(_buffer, scratch)) for _ in range(lanes)]
     if lanes == 1:
         for task in tasks:
             result = fn(task, *slots[0])
@@ -135,6 +137,14 @@ def run(fn, tasks, cols: int, scratch=(), consume=None) -> None:
             future.exception()  # waits; an error already propagating wins
 
 
+def _buffer(size: int) -> np.ndarray:
+    """A scratch buffer of `size` bytes; inside a pool task, a mapping of its
+    own, unmapped when the buffer goes."""
+    if getattr(_worker, "active", False):
+        return np.frombuffer(mmap.mmap(-1, max(size, 1)), dtype=np.uint8)[:size]
+    return np.empty(size, dtype=np.uint8)
+
+
 def blocks(n: int, size: int) -> list:
     """range(n) in slices of `size` (at least 1), the last also taking the
     remainder, so that no slice is shorter than `size` unless range(n) is:
@@ -154,20 +164,8 @@ def split(n: int, size: int, cols: int) -> list:
 def flat_tiles(n: int, unit_bytes: int) -> list:
     """range(n), of units of `unit_bytes`, in even slices of about
     TILE_BYTES (one slice if n is 0)."""
-    step = _even(n, TILE_BYTES // unit_bytes)
+    step = _even(n, TILE_BYTES // max(unit_bytes, 1))
     return [slice(k, k + step) for k in range(0, max(n, 1), step)]
-
-
-def channel_tiles(lead: int, c: int, rest: int, itemsize: int) -> list:
-    """(clips, channels) of each tile of a (lead, C, rest) array: blocks of
-    whole clips of about TILE_BYTES, or where a clip is larger, one clip's
-    blocks of whole channels; the blocks as even as TILE_BYTES allows."""
-    clip = c * rest * itemsize
-    if clip <= TILE_BYTES:
-        size = _even(lead, TILE_BYTES // max(clip, 1))
-        return [(slice(i, i + size), slice(None)) for i in range(0, max(lead, 1), size)]
-    size = _even(c, TILE_BYTES // (rest * itemsize))
-    return [(slice(i, i + 1), slice(k, k + size)) for i in range(lead) for k in range(0, c, size)]
 
 
 def _even(n: int, most: int) -> int:

@@ -31,9 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .audio import LOG_FLOOR
 from .decoder import DecoderConfig
 from .encoder import EncoderConfig
-from .errors import CheckpointError, TrainingError, UsageError
+from .errors import CheckpointError, DataError, TrainingError, UsageError
 from .model import CaptionModel
 from .tensor import (
     AdamState,
@@ -48,7 +49,7 @@ from .tensor import (
 from .tensor import ops
 from .text import Vocabulary
 
-LOG_PAD_VALUE = float(np.log(1e-10))  # feature padding = the log floor
+LOG_PAD_VALUE = float(np.log(LOG_FLOOR))  # feature padding = the log floor
 
 
 @dataclass
@@ -391,13 +392,22 @@ def train(
     the final epoch (the overfit/smoke path).  After every epoch, `log` is
     called with (epoch, train loss, validation loss or None, result), the
     result's best and final checkpoints as of that epoch.
+
+    Whenever the result's best_checkpoint is set, it is that of best_epoch.
+    A run resumed after its best epoch, which no later epoch beats, has no
+    checkpoint of that epoch: its best_checkpoint is None, and the caller
+    keeps the best checkpoint it already has.  Raises DataError when there
+    are no training items.
     """
+    if not train_items:
+        raise DataError("no training items: nothing to train on")
     optimizer = resume.restore_optimizer() if resume else AdamState()
     dropout_rng = RngState.from_state(resume.rng_state) if resume else RngState(derive_seed(cfg.seed, 0xD0))
     train_history = list(resume.train_history) if resume else []
     val_history = list(resume.val_history) if resume else []
     start_epoch = resume.epoch if resume else 0
-    result = TrainResult(best_epoch=0, epochs_run=start_epoch,
+    best_epoch = early_stopping(val_history, cfg.patience)[1] if val_history else start_epoch
+    result = TrainResult(best_epoch=best_epoch, epochs_run=start_epoch,
                          train_history=train_history, val_history=val_history)
 
     for epoch in range(start_epoch + 1, cfg.max_epochs + 1):
@@ -414,7 +424,7 @@ def train(
         result.final_checkpoint = Checkpoint.capture(
             model, optimizer, cfg, vocab, epoch, train_history, val_history, dropout_rng
         )
-        if not val_items or result.best_epoch == len(val_history):
+        if result.best_epoch == epoch:
             result.best_checkpoint = result.final_checkpoint
         if log:
             log(epoch, tr, vl, result)
@@ -424,6 +434,6 @@ def train(
         result.final_checkpoint = Checkpoint.capture(
             model, optimizer, cfg, vocab, result.epochs_run, train_history, val_history, dropout_rng
         )
-    if result.best_checkpoint is None:
-        result.best_checkpoint = result.final_checkpoint
+        if result.best_epoch == start_epoch:
+            result.best_checkpoint = result.final_checkpoint
     return result

@@ -295,6 +295,17 @@ class TestPipeline:
             assert ckpt.train_history == pytest.approx([float(rows[1][1])], abs=1e-6)
             ckpt.build_model()
 
+    def test_train_with_every_entry_in_validation_is_an_error(self, tmp_path, capsys):
+        audio_dir, caps, cfg = make_corpus_dir(tmp_path)
+        cfg.write_text(TINY_CONFIG.replace("val_size = 0", f"val_size = {len(CAPTIONS)}"))
+        feat_dir, run_dir = tmp_path / "features", tmp_path / "run"
+        assert main(["extract", "--audio-dir", str(audio_dir),
+                     "--out-dir", str(feat_dir), "--config", str(cfg)]) == 0
+        assert main(["train", "--features", str(feat_dir), "--captions", str(caps),
+                     "--out", str(run_dir), "--config", str(cfg)]) == 2
+        assert "no training items" in capsys.readouterr().err
+        assert not any(run_dir.glob("*.wtck")) and not (run_dir / "loss_log.csv").exists()
+
     def test_caption_verbose_prints_encode_and_decode_time(self, tmp_path, capsys):
         audio_dir, caps, cfg = make_corpus_dir(tmp_path)
         cfg.write_text(TINY_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))
@@ -548,6 +559,16 @@ class TestEvaluateFiles:
         preds = self.self_predictions(tmp_path, [bad_row])
         assert main(["evaluate", "--predictions", str(preds), "--references", str(caps)]) == 2
         assert f"{preds}:6: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_spice", [False, True])
+    def test_no_prediction_rows(self, tmp_path, capsys, with_spice):
+        _, caps, _ = make_corpus_dir(tmp_path)
+        preds = write_rows(tmp_path / "preds.csv", [["file_name", "caption_predicted"]])
+        spice = write_rows(tmp_path / "spice.csv", [["file_name", "spice"]])
+        args = ["evaluate", "--predictions", str(preds), "--references", str(caps)]
+        assert main(args + (["--spice-file", str(spice)] if with_spice else [])) == 2
+        captured = capsys.readouterr()
+        assert f"{preds}: no prediction rows" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("bad_row,message", [
         (["clip_d.wav"], "expected 2 columns, got 1"),

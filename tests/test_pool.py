@@ -37,17 +37,18 @@ def check_conv_rows(tiles, monkeypatch):
 
 
 def channels_and_flat(monkeypatch):
-    return [pool.channel_tiles(*s, 4) for s in CHANNEL_SHAPES] + [pool.flat_tiles(10**6, 4)]
+    """Batch norm's tiles of its (lead * C, rest) rows, then a flat pass's."""
+    return ([pool.flat_tiles(lead * c, rest * 4) for lead, c, rest in CHANNEL_SHAPES]
+            + [pool.flat_tiles(10**6, 4)])
 
 
 def check_channels_and_flat(tiles, monkeypatch):
     for (lead, c, rest), parts in zip(CHANNEL_SHAPES, tiles):
-        rows = [(i, k) for clips, chans in parts
-                for i in range(lead)[clips] for k in range(c)[chans]]
-        assert sorted(rows) == [(i, k) for i in range(lead) for k in range(c)]  # each row once
-        sizes = {len(range(lead)[clips]) * len(range(c)[chans]) * rest * 4 for clips, chans in parts}
+        rows = [r for t in parts for r in range(lead * c)[t]]
+        assert sorted(rows) == list(range(lead * c))  # each row once
+        sizes = {len(range(lead * c)[t]) * rest * 4 for t in parts}
         assert max(sizes) <= max(pool.TILE_BYTES, rest * 4)
-    assert tiles[3] == [(slice(0, 1), slice(k, k + 1)) for k in range(128)]  # a row a tile
+    assert tiles[3] == [slice(k, k + 1) for k in range(128)]  # a row a tile
 
 
 def stft_frames(monkeypatch):

@@ -161,6 +161,28 @@ class TestConv2d:
         assert len(tape) == 1 and out.shape == (1, 16, 64, 16)
         assert held <= 2 * x.data.nbytes, f"{held / x.data.nbytes:.2f}x the input"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("groups", [16, 1])
+    def test_forward_keeps_tap_products_in_lane_slots(self, groups, workers, monkeypatch):
+        # a kh=5 forward of one tile per clip: each tile's tap products are
+        # made in its lane's scratch slot, not in an array the size of the
+        # output, so beyond the tap buffer and the output it allocates no
+        # more than the zero-bordered input (about 1.3x the output here)
+        monkeypatch.setattr(pool, "WORKERS", workers)
+        rng = RngState(9)
+        x = Tensor(rng.uniform(-1, 1, (8, 16, 100, 16)).astype(np.float32))
+        w = Tensor(rng.uniform(-1, 1, (16, 16 // groups, 5, 5)).astype(np.float32))
+        assert len(ops.conv_tiles(8, groups, 16 // groups, 100, 16)) == 8
+        ops.conv2d(x, w, padding=2, groups=groups)  # starts the pool outside the trace
+        tracemalloc.start()
+        try:
+            out = ops.conv2d(x, w, padding=2, groups=groups)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        taps = 8 * 16 * 5 * 104 * 16 * 4  # B * C_in * kw * (H + 2*pad) * W_out floats
+        assert peak < taps + 1.5 * out.data.nbytes, f"{(peak - taps) / out.data.nbytes:.2f}x"
+
     def test_indivisible_groups_raise(self):
         with pytest.raises(DimensionError):
             ops.conv2d(Tensor(np.ones((3, 4, 4))), Tensor(np.ones((2, 1, 3, 3))), None, groups=2)
@@ -531,6 +553,11 @@ class TestLinear:
     def test_mismatch_raises(self):
         with pytest.raises(DimensionError):
             ops.linear(Tensor(np.ones(3)), Tensor(np.ones((2, 4))), None)
+
+    @pytest.mark.parametrize("tokens,bad", [([-1, 2], -1), ([[0, 5], [7, -2]], 5)])
+    def test_embedding_range_error_names_the_first_bad_index(self, tokens, bad):
+        with pytest.raises(UsageError, match=rf"out of range \[0, 5\): {bad}$"):
+            ops.embedding(np.array(tokens), Tensor(np.ones((3, 5))))
 
 
 class TestNorms:

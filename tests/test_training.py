@@ -462,6 +462,28 @@ class TestCheckpoint:
             assert n1 == n2
             np.testing.assert_array_equal(a1, a2)
 
+    def test_resumed_best_checkpoint_is_that_of_the_best_epoch(self):
+        vocab = tiny_vocab()
+        items = synth_items(vocab, n=4, seed=14)
+        half = train(tiny_model(seed=16, vocab_size=vocab.size), items[:3], items[3:],
+                     TrainConfig(batch_size=2, lr=1e-3, max_epochs=2, seed=15), vocab)
+
+        def resume(val_history, max_epochs):
+            ckpt = replace(half.final_checkpoint, val_history=val_history)
+            model, vocab_c = ckpt.build_model()
+            cfg = TrainConfig(batch_size=2, lr=1e-3, max_epochs=max_epochs, seed=15)
+            return train(model, items[:3], items[3:], cfg, vocab_c, resume=ckpt)
+
+        # the best epoch precedes the resume point and no later epoch beats
+        # it, whether later epochs run or not: no checkpoint of it to give
+        for max_epochs in (4, 2):
+            result = resume([0.0, 1.0], max_epochs)
+            assert (result.best_epoch, result.best_checkpoint) == (1, None)
+            assert result.final_checkpoint.epoch == max_epochs
+        # a later epoch beats the resumed history
+        result = resume([1e9, 2e9], 4)
+        assert result.best_epoch > 2 and result.best_checkpoint.epoch == result.best_epoch
+
 
 class TestFloat64Twin:
     # float32 error relative to the largest float64 magnitude, measured on
