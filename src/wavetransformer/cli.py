@@ -30,6 +30,7 @@ from .metrics import EvalPair, assemble_report  # noqa: E402
 from .model import CaptionModel  # noqa: E402
 from .tensor import RngState  # noqa: E402
 from .text import (  # noqa: E402
+    csv_rows,
     load_caption_csv,
     make_validation_split,
     tokenize,
@@ -82,25 +83,29 @@ def cmd_extract(args) -> int:
     return EXIT_WARNINGS if skipped else EXIT_OK
 
 
-def _load_items(feature_dir: Path, corpus, audio: AudioConfig) -> list:
-    items = []
+def _read_features(path: Path, source: str, expected: dict):
+    """The values of the WTF1 file at `path`, each field named in `expected`
+    ({name: value}) checked against the value that `source` gives."""
+    fm = read_wtf1(path)
+    found = {"mel band count": fm.num_bands, "sample rate": fm.sample_rate,
+             "hop": fm.frame_hop, "window length": fm.window_length}
+    for name, want in expected.items():
+        if found[name] != want:
+            raise DataError(f"{path}: {name} is {found[name]:g} but {source} {want:g}")
+    return fm.values
+
+
+def _load_items(feature_dir: Path, corpus, audio: AudioConfig) -> dict:
+    """{file_name: features} of every corpus entry."""
+    expected = {"mel band count": audio.n_mels, "sample rate": audio.sample_rate,
+                "hop": audio.hop, "window length": audio.window_length}
+    features = {}
     for entry in corpus.entries:
         path = feature_dir / (Path(entry.file_name).stem + ".wtf1")
         if not path.exists():
             raise DataError(f"no feature file for {entry.file_name}: expected {path}")
-        fm = read_wtf1(path)
-        for name, found, expected in (
-            ("mel band count", fm.num_bands, audio.n_mels),
-            ("sample rate", fm.sample_rate, audio.sample_rate),
-            ("hop", fm.frame_hop, audio.hop),
-            ("window length", fm.window_length, audio.window_length),
-        ):
-            if found != expected:
-                raise DataError(
-                    f"{path}: {name} is {found:g} but the [audio] config gives {expected:g}"
-                )
-        items.append((entry, fm))
-    return items
+        features[entry.file_name] = _read_features(path, "the [audio] config gives", expected)
+    return features
 
 
 def cmd_train(args) -> int:
@@ -115,7 +120,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     corpus = load_caption_csv(args.captions)
-    pairs = _load_items(feature_dir, corpus, cfg.audio)
+    features_by_name = _load_items(feature_dir, corpus, cfg.audio)
 
     vocab = build_vocab(corpus.all_token_lists())
     if cfg.val_size > 0:
@@ -128,15 +133,12 @@ def cmd_train(args) -> int:
     write_split_manifest(out_dir / "train_manifest.txt", train_corpus)
     write_split_manifest(out_dir / "val_manifest.txt", val_corpus)
 
-    features_by_name = {e.file_name: fm for (e, fm) in pairs}
-
     def to_items(split):
         out = []
         for entry in split.entries:
-            fm = features_by_name[entry.file_name]
             for words in entry.tokens:
                 out.append(TrainItem(
-                    entry.file_name, fm.values,
+                    entry.file_name, features_by_name[entry.file_name],
                     encode(words, vocab).indices,
                 ))
         return out
@@ -188,13 +190,9 @@ def cmd_caption(args) -> int:
     if not files:
         print(f"error: no .wtf1 files in {feature_dir}", file=sys.stderr)
         return EXIT_ERROR
-    named = []
-    for f in files:
-        fm = read_wtf1(f)
-        if fm.num_bands != model.enc_cfg.n_mels:
-            raise DataError(f"{f}: mel band count is {fm.num_bands} but the checkpoint's "
-                            f"model takes {model.enc_cfg.n_mels}")
-        named.append((f.stem + ".wav", fm.values))
+    named = [(f.stem + ".wav", _read_features(f, "the checkpoint's model takes",
+                                              {"mel band count": model.enc_cfg.n_mels}))
+             for f in files]
     manifest = caption_corpus(named, model, vocab, cfg.decode,
                               log=print if args.verbose else None)
     out = Path(args.out)
@@ -208,23 +206,16 @@ def cmd_caption(args) -> int:
 
 
 def _read_by_file(path, header: list[str], convert=str) -> dict:
-    """{file_name: convert(value)} from a two-column CSV under `header`; a
-    bad row (column count, repeated name, value) raises DataError at path:line."""
+    """{file_name: convert(value)} from the rows of a two-column CSV file
+    under `header`; a repeated name or a bad value raises DataError at its line."""
     out = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise DataError(f"{path}: expected header {','.join(header)}")
-        for row in filter(None, reader):
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 2:
-                raise DataError(f"{where}: expected 2 columns, got {len(row)}")
-            if row[0] in out:
-                raise DataError(f"{where}: repeated file name {row[0]!r}")
-            try:
-                out[row[0]] = convert(row[1])
-            except ValueError as exc:
-                raise DataError(f"{where}: {exc}") from None
+    for where, (name, value) in csv_rows(path, header):
+        if name in out:
+            raise DataError(f"{where}: repeated file name {name!r}")
+        try:
+            out[name] = convert(value)
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from None
     return out
 
 

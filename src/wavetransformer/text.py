@@ -163,26 +163,36 @@ class CaptionCorpus:
 CSV_HEADER = ["file_name", "caption_1", "caption_2", "caption_3", "caption_4", "caption_5"]
 
 
-def load_caption_csv(path) -> CaptionCorpus:
-    """Read `file_name,caption_1,...,caption_5` (UTF-8, RFC-4180 quoting).
-
-    Empty caption cells are dropped; an entry must keep at least one.
-    """
-    entries = []
+def csv_rows(path, header: list[str]):
+    """(`path:line`, row) of each non-blank row under exactly `header` in the
+    UTF-8, RFC-4180 CSV file at `path`, at the line on which the row ends.  A
+    bad header, width or row raises DataError there; non-UTF-8 bytes, naming the file."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise DataError(f"{path}: expected header {CSV_HEADER}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise DataError(f"{path}:{lineno}: expected {len(CSV_HEADER)} columns, got {len(row)}")
-            captions = [c for c in row[1:] if c.strip()]
-            if not captions:
-                raise DataError(f"{path}:{lineno}: entry {row[0]!r} has no captions")
-            entries.append(CaptionEntry(row[0], captions))
+        try:
+            first = next(reader, None)
+            if first != header:
+                raise DataError(f"{path}: expected header {header}, got {first}")
+            for row in filter(None, reader):
+                where = f"{path}:{reader.line_num}"
+                if len(row) != len(header):
+                    raise DataError(f"{where}: expected {len(header)} columns, got {len(row)}")
+                yield where, row
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def load_caption_csv(path) -> CaptionCorpus:
+    """`file_name,caption_1,...,caption_5` rows (`csv_rows`); empty caption
+    cells are dropped, and an entry must keep at least one."""
+    entries = []
+    for where, row in csv_rows(path, CSV_HEADER):
+        captions = [c for c in row[1:] if c.strip()]
+        if not captions:
+            raise DataError(f"{where}: entry {row[0]!r} has no captions")
+        entries.append(CaptionEntry(row[0], captions))
     return CaptionCorpus(entries)
 
 

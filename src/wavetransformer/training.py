@@ -38,6 +38,7 @@ from .errors import CheckpointError, DataError, TrainingError, UsageError
 from .model import CaptionModel
 from .tensor import (
     AdamState,
+    ParameterStore,
     RngState,
     Tape,
     Tensor,
@@ -67,6 +68,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.patience < 1 or self.clip_norm <= 0:
             raise UsageError("batch_size/patience must be >= 1 and clip_norm > 0")
+        # Adam divides by 1 - beta ** step, so a beta of 1 turns the parameters to NaN
+        for key, ok, rule in (
+            ("lr", self.lr > 0, "> 0"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+            ("eps", self.eps > 0, "> 0"),
+            ("max_epochs", self.max_epochs >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise UsageError(f"{key} must be {rule}, got {getattr(self, key)}")
 
 
 @dataclass
@@ -234,14 +245,28 @@ class Checkpoint:
         })
         return model, Vocabulary(list(self.vocab_words))
 
-    def restore_optimizer(self) -> AdamState:
+    def restore_optimizer(self, params: ParameterStore) -> AdamState:
+        """The saved Adam state of a model with `params`: two moments per
+        parameter, each of its parameter's shape, or no moments at all (a
+        checkpoint saved before the first step).  Raises CheckpointError
+        naming the first moment that is missing, unknown or of another shape.
+        """
         state = AdamState()
         state.step = self.step
-        for name, arr in self.arrays.items():
-            if name.startswith("adam.m."):
-                state.m[name[len("adam.m."):]] = arr.copy()
-            elif name.startswith("adam.v."):
-                state.v[name[len("adam.v."):]] = arr.copy()
+        stored = {n: a for n, a in self.arrays.items() if n.startswith("adam.")}
+        if not stored:
+            return state
+        shapes = {f"adam.{k}.{name}": t.shape for name, t in params.items() for k in "mv"}
+        for key in sorted(shapes.keys() | stored.keys()):
+            if key not in stored:
+                raise CheckpointError(f"checkpoint is missing Adam moment {key!r}")
+            if key not in shapes:
+                raise CheckpointError(f"checkpoint has unexpected Adam moment {key!r}")
+            if stored[key].shape != shapes[key]:
+                raise CheckpointError(f"shape mismatch for Adam moment {key!r}: model "
+                                      f"{shapes[key]} vs checkpoint {stored[key].shape}")
+            moments = state.m if key.startswith("adam.m.") else state.v
+            moments[key[len("adam.m."):]] = stored[key].copy()
         return state
 
 
@@ -302,12 +327,11 @@ def _write_wtck(fh, meta_bytes: bytes, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    # A first pass checks each record's declared size against the bytes
-    # left and skips its data, so nothing larger than the file is ever
-    # allocated.  A second pass reads every record straight into its slice
-    # of one block mapped from the OS: the weights are held once, leave no
-    # holes among the malloc heap's small allocations, and go back to the OS
-    # in one piece when the last array is dropped.
+    # One pass, front to back.  Each declared size is checked against the
+    # bytes left before anything is read for it, so nothing larger than the
+    # file is ever allocated.  Record data go into one block mapped from the
+    # OS at the first record, sized by the rest of the file: the weights are
+    # held once, leave no holes in the malloc heap, and go back in one piece.
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         pos = 0
@@ -336,28 +360,25 @@ def load_checkpoint(path) -> Checkpoint:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt metadata block: {exc}") from None
         (count,) = struct.unpack("<I", need(4, "record count"))
-        records = []  # (name, dims, file offset of the data)
+        arrays: dict[str, np.ndarray] = {}
+        block, start = None, 0
         for _ in range(count):
             (name_len,) = struct.unpack("<I", need(4, "record name length"))
             name = need(name_len, "record name").decode("utf-8")
             (ndim,) = struct.unpack("<I", need(4, "record rank"))
             dims = struct.unpack(f"<{ndim}I", need(4 * ndim, "record dims"))
-            records.append((name, dims, pos))
-            claim(4 * math.prod(dims), f"record {name!r} data")
-            fh.seek(pos)
-        if pos != size:
-            raise CheckpointError(f"{path}: {size - pos} trailing bytes after records")
-        total = sum(math.prod(dims) for _, dims, _ in records)
-        block = np.frombuffer(mmap.mmap(-1, max(4 * total, 1)), dtype="<f4", count=total)
-        arrays: dict[str, np.ndarray] = {}
-        start = 0
-        for name, dims, offset in records:
-            arr = block[start : start + math.prod(dims)]
-            fh.seek(offset)
+            n = math.prod(dims)
+            claim(4 * n, f"record {name!r} data")
+            if block is None:  # this record's data and the whole floats after it
+                rest = n + (size - pos) // 4
+                block = np.frombuffer(mmap.mmap(-1, max(4 * rest, 1)), dtype="<f4", count=rest)
+            arr = block[start : start + n]
             if fh.readinto(arr) != arr.nbytes:
                 raise CheckpointError(f"{path}: truncated while reading record {name!r} data")
             arrays[name] = arr.reshape(dims)
             start += arr.size
+        if pos != size:
+            raise CheckpointError(f"{path}: {size - pos} trailing bytes after records")
     _check_keys(meta, META_KEYS, f"{path}: metadata does not fit Checkpoint")
     meta["rng_state"] = tuple(meta["rng_state"])
     return Checkpoint(arrays=arrays, **meta)
@@ -396,17 +417,28 @@ def train(
     Whenever the result's best_checkpoint is set, it is that of best_epoch.
     A run resumed after its best epoch, which no later epoch beats, has no
     checkpoint of that epoch: its best_checkpoint is None, and the caller
-    keeps the best checkpoint it already has.  Raises DataError when there
-    are no training items.
+    keeps the best checkpoint it already has.  A resumed run numbers its
+    validation losses by epoch: the resumed history must hold one per epoch
+    so far, or none, when the run goes on with validation.  Raises
+    DataError when there are no training items or the resumed validation
+    history is neither.
     """
     if not train_items:
         raise DataError("no training items: nothing to train on")
-    optimizer = resume.restore_optimizer() if resume else AdamState()
+    optimizer = resume.restore_optimizer(model.params) if resume else AdamState()
     dropout_rng = RngState.from_state(resume.rng_state) if resume else RngState(derive_seed(cfg.seed, 0xD0))
     train_history = list(resume.train_history) if resume else []
     val_history = list(resume.val_history) if resume else []
     start_epoch = resume.epoch if resume else 0
-    best_epoch = early_stopping(val_history, cfg.patience)[1] if val_history else start_epoch
+    # val_history[i] is of epoch first_val + i.  A resumed history holds one
+    # entry per epoch, or none when the run so far had no validation; no
+    # other history can be numbered, so validation cannot go on from it
+    first_val = 1 if len(val_history) == start_epoch else start_epoch + 1
+    if val_items and val_history and first_val != 1:
+        raise DataError(f"cannot resume with validation from a validation history of "
+                        f"{len(val_history)} entries for {start_epoch} epochs")
+    best_epoch = (early_stopping(val_history, cfg.patience)[1]
+                  if val_history and first_val == 1 else start_epoch)
     result = TrainResult(best_epoch=best_epoch, epochs_run=start_epoch,
                          train_history=train_history, val_history=val_history)
 
@@ -417,7 +449,8 @@ def train(
         if val_items:
             vl = validation_loss(model, val_items, cfg, vocab.pad)
             val_history.append(vl)
-            stop, result.best_epoch = early_stopping(val_history, cfg.patience)
+            stop, best = early_stopping(val_history, cfg.patience)
+            result.best_epoch = first_val - 1 + best
         else:
             result.best_epoch = epoch
         result.epochs_run = epoch

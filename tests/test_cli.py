@@ -237,6 +237,19 @@ class TestConfigTable:
         with pytest.raises(ConfigError, match=r"\[train\] batch_size"):
             load_config(write_cfg(tmp_path, "[train]\nbatch_size = 0\n"))
 
+    @pytest.mark.parametrize("key,value,rule", [
+        ("lr", "0", "> 0"), ("lr", "-0.001", "> 0"), ("beta1", "1", "in [0, 1)"),
+        ("beta1", "-0.1", "in [0, 1)"), ("beta2", "1.0", "in [0, 1)"), ("eps", "0", "> 0"),
+        ("max_epochs", "-1", ">= 0"),
+    ])
+    def test_impossible_adam_settings_rejected(self, tmp_path, key, value, rule):
+        with pytest.raises(ConfigError, match=re.escape(f"[train] {key} must be {rule}")):
+            load_config(write_cfg(tmp_path, f"[train]\n{key} = {value}\n"))
+
+    def test_edge_adam_settings_accepted(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, "[train]\nbeta1 = 0\nbeta2 = 0\nmax_epochs = 0\n"))
+        assert (cfg.train.beta1, cfg.train.beta2, cfg.train.max_epochs) == (0.0, 0.0, 0)
+
     def test_unparsable_file_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="hop"):
             load_config(write_cfg(tmp_path, "[audio]\nhop = 1\nhop = 2\n"))
@@ -585,3 +598,37 @@ class TestEvaluateFiles:
         assert main(["evaluate", "--predictions", str(preds), "--references", str(caps),
                      "--spice-file", str(spice)]) == 2
         assert f"{spice}:5: {message}" in capsys.readouterr().err
+
+
+class TestCsvInputs:
+    """Every CSV input goes through one row reader: a malformed row exits 2
+    naming the file and line, and bytes that are not UTF-8 name the file."""
+
+    @pytest.mark.parametrize("flag", ["--captions", "--references", "--predictions",
+                                      "--spice-file"])
+    def test_oversized_field_exits_2_at_its_line(self, tmp_path, capsys, flag):
+        _, caps, cfg = make_corpus_dir(tmp_path)
+        preds = write_rows(tmp_path / "preds.csv",
+                           [["file_name", "caption_predicted"], *map(list, CAPTIONS)])
+        spice = write_rows(tmp_path / "spice.csv",
+                           [["file_name", "spice"], *[[name, "0.1"] for name, _ in CAPTIONS]])
+        bad = {"--captions": caps, "--references": caps, "--predictions": preds,
+               "--spice-file": spice}[flag]
+        with open(bad, "a", newline="") as fh:  # line 6, after the header and 4 rows
+            csv.writer(fh).writerow(["clip_e.wav", "x" * 200_000])
+        if flag == "--captions":
+            args = ["train", "--features", str(tmp_path / "features"), "--captions", str(caps),
+                    "--out", str(tmp_path / "run"), "--config", str(cfg)]
+        else:
+            args = ["evaluate", "--predictions", str(preds), "--references", str(caps),
+                    "--spice-file", str(spice)]
+        assert main(args) == 2
+        assert f"{bad}:6: field larger than field limit (131072)" in capsys.readouterr().err
+
+    def test_predictions_not_in_utf8_name_the_file(self, tmp_path, capsys):
+        _, caps, _ = make_corpus_dir(tmp_path)
+        preds = tmp_path / "preds.csv"
+        preds.write_bytes("file_name,caption_predicted\nclip_a.wav,a dog in a café\n"
+                          .encode("latin-1"))
+        assert main(["evaluate", "--predictions", str(preds), "--references", str(caps)]) == 2
+        assert f"error: {preds}: not UTF-8 text" in capsys.readouterr().err

@@ -1,4 +1,6 @@
 """Text pipeline: tokenizer, vocabulary, encoding, validation split."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from wavetransformer.text import (
     CaptionEntry,
     Vocabulary,
     build_vocab,
+    csv_rows,
     decode,
     eligible_for_validation,
     encode,
@@ -167,3 +170,26 @@ class TestCsv:
         )
         with pytest.raises(DataError, match="duplicate"):
             load_caption_csv(path)
+
+    def test_a_row_is_located_at_the_line_on_which_it_ends(self, tmp_path):
+        # row 2 holds a quoted two-line caption, so the short row is on line 4
+        path = tmp_path / "caps.csv"
+        path.write_text(
+            "file_name,caption_1,caption_2,caption_3,caption_4,caption_5\n"
+            'x.wav,"a dog\nbarks",,,,\ny.wav,a cat\n', encoding="utf-8"
+        )
+        with pytest.raises(DataError, match=re.escape(f"{path}:4: expected 6 columns, got 2")):
+            load_caption_csv(path)
+
+    def test_rows_skip_blank_lines_and_keep_their_line_numbers(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text('name,value\n\na,"one\ntwo"\n\nb,3\n', encoding="utf-8")
+        assert list(csv_rows(path, ["name", "value"])) == [
+            (f"{path}:4", ["a", "one\ntwo"]), (f"{path}:6", ["b", "3"]),
+        ]
+
+    def test_empty_file_has_no_header(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: expected header")):
+            list(csv_rows(path, ["name", "value"]))

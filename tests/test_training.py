@@ -16,7 +16,7 @@ import pytest
 import wavetransformer
 from wavetransformer.decoder import DecoderConfig
 from wavetransformer.encoder import EncoderConfig
-from wavetransformer.errors import CheckpointError, TrainingError, UsageError
+from wavetransformer.errors import CheckpointError, DataError, TrainingError, UsageError
 from wavetransformer.inference import DecodeConfig, decode
 from wavetransformer.model import CaptionModel
 from wavetransformer.tensor import (
@@ -483,6 +483,60 @@ class TestCheckpoint:
         # a later epoch beats the resumed history
         result = resume([1e9, 2e9], 4)
         assert result.best_epoch > 2 and result.best_checkpoint.epoch == result.best_epoch
+
+    def test_resumed_validation_is_numbered_by_epoch(self):
+        vocab = tiny_vocab()
+        items = synth_items(vocab, n=4, seed=14)
+        cfg = TrainConfig(batch_size=2, lr=1e-3, max_epochs=4, seed=15)
+        # two epochs without validation, then resumed with it to epoch 4
+        half = train(tiny_model(seed=16, vocab_size=vocab.size), items[:3], [],
+                     replace(cfg, max_epochs=2), vocab)
+        assert half.val_history == []
+        model, vocab_c = half.final_checkpoint.build_model()
+        result = train(model, items[:3], items[3:], cfg, vocab_c, resume=half.final_checkpoint)
+        assert len(result.val_history) == 2  # of epochs 3 and 4
+        best = 3 + int(np.argmin(result.val_history))
+        assert result.best_epoch == best and result.best_checkpoint.epoch == best
+        # a history of neither one entry per epoch nor none cannot be numbered
+        ckpt = replace(half.final_checkpoint, val_history=[0.5])
+        model, vocab_c = ckpt.build_model()
+        with pytest.raises(DataError, match="history of 1 entries for 2 epochs"):
+            train(model, items[:3], items[3:], cfg, vocab_c, resume=ckpt)
+        # without validation it goes on, numbering no validation loss
+        model, vocab_c = ckpt.build_model()
+        result = train(model, items[:3], [], cfg, vocab_c, resume=ckpt)
+        assert (result.best_epoch, result.best_checkpoint.epoch) == (4, 4)
+
+    @pytest.mark.parametrize("case", ["missing", "unexpected", "misshaped"])
+    def test_restored_optimizer_moments_fit_the_model(self, case):
+        model, _, _, _, result = self._trained(epochs=1)
+        ckpt = result.final_checkpoint
+        name = "decoder.cls.bias"
+        if case == "missing":
+            del ckpt.arrays[f"adam.m.{name}"]
+            message = f"checkpoint is missing Adam moment 'adam.m.{name}'"
+        elif case == "unexpected":
+            ckpt.arrays["adam.v.decoder.cls.scale"] = np.ones(3, dtype=np.float32)
+            message = "checkpoint has unexpected Adam moment 'adam.v.decoder.cls.scale'"
+        else:
+            ckpt.arrays[f"adam.v.{name}"] = ckpt.arrays[f"adam.v.{name}"][:-1]
+            message = (f"shape mismatch for Adam moment 'adam.v.{name}': "
+                       "model (11,) vs checkpoint (10,)")
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            ckpt.restore_optimizer(model.params)
+
+    def test_restored_optimizer_holds_every_moment_or_none(self):
+        model, _, _, _, result = self._trained(epochs=1)
+        ckpt = result.final_checkpoint
+        state = ckpt.restore_optimizer(model.params)
+        assert sorted(state.m) == sorted(state.v) == model.params.names()
+        for name in model.params.names():
+            np.testing.assert_array_equal(state.m[name], ckpt.arrays[f"adam.m.{name}"])
+            np.testing.assert_array_equal(state.v[name], ckpt.arrays[f"adam.v.{name}"])
+        bare = replace(ckpt, arrays={n: a for n, a in ckpt.arrays.items()
+                                     if not n.startswith("adam.")})
+        state = bare.restore_optimizer(model.params)
+        assert (state.m, state.v, state.step) == ({}, {}, ckpt.step)
 
 
 class TestFloat64Twin:
