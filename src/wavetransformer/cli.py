@@ -30,10 +30,10 @@ from .metrics import EvalPair, assemble_report  # noqa: E402
 from .model import CaptionModel  # noqa: E402
 from .tensor import RngState  # noqa: E402
 from .text import (  # noqa: E402
+    clean_words,
     csv_rows,
     load_caption_csv,
     make_validation_split,
-    tokenize,
     write_split_manifest,
 )
 from .training import (  # noqa: E402
@@ -236,7 +236,8 @@ def cmd_evaluate(args) -> int:
     for name in sorted(predictions):
         if name not in ref_by_name:
             raise DataError(f"no references for predicted file {name!r}")
-        cand = tokenize(predictions[name]) if predictions[name].strip() else []
+        # a prediction that cleans to no words scores as the empty caption
+        cand = clean_words(predictions[name])
         corpus.append(EvalPair(cand, ref_by_name[name].tokens))
     spice = None
     if args.spice_file:

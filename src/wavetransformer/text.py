@@ -25,9 +25,15 @@ def _strip_punct(text: str) -> str:
     return "".join(ch for ch in text if not unicodedata.category(ch).startswith("P"))
 
 
+def clean_words(raw: str) -> list[str]:
+    """Lowercase, punctuation-stripped, whitespace-split word list, which
+    may be empty."""
+    return _strip_punct(raw.lower()).split()
+
+
 def tokenize(raw: str) -> list[str]:
-    """Lowercase, punctuation-stripped, whitespace-split word list."""
-    words = _strip_punct(raw.lower()).split()
+    """The clean_words of a caption, which must have some."""
+    words = clean_words(raw)
     if not words:
         raise DataError(f"caption empty after cleaning: {raw!r}")
     return words
@@ -186,13 +192,16 @@ def csv_rows(path, header: list[str]):
 
 def load_caption_csv(path) -> CaptionCorpus:
     """`file_name,caption_1,...,caption_5` rows (`csv_rows`); empty caption
-    cells are dropped, and an entry must keep at least one."""
+    cells are dropped, and an entry must keep at least one, each with words."""
     entries = []
     for where, row in csv_rows(path, CSV_HEADER):
         captions = [c for c in row[1:] if c.strip()]
         if not captions:
             raise DataError(f"{where}: entry {row[0]!r} has no captions")
-        entries.append(CaptionEntry(row[0], captions))
+        try:
+            entries.append(CaptionEntry(row[0], captions))
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from None
     return CaptionCorpus(entries)
 
 

@@ -214,11 +214,15 @@ class Checkpoint:
     train_config: dict
     vocab_words: list[str]
     rng_state: tuple[int, int]
+    # the epoch of val_history[0]; a checkpoint saved without it has one
+    # entry per epoch or none
+    first_val_epoch: int | None = None
 
     @classmethod
     def capture(cls, model: CaptionModel, optimizer: AdamState, cfg: TrainConfig,
                 vocab: Vocabulary, epoch: int, train_history: list[float],
-                val_history: list[float], dropout_rng: RngState) -> "Checkpoint":
+                val_history: list[float], dropout_rng: RngState,
+                first_val_epoch: int | None = None) -> "Checkpoint":
         # deep copies: a captured checkpoint must not track later training
         arrays = {name: arr.copy() for name, arr in model.state_arrays().items()}
         for name in sorted(optimizer.m):
@@ -235,6 +239,7 @@ class Checkpoint:
             train_config=asdict(cfg),
             vocab_words=vocab.words(),
             rng_state=dropout_rng.state(),
+            first_val_epoch=first_val_epoch,
         )
 
     def build_model(self) -> tuple[CaptionModel, Vocabulary]:
@@ -379,6 +384,7 @@ def load_checkpoint(path) -> Checkpoint:
             start += arr.size
         if pos != size:
             raise CheckpointError(f"{path}: {size - pos} trailing bytes after records")
+    meta.setdefault("first_val_epoch", None)  # saved before it was recorded
     _check_keys(meta, META_KEYS, f"{path}: metadata does not fit Checkpoint")
     meta["rng_state"] = tuple(meta["rng_state"])
     return Checkpoint(arrays=arrays, **meta)
@@ -418,10 +424,12 @@ def train(
     A run resumed after its best epoch, which no later epoch beats, has no
     checkpoint of that epoch: its best_checkpoint is None, and the caller
     keeps the best checkpoint it already has.  A resumed run numbers its
-    validation losses by epoch: the resumed history must hold one per epoch
-    so far, or none, when the run goes on with validation.  Raises
-    DataError when there are no training items or the resumed validation
-    history is neither.
+    validation losses by epoch, from the checkpoint's first validated epoch
+    (or, where it records none, from epoch 1 for a history of one loss per
+    epoch and after the resume point for none): when the run goes on with
+    validation, the history must run to the resume point.  Raises DataError
+    when there are no training items or the resumed validation history
+    does not.
     """
     if not train_items:
         raise DataError("no training items: nothing to train on")
@@ -430,15 +438,19 @@ def train(
     train_history = list(resume.train_history) if resume else []
     val_history = list(resume.val_history) if resume else []
     start_epoch = resume.epoch if resume else 0
-    # val_history[i] is of epoch first_val + i.  A resumed history holds one
-    # entry per epoch, or none when the run so far had no validation; no
-    # other history can be numbered, so validation cannot go on from it
-    first_val = 1 if len(val_history) == start_epoch else start_epoch + 1
-    if val_items and val_history and first_val != 1:
+    # val_history[i] is of epoch first_val + i, where the history ends at
+    # the resume point (`numbered`); validation cannot go on from another,
+    # and no checkpoint records a first epoch for it
+    if resume is not None and resume.first_val_epoch is not None:
+        first_val = resume.first_val_epoch
+    else:
+        first_val = 1 if len(val_history) == start_epoch else start_epoch + 1
+    numbered = first_val + len(val_history) - 1 == start_epoch
+    if val_items and val_history and not numbered:
         raise DataError(f"cannot resume with validation from a validation history of "
                         f"{len(val_history)} entries for {start_epoch} epochs")
-    best_epoch = (early_stopping(val_history, cfg.patience)[1]
-                  if val_history and first_val == 1 else start_epoch)
+    best_epoch = (first_val - 1 + early_stopping(val_history, cfg.patience)[1]
+                  if val_history and numbered else start_epoch)
     result = TrainResult(best_epoch=best_epoch, epochs_run=start_epoch,
                          train_history=train_history, val_history=val_history)
 
@@ -455,7 +467,8 @@ def train(
             result.best_epoch = epoch
         result.epochs_run = epoch
         result.final_checkpoint = Checkpoint.capture(
-            model, optimizer, cfg, vocab, epoch, train_history, val_history, dropout_rng
+            model, optimizer, cfg, vocab, epoch, train_history, val_history, dropout_rng,
+            first_val if val_history and numbered else None,
         )
         if result.best_epoch == epoch:
             result.best_checkpoint = result.final_checkpoint
@@ -465,7 +478,8 @@ def train(
             break
     if result.final_checkpoint is None:  # no epoch ran
         result.final_checkpoint = Checkpoint.capture(
-            model, optimizer, cfg, vocab, result.epochs_run, train_history, val_history, dropout_rng
+            model, optimizer, cfg, vocab, result.epochs_run, train_history, val_history,
+            dropout_rng, first_val if val_history and numbered else None,
         )
         if result.best_epoch == start_epoch:
             result.best_checkpoint = result.final_checkpoint

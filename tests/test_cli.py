@@ -600,6 +600,28 @@ class TestEvaluateFiles:
         assert f"{spice}:5: {message}" in capsys.readouterr().err
 
 
+    def test_a_prediction_that_cleans_to_no_words_scores_as_the_empty_caption(self, tmp_path,
+                                                                             capsys):
+        _, caps, _ = make_corpus_dir(tmp_path)
+        with open(caps, "a", newline="") as fh:
+            csv.writer(fh).writerow(["clip_e.wav", "a cat", "", "", "", ""])
+        reports = []
+        for last in ("", "!!!"):
+            preds = self.self_predictions(tmp_path, [["clip_e.wav", last]])
+            assert main(["evaluate", "--predictions", str(preds), "--references", str(caps)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] and "bleu_1=" in reports[0]
+
+    def test_a_reference_that_cleans_to_no_words_names_its_line_and_clip(self, tmp_path, capsys):
+        _, caps, _ = make_corpus_dir(tmp_path)
+        with open(caps, "a", newline="") as fh:  # line 6, after the header and 4 rows
+            csv.writer(fh).writerow(["clip_e.wav", "a cat", "?!", "", "", ""])
+        preds = self.self_predictions(tmp_path)
+        assert main(["evaluate", "--predictions", str(preds), "--references", str(caps)]) == 2
+        err = capsys.readouterr().err
+        assert f"{caps}:6: clip_e.wav: caption empty after cleaning: '?!'" in err
+
+
 class TestCsvInputs:
     """Every CSV input goes through one row reader: a malformed row exits 2
     naming the file and line, and bytes that are not UTF-8 name the file."""

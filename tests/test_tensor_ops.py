@@ -164,15 +164,18 @@ class TestConv2d:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("groups", [16, 1])
     def test_forward_keeps_tap_products_in_lane_slots(self, groups, workers, monkeypatch):
-        # a kh=5 forward of one tile per clip: each tile's tap products are
-        # made in its lane's scratch slot, not in an array the size of the
-        # output, so beyond the tap buffer and the output it allocates no
-        # more than the zero-bordered input (about 1.3x the output here)
+        # a kh=5 forward: the dense conv runs one tile per clip, the
+        # depthwise one the row tiles of its bands.  A tile's taps and tap
+        # products are made in its lane's scratch slot, not in arrays the
+        # size of the input's taps or of the output, and no forward pads
+        # its input: beyond the output it allocates a clip's taps per lane
+        # and tap products of at most pool.TILE_BYTES
         monkeypatch.setattr(pool, "WORKERS", workers)
         rng = RngState(9)
         x = Tensor(rng.uniform(-1, 1, (8, 16, 100, 16)).astype(np.float32))
         w = Tensor(rng.uniform(-1, 1, (16, 16 // groups, 5, 5)).astype(np.float32))
-        assert len(ops.conv_tiles(8, groups, 16 // groups, 100, 16)) == 8
+        if groups == 1:
+            assert len(ops.conv_tiles(8, groups, 16 // groups, 100, 16)) == 8
         ops.conv2d(x, w, padding=2, groups=groups)  # starts the pool outside the trace
         tracemalloc.start()
         try:
@@ -180,12 +183,111 @@ class TestConv2d:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        taps = 8 * 16 * 5 * 104 * 16 * 4  # B * C_in * kw * (H + 2*pad) * W_out floats
-        assert peak < taps + 1.5 * out.data.nbytes, f"{(peak - taps) / out.data.nbytes:.2f}x"
+        clip_taps = 16 * 5 * 104 * 16 * 4  # C_in * kw * (H + 2*pad) * W_out floats
+        extra = peak - out.data.nbytes
+        assert extra < workers * clip_taps + pool.TILE_BYTES, f"{extra / clip_taps:.2f} clips' taps"
+
+    def test_a_long_dense_forward_makes_no_whole_tap_buffer(self, monkeypatch):
+        # one clip of four row tiles, in one lane: beyond its output the
+        # forward holds one tile's taps and tap products, under half the
+        # kw-times buffer of the zero-bordered input that it used to copy
+        monkeypatch.setattr(pool, "WORKERS", 1)
+        rng = RngState(10)
+        x = Tensor(rng.uniform(-1, 1, (1, 16, 1100, 16)).astype(np.float32))
+        w = Tensor(rng.uniform(-1, 1, (16, 16, 5, 5)).astype(np.float32))
+        assert len(ops.conv_tiles(1, 1, 16, 1100, 16)) == 4
+        tracemalloc.start()
+        try:
+            out = ops.conv2d(x, w, padding=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        taps = 16 * 5 * 1104 * 16 * 4  # C_in * kw * (H + 2*pad) * W_out floats
+        extra = peak - out.data.nbytes
+        assert extra < taps / 2, f"{extra / taps:.2f}x the kw-times buffer"
 
     def test_indivisible_groups_raise(self):
         with pytest.raises(DimensionError):
             ops.conv2d(Tensor(np.ones((3, 4, 4))), Tensor(np.ones((2, 1, 3, 3))), None, groups=2)
+
+
+class TestBandedDepthwise:
+    """A depthwise conv, one input and one output channel per group, runs
+    each time tap as one matmul per tile of rows: the input rows that the
+    tap reaches, unpadded, times banded weights that hold the frequency
+    taps and padding.  Its VJP runs the flipped kernel the same way."""
+
+    @pytest.mark.parametrize("stride,padding", [(1, 2), (2, 2), (1, 0), (2, 3)])
+    def test_matches_the_reference_and_its_adjoint(self, stride, padding):
+        with default_dtype(np.float64):
+            rng = RngState(60 + 4 * stride + padding)
+            x = randt(rng, 2, 3, 13, 7)
+            w = randt(rng, 3, 1, 5, 5)
+            b = randt(rng, 3)
+            with Tape() as tape:
+                out = ops.conv2d(x, w, b, stride=stride, padding=padding, groups=3)
+                g = rng.uniform(-1, 1, out.shape)
+                loss = ops.tensor_sum(ops.mul_const(out, g))
+            backward(loss, tape)
+
+        def conv(xs, ws, bs=None):
+            return np.stack([conv2d_reference(c, ws, bs, stride=stride, padding=padding, groups=3)
+                             for c in xs])
+
+        np.testing.assert_allclose(out.data, conv(x.data, w.data, b.data), rtol=1e-12, atol=1e-12)
+        # the conv less its bias is linear in x and in w, so <g, conv(e, w)>
+        # is <x.grad, e> for any e, and <g, conv(x, e)> is <w.grad, e>
+        for _ in range(2):
+            e_x, e_w = rng.uniform(-1, 1, x.shape), rng.uniform(-1, 1, w.shape)
+            assert np.vdot(g, conv(e_x, w.data)) == pytest.approx(np.vdot(x.grad, e_x), rel=1e-12)
+            assert np.vdot(g, conv(x.data, e_w)) == pytest.approx(np.vdot(w.grad, e_w), rel=1e-12)
+        np.testing.assert_allclose(b.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_a_long_clip_has_the_bits_of_a_short_one(self, stride):
+        # 2100 rows of 16 frequencies, 33,600 columns per channel: past
+        # 32,768 a whole-channel GEMV rounds differently from a short one,
+        # while a banded tap's rows do not depend on the clip's length
+        rng = RngState(61)
+        x = rng.uniform(-1, 1, (1, 4, 2100, 16)).astype(np.float32)
+        w = Tensor(rng.uniform(-1, 1, (4, 1, 5, 5)).astype(np.float32))
+        b = Tensor(rng.uniform(-1, 1, (4,)).astype(np.float32))
+        full = ops.conv2d(Tensor(x), w, b, stride=stride, padding=2, groups=4).data
+        crop = ops.conv2d(Tensor(x[:, :, 1000:1100]), w, b, stride=stride, padding=2, groups=4).data
+        # output row o reads input rows o*stride - 2 .. o*stride + 2
+        o0 = 1000 // stride
+        np.testing.assert_array_equal(full[:, :, o0 + 2 : o0 + 48], crop[:, :, 2:48])
+        # and the reference on rows 998..1102, whose output row k is row
+        # k + 998 / stride of the clip's
+        ref = conv2d_reference(x[0, :, 998:1102], w.data, b.data, stride=stride, padding=2, groups=4)
+        k0 = 2 // stride
+        np.testing.assert_allclose(full[0, :, o0 : o0 + 50], ref[:, k0 : k0 + 50], rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_bits_do_not_depend_on_the_row_tile_or_the_worker_count(self, stride, monkeypatch):
+        pooled = record_pooled_jobs(monkeypatch)
+        rng = RngState(62)
+        x, w, b = (Tensor(rng.uniform(-1, 1, s).astype(np.float32), requires_grad=True)
+                   for s in ((3, 8, 300, 16), (8, 1, 5, 5), (8,)))
+
+        def run():
+            for t in (x, w, b):
+                t.zero_grad()
+            with Tape() as tape:
+                out = ops.conv2d(x, w, b, stride=stride, padding=2, groups=8)
+                loss = ops.tensor_sum(ops.tanh(out))
+            backward(loss, tape)
+            return [a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)]
+
+        monkeypatch.setattr(pool, "WORKERS", 1)
+        whole = run()  # every clip in one tile, at the default tile size
+        # a row is 8 channels * 16 frequencies * 4 bytes: tiles of 8 rows, of 7
+        for tile_bytes in (8 * 512, 7 * 512):
+            monkeypatch.setattr(pool, "TILE_BYTES", tile_bytes)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(pool, "WORKERS", workers)
+                assert run() == whole
+        assert pooled  # the tiles ran on the pool
 
 
 class TestConvVjpChunks:
@@ -217,20 +319,21 @@ class TestConvVjpChunks:
         chunks = []
         tap_cols = ops._tap_cols
 
-        def spy(xp, *args):
-            chunks.append(len(xp))
-            return tap_cols(xp, *args)
+        def spy(xs, *args):
+            chunks.append(len(xs))
+            return tap_cols(xs, *args)
 
-        monkeypatch.setattr(ops, "_tap_cols", spy)
         with Tape() as tape:
             loss = ops.tensor_sum(ops.tanh(op(x, w, b, **options)))
+        # the chunks' calls only: a per-tap chunk builds the taps of its
+        # input and of its spread gradient; a depthwise chunk, whose input
+        # gradient runs on bands, and a single-channel chunk one buffer
+        monkeypatch.setattr(ops, "_tap_cols", spy)
         backward(loss, tape)
         monkeypatch.setattr(ops, "_tap_cols", tap_cols)
-        # the first call is the forward; a per-tap chunk builds the taps of
-        # its input and of its spread gradient, a single-channel chunk one buffer
-        per_chunk = 1 if case == "single_channel" else 2
-        sizes = chunks[1::per_chunk]
-        assert chunks[1:] == [n for n in sizes for _ in range(per_chunk)]
+        per_chunk = 1 if case in ("single_channel", "depthwise") else 2
+        sizes = chunks[::per_chunk]
+        assert chunks == [n for n in sizes for _ in range(per_chunk)]
         return (x.grad, w.grad, b.grad), sizes
 
     @pytest.mark.parametrize("clips", [1, 2])
@@ -333,9 +436,10 @@ class TestConvWorkers:
             sys.setswitchinterval(interval)
 
     def test_a_failing_chunk_raises_after_the_chunks_in_flight_stop(self, monkeypatch):
-        # the third tap copy (the forward makes the first) fails inside a
-        # pool task; backward raises that error, and only after the other
-        # chunks in flight have finished with the caller's buffers
+        # the second tap copy, made by a chunk (the forward makes none),
+        # fails inside a pool task; backward raises that error, and only
+        # after the other chunks in flight have finished with the caller's
+        # buffers
         monkeypatch.setattr(pool, "WORKERS", 2)
         monkeypatch.setattr(ops, "VJP_CHUNK_BYTES", 1)
         jobs = record_pooled_jobs(monkeypatch)
@@ -349,8 +453,8 @@ class TestConvWorkers:
                 calls.append(threading.current_thread().name)
                 n = len(calls)
             time.sleep(0.02)  # long enough for the other chunks to be in flight
-            if n == 3:
-                raise ChunkFault("third tap copy")
+            if n == 2:
+                raise ChunkFault("second tap copy")
             return tap_cols(*args, **kwargs)
 
         monkeypatch.setattr(ops, "_tap_cols", faulty)
@@ -360,13 +464,14 @@ class TestConvWorkers:
                 for shape in (x_shape, w_shape))
         with Tape() as tape:
             loss = ops.tensor_sum(op(x, w, **options))
-        with pytest.raises(ChunkFault, match="third tap copy"):
+        assert calls == []
+        with pytest.raises(ChunkFault, match="second tap copy"):
             backward(loss, tape)
         seen, running = len(calls), jobs.running
         time.sleep(0.1)  # a chunk still queued or running would copy taps meanwhile
         assert running == 0 and len(calls) == seen
-        assert calls[2].startswith("conv-tile") and jobs.chunks_on_pool >= 2
-        assert len(calls) < 1 + 2 * x_shape[0]  # the chunks after the fault never ran
+        assert calls[1].startswith("conv-tile") and jobs.chunks_on_pool >= 2
+        assert len(calls) < 2 * x_shape[0]  # the chunks after the fault never ran
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
     def test_vjp_chunks_in_flight_do_not_grow_peak_memory(self):

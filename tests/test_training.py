@@ -507,6 +507,32 @@ class TestCheckpoint:
         result = train(model, items[:3], [], cfg, vocab_c, resume=ckpt)
         assert (result.best_epoch, result.best_checkpoint.epoch) == (4, 4)
 
+    def test_validation_resumed_twice_keeps_its_epochs(self, tmp_path):
+        # two epochs without validation, resumed with it to epoch 4, then
+        # resumed again, from the saved checkpoint, to epoch 5
+        vocab = tiny_vocab()
+        items = synth_items(vocab, n=4, seed=14)
+        cfg = TrainConfig(batch_size=2, lr=1e-3, max_epochs=2, seed=15)
+        half = train(tiny_model(seed=16, vocab_size=vocab.size), items[:3], [], cfg, vocab)
+        model, vocab_c = half.final_checkpoint.build_model()
+        second = train(model, items[:3], items[3:], replace(cfg, max_epochs=4), vocab_c,
+                       resume=half.final_checkpoint)
+        path = tmp_path / "second.wtck"
+        save_checkpoint(path, second.final_checkpoint)
+        ckpt = load_checkpoint(path)
+        assert (ckpt.epoch, ckpt.first_val_epoch, len(ckpt.val_history)) == (4, 3, 2)
+        model, vocab_c = ckpt.build_model()
+        third = train(model, items[:3], items[3:], replace(cfg, max_epochs=5), vocab_c,
+                      resume=ckpt)
+        assert third.val_history[:2] == second.val_history and len(third.val_history) == 3
+        best = 3 + int(np.argmin(third.val_history))  # of epochs 3, 4 and 5
+        assert third.best_epoch == best
+        # the checkpoint of the best epoch: the run that made it gives it
+        best_ckpt = third.best_checkpoint if best == 5 else second.best_checkpoint
+        assert best_ckpt.epoch == best
+        assert third.best_checkpoint is None or third.best_checkpoint.epoch == 5
+        assert third.final_checkpoint.first_val_epoch == 3
+
     @pytest.mark.parametrize("case", ["missing", "unexpected", "misshaped"])
     def test_restored_optimizer_moments_fit_the_model(self, case):
         model, _, _, _, result = self._trained(epochs=1)
