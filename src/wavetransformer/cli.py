@@ -17,7 +17,7 @@ import argparse  # noqa: E402
 import csv  # noqa: E402
 import math  # noqa: E402
 import sys  # noqa: E402
-from dataclasses import replace  # noqa: E402
+from dataclasses import asdict, replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 from . import __version__  # noqa: E402
@@ -95,10 +95,15 @@ def _read_features(path: Path, source: str, expected: dict):
     return fm.values
 
 
+def _geometry(audio: AudioConfig) -> dict:
+    """The WTF1 fields that features made with `audio` have, by name."""
+    return {"mel band count": audio.n_mels, "sample rate": audio.sample_rate,
+            "hop": audio.hop, "window length": audio.window_length}
+
+
 def _load_items(feature_dir: Path, corpus, audio: AudioConfig) -> dict:
     """{file_name: features} of every corpus entry."""
-    expected = {"mel band count": audio.n_mels, "sample rate": audio.sample_rate,
-                "hop": audio.hop, "window length": audio.window_length}
+    expected = _geometry(audio)
     features = {}
     for entry in corpus.entries:
         path = feature_dir / (Path(entry.file_name).stem + ".wtf1")
@@ -152,6 +157,7 @@ def cmd_train(args) -> int:
           f"{model.params.count()} parameters, mode={cfg.encoder.mode}")
 
     log_rows = []
+    audio = asdict(cfg.audio)
 
     def save(result):
         with open(out_dir / "loss_log.csv", "w", encoding="utf-8", newline="") as fh:
@@ -159,8 +165,8 @@ def cmd_train(args) -> int:
             writer.writerow(["epoch", "train_loss", "val_loss"])
             for epoch, tr, vl in log_rows:
                 writer.writerow([epoch, f"{tr:.6f}", "" if vl is None else f"{vl:.6f}"])
-        save_checkpoint(out_dir / "best.wtck", result.best_checkpoint)
-        save_checkpoint(out_dir / "last.wtck", result.final_checkpoint)
+        for name, ckpt in (("best", result.best_checkpoint), ("last", result.final_checkpoint)):
+            save_checkpoint(out_dir / f"{name}.wtck", replace(ckpt, audio_config=audio))
 
     def log(epoch, tr, vl, result):
         log_rows.append((epoch, tr, vl))
@@ -190,8 +196,10 @@ def cmd_caption(args) -> int:
     if not files:
         print(f"error: no .wtf1 files in {feature_dir}", file=sys.stderr)
         return EXIT_ERROR
-    named = [(f.stem + ".wav", _read_features(f, "the checkpoint's model takes",
-                                              {"mel band count": model.enc_cfg.n_mels}))
+    # a checkpoint that does not record its features' geometry has its band count
+    audio = ckpt.audio()
+    expected = {"mel band count": model.enc_cfg.n_mels} if audio is None else _geometry(audio)
+    named = [(f.stem + ".wav", _read_features(f, "the checkpoint's model takes", expected))
              for f in files]
     manifest = caption_corpus(named, model, vocab, cfg.decode,
                               log=print if args.verbose else None)

@@ -1,0 +1,452 @@
+"""Convolutions: conv1d and conv2d, and the one kernel they share.
+
+`_conv_taps` runs both, a 1D input being a 2D one of width 1.  Each time tap
+is a batched matmul on a window of rows, and no conv pads its input: zero
+borders are written into the taps, or left out of the rows a tap reads.  A
+depthwise conv (one input and one output channel per group: the S-CNNs of
+the later TF blocks) multiplies the input rows each time tap reaches by
+banded weights that hold the frequency taps and padding (`_banded`).  Every
+other conv copies each output tile's taps into a scratch slot of its lane
+(`_dense`): kh time taps over the kw frequency taps, split by phase mod
+stride, or, for a single input channel (the fold: the first TF block), one
+time tap whose K holds all kh*kw taps.  `_taps` is the only tap copy.
+
+The input gradient is the same kernel run on g itself with the flipped,
+group-transposed kernel, padded by dilation*(kh-1) - pad rows and kw-1 - pad
+columns (a negative pad crops) and zero-inserted only where stride > 1;
+where the taps fold, it is the col2im of W^T g.  The tape keeps each conv's
+input, from which the VJP rebuilds the input's taps for the weight gradient
+a few clips at a time, in chunks that run on the pool of `pool`; the caller
+adds each chunk's weight-gradient products in batch order, as one pass would.
+"""
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from ..errors import DimensionError
+from . import pool
+from .core import Tensor, apply_op
+
+
+def conv1d_out_length(t: int, k: int, stride: int, padding: int, dilation: int) -> int:
+    return (t + 2 * padding - dilation * (k - 1) - 1) // stride + 1
+
+
+def conv1d(
+    x: Tensor,
+    weight: Tensor,
+    bias: Optional[Tensor] = None,
+    stride: int = 1,
+    padding: int = 0,
+    dilation: int = 1,
+) -> Tensor:
+    """Cross-correlation along the last axis; input (C, T) or (B, C, T)."""
+    return _conv_taps(1, x, weight, bias, stride, padding, dilation, 1)
+
+
+def conv2d(
+    x: Tensor,
+    weight: Tensor,
+    bias: Optional[Tensor] = None,
+    stride: int = 1,
+    padding: int = 0,
+    groups: int = 1,
+) -> Tensor:
+    """Grouped 2D cross-correlation; input (C, H, W) or (B, C, H, W).
+
+    groups == C_in with C_out == C_in is the depthwise case.
+    """
+    return _conv_taps(2, x, weight, bias, stride, padding, 1, groups)
+
+
+def conv2d_tiles(x: Tensor, weight: Tensor, bias: Optional[Tensor], padding: int,
+                 epilogue) -> None:
+    """The forward value of conv2d(x, weight, bias, padding=padding), handed
+    on tile by tile: each output tile is made, with its tap products, in its
+    lane's scratch slot and passed while in cache to epilogue(tile, clips,
+    r0, r1), the tile (clips, C_out, (r1 - r0) * W_out) holding output rows
+    r0..r1 of those clips.  A tile holds whole rows.  No output is made and
+    no tape records."""
+    _conv_taps(2, x, weight, bias, 1, padding, 1, 1, epilogue)
+
+
+# The conv VJP builds the input's taps a few clips at a time: as many clips
+# as fit this many bytes of them, and at least one.
+VJP_CHUNK_BYTES = 8 << 20
+
+# A conv's output tile is one clip's block of rows: a multiple of TILE_ROWS
+# rows and at least pool.TILE_COLS columns where the clip has them, so every
+# tile but a clip's last starts and ends on the BLAS kernels' column blocks,
+# as the whole GEMM's do.  A conv with one output channel per group is a GEMV
+# per group, whose bits depend on its column count, so it is tiled by whole
+# clips instead, every GEMV whole.  Every tile holds all groups.
+TILE_ROWS = 16
+
+
+def conv_tiles(b, groups, og, h_out, w_out) -> list:
+    """(clips, groups, first row, end row) of each output tile, the groups
+    always all of them; see TILE_ROWS."""
+    cols = b * h_out * w_out
+    rows = h_out
+    if og > 1 and cols >= pool.TILE_COLS:
+        # as many tiles as a clip has whole TILE_COLS, in whole TILE_ROWS, or one
+        per_clip = max(1, h_out * w_out // pool.TILE_COLS)
+        rows = h_out // per_clip // TILE_ROWS * TILE_ROWS or h_out
+    return [(c, slice(None), r.start, r.stop) for c in pool.split(b, 1, cols)
+            for r in pool.blocks(h_out, rows)]
+
+
+def _inside(first: int, step: int, n: int, size: int) -> tuple:
+    """(lo, hi), lo <= hi: first + k * step lies in range(size), for k in
+    range(n), just when lo <= k < hi."""
+    lo = min(n, max(0, -(first // step)))
+    return lo, max(lo, min(n, -((first - size) // step)))
+
+
+def _span(first: int, step: int, lo: int, hi: int) -> slice:
+    """first + k * step for lo <= k < hi, as a slice of an axis that holds them."""
+    return slice(first + lo * step, first + hi * step, step)
+
+
+def _taps(x, pads, offsets, kw, stride, w_out, r0, n, buf) -> np.ndarray:
+    """The taps of x (B, C, H, W) zero-padded by pads = (ph, pw), n rows of
+    them from row r0 at each padded row offset: (B, len(offsets), C, kw, n,
+    W_out), on the front of the flat byte buffer `buf` if given.  [:, a, :,
+    j, r, f] is padded column j + stride * f of padded row offsets[a] + (r0 +
+    r) * stride, zero outside x; a pad may be negative.  It runs in the
+    caller's lane."""
+    h, w = x.shape[-2:]
+    ph, pw = pads
+    cols = pool.carve(buf, (len(x), len(offsets), x.shape[1], kw, n, w_out), x.dtype)
+    for a, offset in enumerate(offsets):
+        first = offset + r0 * stride - ph  # x's row of tap row 0
+        lo, hi = _inside(first, stride, n, h)
+        dst = cols[:, a]
+        dst[..., :lo, :] = 0
+        dst[..., hi:, :] = 0
+        src = x[:, :, _span(first, stride, lo, hi)]
+        for j in range(kw):
+            f0, f1 = _inside(j - pw, stride, w_out, w)
+            tap = dst[:, :, j, lo:hi]
+            tap[..., :f0] = 0
+            tap[..., f1:] = 0
+            tap[..., f0:f1] = src[..., _span(j - pw, stride, f0, f1)]
+    return cols
+
+
+def _tap_weights(w4, groups) -> np.ndarray:
+    """(C_out, C_in/groups, kh, kw) -> (kh, groups, og, C_in/groups * kw): time tap i's weights."""
+    c_out, cg, kh, kw = w4.shape
+    og = c_out // groups
+    return np.ascontiguousarray(
+        w4.reshape(groups, og, cg, kh, kw).transpose(3, 0, 1, 2, 4)
+    ).reshape(kh, groups, og, cg * kw)
+
+
+def _bands(w4, w, w_out, stride, pw) -> np.ndarray:
+    """Depthwise weights w4 (C, 1, kh, kw) as bands (kh, C, W, W_out):
+    [i, c, q, f] = w4[c, 0, i, q + pw - stride * f] where that tap exists,
+    else 0, so that a row of width W times bands[i, c] is time tap i of
+    channel c along that row, its frequency padding included."""
+    c, _, kh, kw = w4.shape
+    bands = np.zeros((kh, c, w, w_out), dtype=w4.dtype)
+    f = np.arange(w_out)
+    for j in range(kw):
+        q = stride * f + j - pw
+        inside = (q >= 0) & (q < w)
+        bands[:, :, q[inside], f[inside]] = w4[:, 0, :, j].T[:, :, None]
+    return bands
+
+
+def _banded(x, bands, dilation, stride, ph, h_out, bias=None, out=None,
+            prod=None) -> np.ndarray:
+    """The depthwise conv of x (B, C, H, W) with `bands` (kh, C, W, W_out),
+    time padding ph: (B, C, h_out, W_out), into `out` if given.
+
+    Time tap i of output row o reads input row o * stride + i * dilation -
+    ph.  A tile is whole clips or a block of one clip's rows, of about
+    pool.TILE_BYTES of output; each time tap is one matmul on it, over the
+    rows whose input row lies inside x, so the input is never padded.  A
+    tile adds its taps in index order, then the bias, as `_dense` does, rows
+    that tap 0 does not reach starting from zero; it makes its tap products
+    in a scratch slot of its lane.  A conv of one tile runs in the caller's
+    lane: given `prod`, a byte buffer of the caller's, it makes its tap
+    products there instead.  In float32 the bits do not depend on the tile;
+    in float64 a matmul of one row, which numpy gives to GEMV, rounds unlike
+    a GEMM."""
+    b, c, h, _ = x.shape
+    kh, _, _, w_out = bands.shape
+    if out is None:
+        out = np.empty((b, c, h_out, w_out), dtype=x.dtype)
+    row_bytes = c * w_out * x.itemsize
+    tiles = [(clips, range(h_out)[rows])
+             for clips in pool.flat_tiles(b, h_out * row_bytes)
+             for rows in pool.flat_tiles(h_out, row_bytes)]
+    reach = [_inside(i * dilation - ph, stride, h_out, h) for i in range(kh)]
+
+    def tile(t, prod_buf):
+        clips, rows = t
+        o = out[clips, :, rows.start : rows.stop]
+        for i, (lo, hi) in enumerate(reach):
+            lo = min(max(lo, rows.start), rows.stop)
+            hi = max(min(hi, rows.stop), lo)
+            src = x[clips, :, _span(i * dilation - ph, stride, lo, hi)]
+            part = o[:, :, lo - rows.start : hi - rows.start]
+            if i == 0:
+                o[:, :, : lo - rows.start] = 0
+                o[:, :, hi - rows.start :] = 0
+                np.matmul(src, bands[0], out=part)
+            else:
+                part += np.matmul(src, bands[i], out=pool.carve(prod_buf, part.shape, x.dtype))
+        if bias is not None:
+            o += bias[:, None, None]
+
+    if prod is not None and len(tiles) == 1:
+        tile(tiles[0], prod)
+    else:
+        slot = row_bytes * max(len(range(b)[clips]) * len(rows) for clips, rows in tiles)
+        pool.run(tile, tiles, b * h_out * w_out, (slot,))
+    return out
+
+
+def _window(cols, i, dilation, rows) -> np.ndarray:
+    """Time tap i's view of the first `rows` output rows in cols (n, stride,
+    groups, k, H', W_out): (n, groups, k, rows * W_out).  Output row o reads
+    padded row i*dilation + o*stride, which is row (i*dilation)//stride + o
+    of phase (i*dilation) % stride."""
+    q, a = divmod(i * dilation, cols.shape[1])
+    window = cols[:, a, :, :, q : q + rows]
+    return window.reshape(*window.shape[:3], -1)
+
+
+def _dense(x, wt, pads, offsets, kw, stride, dilation, h_out, w_out, bias=None, out=None,
+           epilogue=None, slot=None) -> Optional[np.ndarray]:
+    """Convolve x (B, C, H, W), zero-padded by pads, with tap weights wt
+    (kt, groups, og, k): (B, groups, og, h_out * w_out), into `out` if given.
+
+    A tile's taps are those `_taps` makes at the padded row offsets, over its
+    rows and the dilation*(kt-1)/len(offsets) after them: the phases mod
+    stride, which the kt time taps read, or the fold's kernel rows, which one
+    time tap reads.  Each time tap is one matmul on a window of rows, the
+    groups a batch axis.  A tile adds its taps in index order, then the bias;
+    it copies its taps and makes its tap products in a scratch slot of its
+    lane (`pool.run`).  A conv of one tile runs in the caller's lane: given
+    `slot`, byte buffers (taps, products) of the caller's large enough for
+    them, it makes them there instead, every tap copied before the first
+    product.
+
+    With `epilogue`, there is no output: each tile is made in the slot too,
+    and handed on while in cache to epilogue(tile, clips, r0, r1), the tile
+    (clips, C_out, (r1 - r0) * w_out) holding output rows r0..r1.
+    """
+    kt, groups, og, k = wt.shape
+    b = len(x)
+    extra = dilation * (kt - 1) // len(offsets)
+    tiles = conv_tiles(b, groups, og, h_out, w_out)
+    if out is None and epilogue is None:
+        out = np.empty((b, groups, og, h_out * w_out), dtype=x.dtype)
+
+    def tile(t, tap_buf, prod_buf, tile_buf=None):
+        clips, _, r0, r1 = t
+        cols = _taps(x[clips], pads, offsets, kw, stride, w_out, r0, r1 - r0 + extra, tap_buf)
+        cols = cols.reshape(len(cols), -1, groups, k, *cols.shape[-2:])
+        shape = (len(cols), groups, og, (r1 - r0) * w_out)
+        if epilogue is None:
+            o = out[clips, :, :, r0 * w_out : r1 * w_out]
+        else:
+            o = pool.carve(tile_buf, shape, x.dtype)
+        np.matmul(wt[0], _window(cols, 0, dilation, r1 - r0), out=o)
+        for i in range(1, kt):
+            o += np.matmul(wt[i], _window(cols, i, dilation, r1 - r0),
+                           out=pool.carve(prod_buf, shape, x.dtype))
+        if bias is not None:
+            o += bias.reshape(groups, og, 1)
+        if epilogue is not None:
+            epilogue(o.reshape(len(o), -1, o.shape[-1]), clips, r0, r1)
+
+    clip_rows = [(len(range(b)[c]), r1 - r0) for c, _, r0, r1 in tiles]
+    tile_bytes = x.itemsize * groups * og * w_out * max(n * rows for n, rows in clip_rows)
+    tap_bytes = x.itemsize * len(offsets) * x.shape[1] * kw * w_out * max(
+        n * (rows + extra) for n, rows in clip_rows)
+    # a lane's slot: its taps, its tap products, and the tile where there is an epilogue
+    scratch = (tap_bytes, tile_bytes * (kt > 1), tile_bytes * (epilogue is not None))
+    if (slot is not None and len(tiles) == 1
+            and all(buf.nbytes >= size for buf, size in zip(slot, scratch))):
+        tile(tiles[0], *slot)
+    else:
+        pool.run(tile, tiles, b * h_out * w_out, scratch)
+    return out
+
+
+def _weight_grad(cols, g4, kh, dilation, h_out, w_out, prod=None) -> np.ndarray:
+    """The weight gradient of output gradient g4 (n, groups, og, h_out *
+    w_out) over a chunk's taps `cols` (n, phases, groups, k, H', W_out), per
+    time tap and clip: (kh, n, groups, og, k), on the front of the flat byte
+    buffer `prod` if given.  The products run per (tap, clip) on the pool;
+    the caller adds them clip by clip in batch order, the order of a sum
+    over the batch axis."""
+    n, groups, og, _ = g4.shape
+    prod = pool.carve(prod, (kh, n, groups, og, cols.shape[3]), g4.dtype)
+
+    def product(task):
+        i, clips = task
+        window = _window(cols[clips], i, dilation, h_out)
+        np.matmul(g4[clips], window.swapaxes(-1, -2), out=prod[i, clips])
+
+    n_out = h_out * w_out
+    clips = pool.split(n, 1, n * n_out)
+    pool.run(product, [(i, c) for i in range(kh) for c in clips], n * n_out)
+    return prod
+
+
+def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
+               epilogue=None) -> Optional[Tensor]:
+    """The one convolution kernel, for 1D (weight (C_out, C_in, k)) and 2D
+    (weight (C_out, C_in/groups, kh, kw)); a 1D input is a 2D one of width 1.
+
+    The weight's shape picks the layout (see the module docstring).  The
+    tape keeps the input, not its taps: the VJP rebuilds them over chunks of
+    clips of about `VJP_CHUNK_BYTES`.  With `epilogue`, for a conv that is
+    not depthwise, there is no output (`conv2d_tiles`).
+    """
+    name = f"conv{spatial}d"
+    if x.ndim not in (spatial + 1, spatial + 2) or weight.ndim != spatial + 2:
+        raise DimensionError(f"{name}: bad input {x.shape} or weight {weight.shape} rank")
+    x4 = x.data.reshape(-1, *x.shape[x.ndim - spatial - 1 :], *[1] * (2 - spatial))
+    w4 = weight.data.reshape(*weight.shape, *[1] * (2 - spatial))
+    b, c_in, h, w = x4.shape
+    c_out, cg, kh, kw = w4.shape
+    if c_in % groups or c_out % groups or cg != c_in // groups:
+        raise DimensionError(
+            f"{name}: input {c_in} channels, weight {weight.shape}, groups={groups}"
+        )
+    og = c_out // groups
+    ph, pw = (padding, padding if spatial == 2 else 0)
+    h_out = conv1d_out_length(h, kh, stride, ph, dilation)
+    w_out = conv1d_out_length(w, kw, stride, pw, 1)
+    if h_out < 1 or w_out < 1:
+        raise DimensionError(
+            f"{name}: empty output for input {x.shape}, kernel {weight.shape}, "
+            f"stride={stride}, pad={padding}, dilation={dilation}"
+        )
+    n_out = h_out * w_out
+    # the input gradient's pads, and the rows and columns of g zero-inserted
+    # for stride > 1
+    eh, ew = dilation * (kh - 1), kw - 1
+    hg, wg = stride * (h_out - 1) + 1, stride * (w_out - 1) + 1
+    fold = groups == 1 and c_in == 1
+    depthwise = groups > 1 and cg == og == 1
+    if fold:
+        # one time tap (kt) whose K holds all kh*kw taps, at each kernel row's offset
+        kt, kf, offsets = 1, kh * kw, [i * dilation for i in range(kh)]
+    else:
+        # kh time taps over the padded rows of each phase mod stride
+        kt, kf, offsets = kh, kw, range(stride)
+    extra = dilation * (kt - 1) // len(offsets)
+    wt = _tap_weights(w4.reshape(c_out, cg, kt, kf), groups)
+    b_data = None if bias is None else bias.data
+    if depthwise:
+        out = _banded(x4, _bands(w4, w, w_out, stride, pw), dilation, stride, ph, h_out, b_data)
+    else:
+        out = _dense(x4, wt, (ph, pw), offsets, kw, stride, dilation, h_out, w_out, b_data,
+                     epilogue=epilogue)
+    if epilogue is not None:
+        return None
+    out = out.reshape((*x.shape[: x.ndim - spatial - 1], c_out, h_out, w_out)[: x.ndim])
+
+    # A chunk of up to `step` clips runs in a scratch slot of two byte
+    # buffers, in floats per clip: `buf`, of the input's taps (`clip_taps`,
+    # which set the chunk size), and `pad`.  The fold's chunk makes W^T g in
+    # buf and adds it up in pad (col2im).  Any other chunk zero-inserts g in
+    # pad where stride > 1 and runs its input-gradient conv; where that is
+    # one tile, a depthwise one makes its products in buf, and a dense one
+    # copies its taps into buf and makes its products in pad, the
+    # zero-inserted g being copied by then.  The input's taps then go into
+    # buf and the weight-gradient products into pad, which the chunk returns
+    # for the caller to add in batch order.
+    clip_taps = len(offsets) * c_in * kw * (h_out + extra) * w_out
+    step = min(b, max(1, VJP_CHUNK_BYTES // (clip_taps * x4.itemsize)))
+    if b * n_out >= pool.TILE_COLS:
+        # at least two chunks of a batch whose VJP leaves the caller's
+        # thread, so that a second worker has one
+        step = min(step, -(-b // 2))
+    clip_pad, clip_buf = c_out * cg * kh * kw, clip_taps
+    if fold:
+        clip_pad = max(clip_pad, (h + 2 * ph) * (w + 2 * pw))
+    else:
+        clip_pad = max(clip_pad, c_out * hg * wg * (stride > 1))
+        if depthwise:
+            clip_buf = max(clip_buf, c_in * h * w)
+        elif len(conv_tiles(step, groups, cg, h, w)) == 1:
+            clip_pad = max(clip_pad, c_in * h * w)
+            clip_buf = max(clip_buf, c_out * kw * (h + eh) * w)
+
+    def chunk(task, pad, buf):
+        xs, gs, gxs, w_flip = task
+        n = len(xs)
+        if fold:
+            # W^T g, tile by tile, then col2im clip by clip
+            gcols = pool.carve(buf, (n, 1, kf, n_out), xs.dtype)
+            wt_t = wt.swapaxes(-1, -2)[0]
+
+            def product(t):
+                clips, _, r0, r1 = t
+                part = slice(r0 * w_out, r1 * w_out)
+                np.matmul(wt_t, gs[clips, None, :, part], out=gcols[clips, :, :, part])
+
+            pool.run(product, conv_tiles(n, 1, kf, h_out, w_out), n * n_out)
+            gcols = gcols.reshape(n, kf, h_out, w_out)
+            gxp = pool.zeros(pad, (n, 1, h + 2 * ph, w + 2 * pw), xs.dtype)
+
+            def col2im(c):
+                for a, r in enumerate(offsets):
+                    for j in range(kw):
+                        gxp[c, 0, r : r + stride * h_out : stride, j : j + stride * w_out : stride] += (
+                            gcols[c, a * kw + j])
+
+            pool.run(col2im, pool.split(n, 1, n * n_out), n * n_out)
+            gxs[...] = gxp[:, :, ph : ph + h, pw : pw + w]
+        else:
+            g4 = gs.reshape(n, c_out, h_out, w_out)
+            if stride > 1:
+                g4 = pool.zeros(pad, (n, c_out, hg, wg), xs.dtype)
+                g4[:, :, ::stride, ::stride] = gs.reshape(n, c_out, h_out, w_out)
+            if depthwise:
+                _banded(g4, w_flip, dilation, 1, eh - ph, h, out=gxs, prod=buf)
+            else:
+                _dense(g4, w_flip, (eh - ph, ew - pw), [0], kw, 1, dilation, h, w,
+                       out=gxs.reshape(n, groups, cg, h * w), slot=(buf, pad))
+        cols = _taps(xs, (ph, pw), offsets, kw, stride, w_out, 0, h_out + extra, buf)
+        return _weight_grad(cols.reshape(n, -1, groups, cg * kf, *cols.shape[-2:]),
+                            gs.reshape(n, groups, og, n_out), kt, dilation, h_out, w_out, pad)
+
+    def vjp(g):
+        g3 = g.reshape(b, c_out, n_out)
+        gx = np.empty(x4.shape, dtype=x4.dtype)
+        gw = np.zeros_like(wt)
+        # the input gradient's flipped, group-transposed kernel, as bands
+        # where the conv is depthwise (unused where the taps fold)
+        flipped = w4.reshape(groups, og, cg, kh, kw).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
+        if depthwise:
+            w_flip = _bands(flipped.reshape(c_in, 1, kh, kw), wg, w, 1, ew - pw)
+        else:
+            w_flip = _tap_weights(flipped.reshape(c_in, og, kh, kw), groups)
+
+        def add(prod):
+            for gw_i, prods in zip(gw, prod):
+                for clip in prods:
+                    gw_i += clip
+
+        tasks = [(x4[s : s + step], g3[s : s + step], gx[s : s + step], w_flip)
+                 for s in range(0, b, step)]
+        scratch = (step * clip_pad * x4.itemsize, step * clip_buf * x4.itemsize)
+        pool.run(chunk, tasks, b * n_out, scratch, add)
+        gw = gw.reshape(kt, groups, og, cg, kf).transpose(1, 2, 3, 0, 4).reshape(weight.shape)
+        if bias is None:
+            return gx.reshape(x.shape), gw
+        return gx.reshape(x.shape), gw, g3.sum(axis=(0, 2))
+
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return apply_op(out, inputs, vjp)

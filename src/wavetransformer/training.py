@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import LOG_FLOOR
+from .audio import LOG_FLOOR, AudioConfig
 from .decoder import DecoderConfig
 from .encoder import EncoderConfig
 from .errors import CheckpointError, DataError, TrainingError, UsageError
@@ -217,6 +217,9 @@ class Checkpoint:
     # the epoch of val_history[0]; a checkpoint saved without it has one
     # entry per epoch or none
     first_val_epoch: int | None = None
+    # the [audio] config of the features the model was trained on, where
+    # recorded (`train` records it)
+    audio_config: dict | None = None
 
     @classmethod
     def capture(cls, model: CaptionModel, optimizer: AdamState, cfg: TrainConfig,
@@ -249,6 +252,13 @@ class Checkpoint:
             n: a for n, a in self.arrays.items() if not n.startswith("adam.")
         })
         return model, Vocabulary(list(self.vocab_words))
+
+    def audio(self) -> AudioConfig | None:
+        """The [audio] config of the model's training features, or None for a
+        checkpoint that does not record it."""
+        if self.audio_config is None:
+            return None
+        return _stored_config(AudioConfig, self.audio_config, "audio_config")
 
     def restore_optimizer(self, params: ParameterStore) -> AdamState:
         """The saved Adam state of a model with `params`: two moments per
@@ -384,7 +394,8 @@ def load_checkpoint(path) -> Checkpoint:
             start += arr.size
         if pos != size:
             raise CheckpointError(f"{path}: {size - pos} trailing bytes after records")
-    meta.setdefault("first_val_epoch", None)  # saved before it was recorded
+    for key in ("first_val_epoch", "audio_config"):
+        meta.setdefault(key, None)  # saved before it was recorded
     _check_keys(meta, META_KEYS, f"{path}: metadata does not fit Checkpoint")
     meta["rng_state"] = tuple(meta["rng_state"])
     return Checkpoint(arrays=arrays, **meta)

@@ -373,6 +373,27 @@ class TestPipeline:
         assert "clip_e.wtf1" in err and "mel band count is 8" in err and "takes 4" in err
         assert not (tmp_path / "preds.csv").exists()
 
+    def test_caption_names_file_made_with_another_hop(self, tmp_path, capsys):
+        # the checkpoint records the [audio] config it was trained with, so a
+        # file of the right band count but another hop is refused too
+        audio_dir, caps, cfg = make_corpus_dir(tmp_path)
+        cfg.write_text(TINY_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))
+        feat_dir, run_dir = tmp_path / "features", tmp_path / "run"
+        assert main(["extract", "--audio-dir", str(audio_dir),
+                     "--out-dir", str(feat_dir), "--config", str(cfg)]) == 0
+        assert main(["train", "--features", str(feat_dir), "--captions", str(caps),
+                     "--out", str(run_dir), "--config", str(cfg)]) == 0
+        assert load_checkpoint(run_dir / "best.wtck").audio_config["hop"] == 64
+        fm = read_wtf1(feat_dir / "clip_a.wtf1")
+        write_wtf1(feat_dir / "clip_e.wtf1", replace(fm, frame_hop=32))
+        capsys.readouterr()
+        assert main(["caption", "--features", str(feat_dir),
+                     "--checkpoint", str(run_dir / "best.wtck"),
+                     "--out", str(tmp_path / "preds.csv"), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "clip_e.wtf1" in err and "hop is 32" in err and "takes 64" in err
+        assert not (tmp_path / "preds.csv").exists()
+
     def test_non_finite_feature_named_by_train_and_caption(self, tmp_path, capsys):
         audio_dir, caps, cfg = make_corpus_dir(tmp_path)
         cfg.write_text(TINY_CONFIG.replace("max_epochs = 3", "max_epochs = 1"))

@@ -1,5 +1,5 @@
 """The pool's tile rules, and the boundary around the private names of the
-pool and of the ops."""
+pool, the convolutions and the ops."""
 from __future__ import annotations
 
 import ast
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wavetransformer.tensor import ops, pool
+from wavetransformer.tensor import conv, pool
 
 from helpers import frame_tile_rows
 
@@ -25,14 +25,14 @@ CHANNEL_SHAPES = [(12, 128, 6400), (12, 128, 1600), (12, 128, 400), (1, 128, 165
 
 def conv_rows(monkeypatch):
     """The output tiles of a block-2-shaped conv at T=2584."""
-    return ops.conv_tiles(1, 1, 128, 2584, 16)
+    return conv.conv_tiles(1, 1, 128, 2584, 16)
 
 
 def check_conv_rows(tiles, monkeypatch):
     spans = [(r0, r1) for _, _, r0, r1 in tiles]
     assert spans[0][0] == 0 and spans[-1][1] == 2584
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-    assert all((r1 - r0) % ops.TILE_ROWS == 0 for r0, r1 in spans[:-1])
+    assert all((r1 - r0) % conv.TILE_ROWS == 0 for r0, r1 in spans[:-1])
     assert all((r1 - r0) * 16 >= pool.TILE_COLS for r0, r1 in spans)
 
 
@@ -91,16 +91,17 @@ def test_tiles_depend_only_on_shapes(rule, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# boundary: no module but its owner touches a private name of ops or pool
+# boundary: no module but its owner touches a private name of ops, conv or pool
 # ---------------------------------------------------------------------------
 
 OWNERS = {"ops": REPO / "src/wavetransformer/tensor/ops.py",
+          "conv": REPO / "src/wavetransformer/tensor/conv.py",
           "pool": REPO / "src/wavetransformer/tensor/pool.py"}
 # fault-injection spies on kernel helpers: tests wrap them to count or fail
 # their calls, which no public name can stand in for
-SPIES = {("ops", "_tap_cols")}
+SPIES = {("conv", "_weight_grad")}
 # code in a string, such as a subprocess script, and prose name them too
-NAMED_IN_TEXT = re.compile(r"\b(ops|pool)\.(_(?!_)\w*)")
+NAMED_IN_TEXT = re.compile(r"\b(ops|conv|pool)\.(_(?!_)\w*)")
 REFLECTION = {"setattr", "getattr", "delattr", "hasattr"}
 
 
@@ -151,7 +152,7 @@ def private_uses(source: str):
 
 def test_private_names_of_ops_and_pool_stay_in_their_modules():
     files = sorted((REPO / "src").rglob("*.py")) + sorted((REPO / "tests").rglob("*.py"))
-    assert OWNERS["ops"] in files and OWNERS["pool"] in files
+    assert all(path in files for path in OWNERS.values())
     uses = [f"{path.relative_to(REPO)}:{line} {module}.{name}"
             for path in files
             for line, module, name in private_uses(path.read_text(encoding="utf-8"))
@@ -170,8 +171,9 @@ def test_the_boundary_check_sees_every_form_of_use():
         "x = wavetransformer.tensor.pool@_lanes\n"
         "script = 'ops@_TILE_COLS = 1'\n"
         "ops.conv2d(x, w); ops.__name__; getattr(ops, 'conv2d'); block._pool\n"
+        "from wavetransformer.tensor.conv import conv_tiles, _taps\n"
     ).replace("@", ".")
     assert sorted(private_uses(source)) == [
         (2, "ops", "_carve"), (3, "ops", "_run"), (4, "pool", "_WORKERS"),
-        (5, "pool", "_lanes"), (6, "ops", "_TILE_COLS"),
+        (5, "pool", "_lanes"), (6, "ops", "_TILE_COLS"), (8, "conv", "_taps"),
     ]

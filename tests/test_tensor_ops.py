@@ -21,7 +21,7 @@ from wavetransformer.errors import ConfigError, DimensionError, UsageError
 from wavetransformer.tensor import (
     AdamState, ParameterStore, RngState, Tape, Tensor, adam_step, backward, default_dtype,
 )
-from wavetransformer.tensor import ops, pool
+from wavetransformer.tensor import conv, ops, pool
 
 from helpers import conv1d_reference, conv2d_reference, gradcheck, record_pooled_jobs
 
@@ -175,7 +175,7 @@ class TestConv2d:
         x = Tensor(rng.uniform(-1, 1, (8, 16, 100, 16)).astype(np.float32))
         w = Tensor(rng.uniform(-1, 1, (16, 16 // groups, 5, 5)).astype(np.float32))
         if groups == 1:
-            assert len(ops.conv_tiles(8, groups, 16 // groups, 100, 16)) == 8
+            assert len(conv.conv_tiles(8, groups, 16 // groups, 100, 16)) == 8
         ops.conv2d(x, w, padding=2, groups=groups)  # starts the pool outside the trace
         tracemalloc.start()
         try:
@@ -195,7 +195,7 @@ class TestConv2d:
         rng = RngState(10)
         x = Tensor(rng.uniform(-1, 1, (1, 16, 1100, 16)).astype(np.float32))
         w = Tensor(rng.uniform(-1, 1, (16, 16, 5, 5)).astype(np.float32))
-        assert len(ops.conv_tiles(1, 1, 16, 1100, 16)) == 4
+        assert len(conv.conv_tiles(1, 1, 16, 1100, 16)) == 4
         tracemalloc.start()
         try:
             out = ops.conv2d(x, w, padding=2)
@@ -206,6 +206,50 @@ class TestConv2d:
         extra = peak - out.data.nbytes
         assert extra < taps / 2, f"{extra / taps:.2f}x the kw-times buffer"
 
+    def test_a_long_fold_forward_makes_no_whole_tap_buffer(self, monkeypatch):
+        # a single input channel folds all kh*kw taps into one GEMM's K: a
+        # clip of five row tiles, in one lane, holds one tile's K rows of
+        # taps beyond its output, under half the K-times buffer of the whole
+        # clip that it used to copy
+        monkeypatch.setattr(pool, "WORKERS", 1)
+        rng = RngState(11)
+        x = Tensor(rng.uniform(-1, 1, (1, 1, 1300, 16)).astype(np.float32))
+        w = Tensor(rng.uniform(-1, 1, (8, 1, 5, 5)).astype(np.float32))
+        assert len(conv.conv_tiles(1, 1, 8, 1300, 16)) == 5
+        tracemalloc.start()
+        try:
+            out = ops.conv2d(x, w, padding=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        taps = 5 * 5 * 1300 * 16 * 4  # kh * kw * H_out * W_out floats
+        extra = peak - out.data.nbytes
+        assert extra < taps / 2, f"{extra / taps:.2f}x the K-times buffer"
+
+    def test_a_long_dense_vjp_makes_no_whole_gradient_tap_buffer(self, monkeypatch):
+        # the input gradient runs on per-tile taps of g itself: beyond the
+        # gradients (g included) the VJP holds the input's taps for the
+        # weight gradient and one row tile's taps of g, not g zero-padded
+        # and its kw-times tap buffer, which four times as many output
+        # channels as input channels make the larger
+        monkeypatch.setattr(pool, "WORKERS", 1)
+        rng = RngState(12)
+        x, w = (Tensor(rng.uniform(-1, 1, shape).astype(np.float32), requires_grad=True)
+                for shape in ((1, 4, 1100, 16), (16, 4, 5, 5)))
+        assert len(conv.conv_tiles(1, 1, 4, 1100, 16)) == 4  # the input gradient's tiles
+        with Tape() as tape:
+            out = ops.conv2d(x, w, padding=2)
+            loss = ops.tensor_sum(out)
+        tracemalloc.start()
+        try:
+            backward(loss, tape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grad_taps = 16 * 5 * 1104 * 16 * 4  # C_out * kw * (H + 2*pad) * W floats
+        extra = peak - out.data.nbytes - x.grad.nbytes - w.grad.nbytes
+        assert extra < grad_taps, f"{extra / grad_taps:.2f}x g's kw-times buffer"
+
     def test_indivisible_groups_raise(self):
         with pytest.raises(DimensionError):
             ops.conv2d(Tensor(np.ones((3, 4, 4))), Tensor(np.ones((2, 1, 3, 3))), None, groups=2)
@@ -215,32 +259,35 @@ class TestBandedDepthwise:
     """A depthwise conv, one input and one output channel per group, runs
     each time tap as one matmul per tile of rows: the input rows that the
     tap reaches, unpadded, times banded weights that hold the frequency
-    taps and padding.  Its VJP runs the flipped kernel the same way."""
+    taps and padding.  Its VJP runs the flipped kernel the same way, as a
+    dense conv's runs on per-tile taps of g."""
 
-    @pytest.mark.parametrize("stride,padding", [(1, 2), (2, 2), (1, 0), (2, 3)])
-    def test_matches_the_reference_and_its_adjoint(self, stride, padding):
+    # padding 6 puts the input gradient's pads, dil*(kh-1) - pad, below zero
+    @pytest.mark.parametrize("groups", [3, 1], ids=["depthwise", "dense"])
+    @pytest.mark.parametrize("stride,padding", [(1, 2), (2, 2), (1, 0), (2, 3), (1, 6)])
+    def test_matches_the_reference_and_its_adjoint(self, stride, padding, groups):
         with default_dtype(np.float64):
             rng = RngState(60 + 4 * stride + padding)
             x = randt(rng, 2, 3, 13, 7)
-            w = randt(rng, 3, 1, 5, 5)
+            w = randt(rng, 3, 3 // groups, 5, 5)
             b = randt(rng, 3)
             with Tape() as tape:
-                out = ops.conv2d(x, w, b, stride=stride, padding=padding, groups=3)
+                out = ops.conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
                 g = rng.uniform(-1, 1, out.shape)
                 loss = ops.tensor_sum(ops.mul_const(out, g))
             backward(loss, tape)
 
-        def conv(xs, ws, bs=None):
-            return np.stack([conv2d_reference(c, ws, bs, stride=stride, padding=padding, groups=3)
-                             for c in xs])
+        def reference(xs, ws, bs=None):
+            return np.stack([conv2d_reference(c, ws, bs, stride=stride, padding=padding,
+                                              groups=groups) for c in xs])
 
-        np.testing.assert_allclose(out.data, conv(x.data, w.data, b.data), rtol=1e-12, atol=1e-12)
-        # the conv less its bias is linear in x and in w, so <g, conv(e, w)>
-        # is <x.grad, e> for any e, and <g, conv(x, e)> is <w.grad, e>
+        np.testing.assert_allclose(out.data, reference(x.data, w.data, b.data), rtol=1e-12, atol=1e-12)
+        # the conv less its bias is linear in x and in w, so <g, reference(e, w)>
+        # is <x.grad, e> for any e, and <g, reference(x, e)> is <w.grad, e>
         for _ in range(2):
             e_x, e_w = rng.uniform(-1, 1, x.shape), rng.uniform(-1, 1, w.shape)
-            assert np.vdot(g, conv(e_x, w.data)) == pytest.approx(np.vdot(x.grad, e_x), rel=1e-12)
-            assert np.vdot(g, conv(x.data, e_w)) == pytest.approx(np.vdot(w.grad, e_w), rel=1e-12)
+            assert np.vdot(g, reference(e_x, w.data)) == pytest.approx(np.vdot(x.grad, e_x), rel=1e-12)
+            assert np.vdot(g, reference(x.data, e_w)) == pytest.approx(np.vdot(w.grad, e_w), rel=1e-12)
         np.testing.assert_allclose(b.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12)
 
     @pytest.mark.parametrize("stride", [1, 2])
@@ -291,24 +338,28 @@ class TestBandedDepthwise:
 
 
 class TestConvVjpChunks:
-    """The conv VJP rebuilds its tap buffers over chunks of clips; no chunk
+    """The conv VJP rebuilds the input's taps over chunks of clips; no chunk
     size may change a bit of any gradient."""
 
-    # op, input shape, weight shape, options, floats of one clip's VJP tap
-    # buffers: per tap, the input's kw taps C_in * kw * (H + 2*pad) * W_out
-    # plus those of the spread gradient C_out * kw * (H + max(dil*(kh-1), pad)) * W;
+    # op, input shape, weight shape, options, floats of one clip's taps in a
+    # VJP chunk: stride * C_in * kw * (H_out + dil*(kh-1)/stride) * W_out;
     # single input channel, the kh*kw taps kh * kw * H_out * W_out
     CASES = {
         "depthwise": (ops.conv2d, (5, 8, 12, 6), (8, 1, 5, 5),
-                      dict(padding=2, groups=8), 8 * 5 * 16 * 6 + 8 * 5 * 16 * 6),
+                      dict(padding=2, groups=8), 8 * 5 * 16 * 6),
         "dense": (ops.conv2d, (5, 4, 12, 6), (6, 4, 5, 5),
-                  dict(padding=2), 4 * 5 * 16 * 6 + 6 * 5 * 16 * 6),
+                  dict(padding=2), 4 * 5 * 16 * 6),
         "stride2": (ops.conv2d, (5, 4, 13, 7), (6, 2, 5, 5),
-                    dict(stride=2, padding=1, groups=2), 4 * 5 * 15 * 3 + 6 * 5 * 17 * 7),
+                    dict(stride=2, padding=1, groups=2), 2 * 4 * 5 * 8 * 3),
         "dilated_conv1d": (ops.conv1d, (5, 4, 30), (6, 4, 3),
-                           dict(padding=3, dilation=3), 4 * 1 * 36 * 1 + 6 * 1 * 36 * 1),
+                           dict(padding=3, dilation=3), 4 * 1 * 36 * 1),
         "single_channel": (ops.conv2d, (5, 1, 12, 6), (6, 1, 5, 5),
                            dict(padding=2), 5 * 5 * 12 * 6),
+        # padding beyond dil*(kh-1): the input gradient's pads are negative
+        "negative_offset": (ops.conv2d, (5, 4, 12, 6), (6, 4, 3, 3),
+                            dict(padding=4), 4 * 3 * 20 * 12),
+        "negative_offset_conv1d": (ops.conv1d, (5, 4, 30), (6, 4, 3),
+                                   dict(padding=3), 4 * 1 * 36 * 1),
     }
 
     def _grads(self, case, monkeypatch):
@@ -317,31 +368,26 @@ class TestConvVjpChunks:
         x, w, b = (Tensor(rng.uniform(-1, 1, shape).astype(np.float32), requires_grad=True)
                    for shape in (x_shape, w_shape, w_shape[:1]))
         chunks = []
-        tap_cols = ops._tap_cols
+        weight_grad = conv._weight_grad
 
-        def spy(xs, *args):
-            chunks.append(len(xs))
-            return tap_cols(xs, *args)
+        def spy(cols, *args):
+            chunks.append(len(cols))
+            return weight_grad(cols, *args)
 
         with Tape() as tape:
             loss = ops.tensor_sum(ops.tanh(op(x, w, b, **options)))
-        # the chunks' calls only: a per-tap chunk builds the taps of its
-        # input and of its spread gradient; a depthwise chunk, whose input
-        # gradient runs on bands, and a single-channel chunk one buffer
-        monkeypatch.setattr(ops, "_tap_cols", spy)
+        # one call per chunk, with the chunk's taps
+        monkeypatch.setattr(conv, "_weight_grad", spy)
         backward(loss, tape)
-        monkeypatch.setattr(ops, "_tap_cols", tap_cols)
-        per_chunk = 1 if case in ("single_channel", "depthwise") else 2
-        sizes = chunks[::per_chunk]
-        assert chunks == [n for n in sizes for _ in range(per_chunk)]
-        return (x.grad, w.grad, b.grad), sizes
+        monkeypatch.setattr(conv, "_weight_grad", weight_grad)
+        return (x.grad, w.grad, b.grad), chunks
 
     @pytest.mark.parametrize("clips", [1, 2])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_chunked_vjp_is_bit_equal(self, case, clips, monkeypatch):
         whole, chunks = self._grads(case, monkeypatch)
         assert chunks == [5]
-        monkeypatch.setattr(ops, "VJP_CHUNK_BYTES", max(1, clips * 4 * self.CASES[case][-1]))
+        monkeypatch.setattr(conv, "VJP_CHUNK_BYTES", max(1, clips * 4 * self.CASES[case][-1]))
         chunked, chunks = self._grads(case, monkeypatch)
         assert chunks == {1: [1] * 5, 2: [2, 2, 1]}[clips]
         for a, b in zip(whole, chunked):
@@ -369,6 +415,9 @@ class TestConvWorkers:
         "dilated_conv1d": (ops.conv1d, (2, 4, 5000), (6, 4, 3), dict(padding=3, dilation=3)),
         "strided_dilated_conv1d": (ops.conv1d, (1, 4, 13001), (4, 4, 7),
                                    dict(stride=3, padding=3, dilation=2)),
+        # padding beyond dil*(kh-1): the input gradient's pads are negative
+        "negative_offset": (ops.conv2d, (2, 4, 300, 16), (6, 4, 3, 3), dict(padding=4)),
+        "negative_offset_conv1d": (ops.conv1d, (2, 4, 5000), (6, 4, 3), dict(padding=3)),
     }
     # below the default tile size: one tile, inline
     INLINE = {"tiny", "stride2", "stride2_groups"}
@@ -418,7 +467,7 @@ class TestConvWorkers:
         spec = self.MANY_CHUNKS[case]
         clips = spec[1][0]
         whole, _ = self._run(spec, 1, monkeypatch)
-        monkeypatch.setattr(ops, "VJP_CHUNK_BYTES", 1)  # one clip per chunk
+        monkeypatch.setattr(conv, "VJP_CHUNK_BYTES", 1)  # one clip per chunk
         monkeypatch.setattr(pool, "TILE_COLS", 128)  # every chunk job leaves the caller
         one, pooled = self._run(spec, 1, monkeypatch)
         assert one == whole
@@ -436,14 +485,13 @@ class TestConvWorkers:
             sys.setswitchinterval(interval)
 
     def test_a_failing_chunk_raises_after_the_chunks_in_flight_stop(self, monkeypatch):
-        # the second tap copy, made by a chunk (the forward makes none),
-        # fails inside a pool task; backward raises that error, and only
-        # after the other chunks in flight have finished with the caller's
-        # buffers
+        # the second chunk's weight gradient fails inside a pool task;
+        # backward raises that error, and only after the other chunks in
+        # flight have finished with the caller's buffers
         monkeypatch.setattr(pool, "WORKERS", 2)
-        monkeypatch.setattr(ops, "VJP_CHUNK_BYTES", 1)
+        monkeypatch.setattr(conv, "VJP_CHUNK_BYTES", 1)
         jobs = record_pooled_jobs(monkeypatch)
-        tap_cols, calls, lock = ops._tap_cols, [], threading.Lock()
+        weight_grad, calls, lock = conv._weight_grad, [], threading.Lock()
 
         class ChunkFault(Exception):
             pass
@@ -454,10 +502,10 @@ class TestConvWorkers:
                 n = len(calls)
             time.sleep(0.02)  # long enough for the other chunks to be in flight
             if n == 2:
-                raise ChunkFault("second tap copy")
-            return tap_cols(*args, **kwargs)
+                raise ChunkFault("second chunk")
+            return weight_grad(*args, **kwargs)
 
-        monkeypatch.setattr(ops, "_tap_cols", faulty)
+        monkeypatch.setattr(conv, "_weight_grad", faulty)
         op, x_shape, w_shape, options = self.CASES["batch12"]
         rng = RngState(73)
         x, w = (Tensor(rng.uniform(-1, 1, shape).astype(np.float32), requires_grad=True)
@@ -465,13 +513,13 @@ class TestConvWorkers:
         with Tape() as tape:
             loss = ops.tensor_sum(op(x, w, **options))
         assert calls == []
-        with pytest.raises(ChunkFault, match="second tap copy"):
+        with pytest.raises(ChunkFault, match="second chunk"):
             backward(loss, tape)
         seen, running = len(calls), jobs.running
-        time.sleep(0.1)  # a chunk still queued or running would copy taps meanwhile
+        time.sleep(0.1)  # a chunk still queued or running would call it meanwhile
         assert running == 0 and len(calls) == seen
         assert calls[1].startswith("conv-tile") and jobs.chunks_on_pool >= 2
-        assert len(calls) < 2 * x_shape[0]  # the chunks after the fault never ran
+        assert len(calls) < x_shape[0]  # the chunks after the fault never ran
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
     def test_vjp_chunks_in_flight_do_not_grow_peak_memory(self):
@@ -505,7 +553,7 @@ class TestConvWorkers:
         # to leave the caller's thread still runs as two chunks of three
         # clips, one per worker, with the bits of the whole batch in one
         spec = self.MANY_CHUNKS["single_channel_b6"]
-        clips = ops.VJP_CHUNK_BYTES // (5 * 5 * 60 * 16 * 4)
+        clips = conv.VJP_CHUNK_BYTES // (5 * 5 * 60 * 16 * 4)
         assert clips >= spec[1][0]
         monkeypatch.setattr(pool, "TILE_COLS", 1 << 30)  # nothing leaves the caller
         whole, _ = self._run(spec, 2, monkeypatch)

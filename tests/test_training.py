@@ -22,7 +22,7 @@ from wavetransformer.model import CaptionModel
 from wavetransformer.tensor import (
     AdamState, RngState, Tape, Tensor, backward, default_dtype, derive_seed,
 )
-from wavetransformer.tensor import ops, pool
+from wavetransformer.tensor import conv, pool
 from wavetransformer.text import build_vocab, encode
 from wavetransformer.training import (
     Batch,
@@ -288,6 +288,29 @@ class TestCheckpoint:
         save_checkpoint(p1, result.best_checkpoint)
         save_checkpoint(p2, load_checkpoint(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_a_checkpoint_saved_before_its_optional_keys_loads(self, tmp_path):
+        # metadata without first_val_epoch and audio_config, as older files
+        # have it, loads with both None; one that records them round-trips
+        _, _, _, _, result = self._trained(epochs=1)
+        audio = {"sample_rate": 8000, "window_ms": 16.0, "n_fft": 128, "hop": 64,
+                 "n_mels": 4, "f_min": 0.0, "f_max": None}
+        p1, p2 = tmp_path / "a.wtck", tmp_path / "b.wtck"
+        save_checkpoint(p1, replace(result.best_checkpoint, first_val_epoch=1,
+                                    audio_config=audio))
+        loaded = load_checkpoint(p1)
+        assert loaded.audio_config == audio and loaded.audio().hop == 64
+        save_checkpoint(p2, loaded)
+        assert p1.read_bytes() == p2.read_bytes()
+        blob = p1.read_bytes()
+        (meta_len,) = struct.unpack("<I", blob[8:12])
+        meta = json.loads(blob[12 : 12 + meta_len])
+        del meta["first_val_epoch"], meta["audio_config"]
+        old = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        p2.write_bytes(blob[:8] + struct.pack("<I", len(old)) + old + blob[12 + meta_len :])
+        loaded = load_checkpoint(p2)
+        assert (loaded.first_val_epoch, loaded.audio_config, loaded.audio()) == (None, None, None)
+        assert loaded.arrays.keys() == result.best_checkpoint.arrays.keys()
 
     def test_zero_dim_record_round_trips(self, tmp_path):
         _, _, _, _, result = self._trained(epochs=1)
@@ -677,7 +700,7 @@ class TestWorkerCount:
         whole = self._step(model, feats)
         # every conv VJP splits the batch of two into chunks of one clip,
         # which run on the pool at two workers
-        monkeypatch.setattr(ops, "VJP_CHUNK_BYTES", 1)
+        monkeypatch.setattr(conv, "VJP_CHUNK_BYTES", 1)
         for workers in (1, 2):
             model, feats, pooled = self._setup(workers, monkeypatch)
             assert self._step(model, feats) == whole
