@@ -14,10 +14,11 @@ time tap whose K holds all kh*kw taps.  `_taps` is the only tap copy.
 The input gradient is the same kernel run on g itself with the flipped,
 group-transposed kernel, padded by dilation*(kh-1) - pad rows and kw-1 - pad
 columns (a negative pad crops) and zero-inserted only where stride > 1;
-where the taps fold, it is the col2im of W^T g.  The tape keeps each conv's
-input, from which the VJP rebuilds the input's taps for the weight gradient
-a few clips at a time, in chunks that run on the pool of `pool`; the caller
-adds each chunk's weight-gradient products in batch order, as one pass would.
+where the taps fold, it is the col2im of W^T g, clip by clip.  The tape
+keeps each conv's input, from which the weight gradient copies the taps of
+the forward's tiles again, one tile at a time in a lane's slot; the caller
+adds each tile's products in batch order, as one pass would.  Every job of
+the VJP is a job of its own on the pool of `pool`: none starts inside another.
 """
 from __future__ import annotations
 
@@ -72,10 +73,6 @@ def conv2d_tiles(x: Tensor, weight: Tensor, bias: Optional[Tensor], padding: int
     _conv_taps(2, x, weight, bias, 1, padding, 1, 1, epilogue)
 
 
-# The conv VJP builds the input's taps a few clips at a time: as many clips
-# as fit this many bytes of them, and at least one.
-VJP_CHUNK_BYTES = 8 << 20
-
 # A conv's output tile is one clip's block of rows: a multiple of TILE_ROWS
 # rows and at least pool.TILE_COLS columns where the clip has them, so every
 # tile but a clip's last starts and ends on the BLAS kernels' column blocks,
@@ -85,16 +82,15 @@ VJP_CHUNK_BYTES = 8 << 20
 TILE_ROWS = 16
 
 
-def conv_tiles(b, groups, og, h_out, w_out) -> list:
-    """(clips, groups, first row, end row) of each output tile, the groups
-    always all of them; see TILE_ROWS."""
+def conv_tiles(b, og, h_out, w_out) -> list:
+    """(clips, first row, end row) of each output tile; see TILE_ROWS."""
     cols = b * h_out * w_out
     rows = h_out
     if og > 1 and cols >= pool.TILE_COLS:
         # as many tiles as a clip has whole TILE_COLS, in whole TILE_ROWS, or one
         per_clip = max(1, h_out * w_out // pool.TILE_COLS)
         rows = h_out // per_clip // TILE_ROWS * TILE_ROWS or h_out
-    return [(c, slice(None), r.start, r.stop) for c in pool.split(b, 1, cols)
+    return [(c, r.start, r.stop) for c in pool.split(b, 1, cols)
             for r in pool.blocks(h_out, rows)]
 
 
@@ -160,8 +156,7 @@ def _bands(w4, w, w_out, stride, pw) -> np.ndarray:
     return bands
 
 
-def _banded(x, bands, dilation, stride, ph, h_out, bias=None, out=None,
-            prod=None) -> np.ndarray:
+def _banded(x, bands, dilation, stride, ph, h_out, bias=None, out=None) -> np.ndarray:
     """The depthwise conv of x (B, C, H, W) with `bands` (kh, C, W, W_out),
     time padding ph: (B, C, h_out, W_out), into `out` if given.
 
@@ -171,11 +166,9 @@ def _banded(x, bands, dilation, stride, ph, h_out, bias=None, out=None,
     rows whose input row lies inside x, so the input is never padded.  A
     tile adds its taps in index order, then the bias, as `_dense` does, rows
     that tap 0 does not reach starting from zero; it makes its tap products
-    in a scratch slot of its lane.  A conv of one tile runs in the caller's
-    lane: given `prod`, a byte buffer of the caller's, it makes its tap
-    products there instead.  In float32 the bits do not depend on the tile;
-    in float64 a matmul of one row, which numpy gives to GEMV, rounds unlike
-    a GEMM."""
+    in a scratch slot of its lane.  In float32 the bits do not depend on the
+    tile; in float64 a matmul of one row, which numpy gives to GEMV, rounds
+    unlike a GEMM."""
     b, c, h, _ = x.shape
     kh, _, _, w_out = bands.shape
     if out is None:
@@ -203,11 +196,8 @@ def _banded(x, bands, dilation, stride, ph, h_out, bias=None, out=None,
         if bias is not None:
             o += bias[:, None, None]
 
-    if prod is not None and len(tiles) == 1:
-        tile(tiles[0], prod)
-    else:
-        slot = row_bytes * max(len(range(b)[clips]) * len(rows) for clips, rows in tiles)
-        pool.run(tile, tiles, b * h_out * w_out, (slot,))
+    slot = row_bytes * max(len(range(b)[clips]) * len(rows) for clips, rows in tiles)
+    pool.run(tile, tiles, b * h_out * w_out, (slot,))
     return out
 
 
@@ -221,37 +211,53 @@ def _window(cols, i, dilation, rows) -> np.ndarray:
     return window.reshape(*window.shape[:3], -1)
 
 
-def _dense(x, wt, pads, offsets, kw, stride, dilation, h_out, w_out, bias=None, out=None,
-           epilogue=None, slot=None) -> Optional[np.ndarray]:
-    """Convolve x (B, C, H, W), zero-padded by pads, with tap weights wt
-    (kt, groups, og, k): (B, groups, og, h_out * w_out), into `out` if given.
+def _tap_tiles(x, shape, pads, offsets, kw, stride, dilation, h_out, w_out) -> tuple:
+    """The output tiles of the conv of x (B, C, H, W), zero-padded by pads,
+    with tap weights of `shape` (kt, groups, og, k); taps(tile, buf), the
+    tile's taps (clips, phases, groups, k, H', w_out) on the front of the
+    flat byte buffer buf; and the bytes of the largest tile's taps.
 
     A tile's taps are those `_taps` makes at the padded row offsets, over its
     rows and the dilation*(kt-1)/len(offsets) after them: the phases mod
     stride, which the kt time taps read, or the fold's kernel rows, which one
-    time tap reads.  Each time tap is one matmul on a window of rows, the
-    groups a batch axis.  A tile adds its taps in index order, then the bias;
-    it copies its taps and makes its tap products in a scratch slot of its
-    lane (`pool.run`).  A conv of one tile runs in the caller's lane: given
-    `slot`, byte buffers (taps, products) of the caller's large enough for
-    them, it makes them there instead, every tap copied before the first
-    product.
+    time tap reads."""
+    kt, groups, og, k = shape
+    extra = dilation * (kt - 1) // len(offsets)
+    tiles = conv_tiles(len(x), og, h_out, w_out)
+
+    def taps(t, buf):
+        clips, r0, r1 = t
+        cols = _taps(x[clips], pads, offsets, kw, stride, w_out, r0, r1 - r0 + extra, buf)
+        return cols.reshape(len(cols), -1, groups, k, *cols.shape[-2:])
+
+    most = max(len(range(len(x))[c]) * (r1 - r0 + extra) for c, r0, r1 in tiles)
+    return tiles, taps, x.itemsize * len(offsets) * x.shape[1] * kw * w_out * most
+
+
+def _dense(x, wt, pads, offsets, kw, stride, dilation, h_out, w_out, bias=None, out=None,
+           epilogue=None) -> Optional[np.ndarray]:
+    """Convolve x (B, C, H, W), zero-padded by pads, with tap weights wt
+    (kt, groups, og, k): (B, groups, og, h_out * w_out), into `out` if given.
+
+    Each time tap is one matmul on a window of a tile's taps (`_tap_tiles`),
+    the groups a batch axis.  A tile adds its taps in index order, then the
+    bias; it copies its taps and makes its tap products in a scratch slot of
+    its lane (`pool.run`).
 
     With `epilogue`, there is no output: each tile is made in the slot too,
     and handed on while in cache to epilogue(tile, clips, r0, r1), the tile
     (clips, C_out, (r1 - r0) * w_out) holding output rows r0..r1.
     """
-    kt, groups, og, k = wt.shape
+    kt, groups, og, _ = wt.shape
     b = len(x)
-    extra = dilation * (kt - 1) // len(offsets)
-    tiles = conv_tiles(b, groups, og, h_out, w_out)
+    tiles, taps, tap_bytes = _tap_tiles(x, wt.shape, pads, offsets, kw, stride, dilation,
+                                        h_out, w_out)
     if out is None and epilogue is None:
         out = np.empty((b, groups, og, h_out * w_out), dtype=x.dtype)
 
     def tile(t, tap_buf, prod_buf, tile_buf=None):
-        clips, _, r0, r1 = t
-        cols = _taps(x[clips], pads, offsets, kw, stride, w_out, r0, r1 - r0 + extra, tap_buf)
-        cols = cols.reshape(len(cols), -1, groups, k, *cols.shape[-2:])
+        clips, r0, r1 = t
+        cols = taps(t, tap_buf)
         shape = (len(cols), groups, og, (r1 - r0) * w_out)
         if epilogue is None:
             o = out[clips, :, :, r0 * w_out : r1 * w_out]
@@ -266,39 +272,43 @@ def _dense(x, wt, pads, offsets, kw, stride, dilation, h_out, w_out, bias=None, 
         if epilogue is not None:
             epilogue(o.reshape(len(o), -1, o.shape[-1]), clips, r0, r1)
 
-    clip_rows = [(len(range(b)[c]), r1 - r0) for c, _, r0, r1 in tiles]
-    tile_bytes = x.itemsize * groups * og * w_out * max(n * rows for n, rows in clip_rows)
-    tap_bytes = x.itemsize * len(offsets) * x.shape[1] * kw * w_out * max(
-        n * (rows + extra) for n, rows in clip_rows)
+    tile_bytes = x.itemsize * groups * og * w_out * max(
+        len(range(b)[c]) * (r1 - r0) for c, r0, r1 in tiles)
     # a lane's slot: its taps, its tap products, and the tile where there is an epilogue
     scratch = (tap_bytes, tile_bytes * (kt > 1), tile_bytes * (epilogue is not None))
-    if (slot is not None and len(tiles) == 1
-            and all(buf.nbytes >= size for buf, size in zip(slot, scratch))):
-        tile(tiles[0], *slot)
-    else:
-        pool.run(tile, tiles, b * h_out * w_out, scratch)
+    pool.run(tile, tiles, b * h_out * w_out, scratch)
     return out
 
 
-def _weight_grad(cols, g4, kh, dilation, h_out, w_out, prod=None) -> np.ndarray:
-    """The weight gradient of output gradient g4 (n, groups, og, h_out *
-    w_out) over a chunk's taps `cols` (n, phases, groups, k, H', W_out), per
-    time tap and clip: (kh, n, groups, og, k), on the front of the flat byte
-    buffer `prod` if given.  The products run per (tap, clip) on the pool;
-    the caller adds them clip by clip in batch order, the order of a sum
-    over the batch axis."""
-    n, groups, og, _ = g4.shape
-    prod = pool.carve(prod, (kh, n, groups, og, cols.shape[3]), g4.dtype)
+def _weight_grad(x, g4, gw, pads, offsets, kw, stride, dilation, h_out, w_out) -> None:
+    """Add to gw (kt, groups, og, k) the weight gradient of the conv of x
+    (B, C, H, W), zero-padded by pads, whose output has gradient g4 (B,
+    groups, og, h_out * w_out).
 
-    def product(task):
-        i, clips = task
-        window = _window(cols[clips], i, dilation, h_out)
-        np.matmul(g4[clips], window.swapaxes(-1, -2), out=prod[i, clips])
+    Each output tile copies its taps as the forward's tile does
+    (`_tap_tiles`) and makes its kt tap products (clips, groups, og, k) in
+    its lane's slot; the caller adds them per time tap, clip by clip, in tile
+    order, the order of a sum over the batch axis."""
+    kt, groups, og, k = gw.shape
+    tiles, taps, tap_bytes = _tap_tiles(x, gw.shape, pads, offsets, kw, stride, dilation,
+                                        h_out, w_out)
 
-    n_out = h_out * w_out
-    clips = pool.split(n, 1, n * n_out)
-    pool.run(product, [(i, c) for i in range(kh) for c in clips], n * n_out)
-    return prod
+    def products(t, tap_buf, prod_buf):
+        clips, r0, r1 = t
+        cols = taps(t, tap_buf)
+        prod = pool.carve(prod_buf, (kt, len(cols), groups, og, k), x.dtype)
+        part = g4[clips, :, :, r0 * w_out : r1 * w_out]
+        for i in range(kt):
+            np.matmul(part, _window(cols, i, dilation, r1 - r0).swapaxes(-1, -2), out=prod[i])
+        return prod
+
+    def add(prod):
+        for gw_i, clips in zip(gw, prod):
+            for clip in clips:
+                gw_i += clip
+
+    most = max(len(range(len(x))[c]) for c, _, _ in tiles)
+    pool.run(products, tiles, len(x) * h_out * w_out, (tap_bytes, most * gw.nbytes), add)
 
 
 def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
@@ -307,9 +317,9 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
     (weight (C_out, C_in/groups, kh, kw)); a 1D input is a 2D one of width 1.
 
     The weight's shape picks the layout (see the module docstring).  The
-    tape keeps the input, not its taps: the VJP rebuilds them over chunks of
-    clips of about `VJP_CHUNK_BYTES`.  With `epilogue`, for a conv that is
-    not depthwise, there is no output (`conv2d_tiles`).
+    tape keeps the input, not its taps: the weight gradient copies them
+    again, tile by tile (`_weight_grad`).  With `epilogue`, for a conv that
+    is not depthwise, there is no output (`conv2d_tiles`).
     """
     name = f"conv{spatial}d"
     if x.ndim not in (spatial + 1, spatial + 2) or weight.ndim != spatial + 2:
@@ -332,10 +342,6 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
             f"stride={stride}, pad={padding}, dilation={dilation}"
         )
     n_out = h_out * w_out
-    # the input gradient's pads, and the rows and columns of g zero-inserted
-    # for stride > 1
-    eh, ew = dilation * (kh - 1), kw - 1
-    hg, wg = stride * (h_out - 1) + 1, stride * (w_out - 1) + 1
     fold = groups == 1 and c_in == 1
     depthwise = groups > 1 and cg == og == 1
     if fold:
@@ -344,7 +350,6 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
     else:
         # kh time taps over the padded rows of each phase mod stride
         kt, kf, offsets = kh, kw, range(stride)
-    extra = dilation * (kt - 1) // len(offsets)
     wt = _tap_weights(w4.reshape(c_out, cg, kt, kf), groups)
     b_data = None if bias is None else bias.data
     if depthwise:
@@ -356,93 +361,46 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
         return None
     out = out.reshape((*x.shape[: x.ndim - spatial - 1], c_out, h_out, w_out)[: x.ndim])
 
-    # A chunk of up to `step` clips runs in a scratch slot of two byte
-    # buffers, in floats per clip: `buf`, of the input's taps (`clip_taps`,
-    # which set the chunk size), and `pad`.  The fold's chunk makes W^T g in
-    # buf and adds it up in pad (col2im).  Any other chunk zero-inserts g in
-    # pad where stride > 1 and runs its input-gradient conv; where that is
-    # one tile, a depthwise one makes its products in buf, and a dense one
-    # copies its taps into buf and makes its products in pad, the
-    # zero-inserted g being copied by then.  The input's taps then go into
-    # buf and the weight-gradient products into pad, which the chunk returns
-    # for the caller to add in batch order.
-    clip_taps = len(offsets) * c_in * kw * (h_out + extra) * w_out
-    step = min(b, max(1, VJP_CHUNK_BYTES // (clip_taps * x4.itemsize)))
-    if b * n_out >= pool.TILE_COLS:
-        # at least two chunks of a batch whose VJP leaves the caller's
-        # thread, so that a second worker has one
-        step = min(step, -(-b // 2))
-    clip_pad, clip_buf = c_out * cg * kh * kw, clip_taps
-    if fold:
-        clip_pad = max(clip_pad, (h + 2 * ph) * (w + 2 * pw))
-    else:
-        clip_pad = max(clip_pad, c_out * hg * wg * (stride > 1))
-        if depthwise:
-            clip_buf = max(clip_buf, c_in * h * w)
-        elif len(conv_tiles(step, groups, cg, h, w)) == 1:
-            clip_pad = max(clip_pad, c_in * h * w)
-            clip_buf = max(clip_buf, c_out * kw * (h + eh) * w)
-
-    def chunk(task, pad, buf):
-        xs, gs, gxs, w_flip = task
-        n = len(xs)
-        if fold:
-            # W^T g, tile by tile, then col2im clip by clip
-            gcols = pool.carve(buf, (n, 1, kf, n_out), xs.dtype)
-            wt_t = wt.swapaxes(-1, -2)[0]
-
-            def product(t):
-                clips, _, r0, r1 = t
-                part = slice(r0 * w_out, r1 * w_out)
-                np.matmul(wt_t, gs[clips, None, :, part], out=gcols[clips, :, :, part])
-
-            pool.run(product, conv_tiles(n, 1, kf, h_out, w_out), n * n_out)
-            gcols = gcols.reshape(n, kf, h_out, w_out)
-            gxp = pool.zeros(pad, (n, 1, h + 2 * ph, w + 2 * pw), xs.dtype)
-
-            def col2im(c):
-                for a, r in enumerate(offsets):
-                    for j in range(kw):
-                        gxp[c, 0, r : r + stride * h_out : stride, j : j + stride * w_out : stride] += (
-                            gcols[c, a * kw + j])
-
-            pool.run(col2im, pool.split(n, 1, n * n_out), n * n_out)
-            gxs[...] = gxp[:, :, ph : ph + h, pw : pw + w]
-        else:
-            g4 = gs.reshape(n, c_out, h_out, w_out)
-            if stride > 1:
-                g4 = pool.zeros(pad, (n, c_out, hg, wg), xs.dtype)
-                g4[:, :, ::stride, ::stride] = gs.reshape(n, c_out, h_out, w_out)
-            if depthwise:
-                _banded(g4, w_flip, dilation, 1, eh - ph, h, out=gxs, prod=buf)
-            else:
-                _dense(g4, w_flip, (eh - ph, ew - pw), [0], kw, 1, dilation, h, w,
-                       out=gxs.reshape(n, groups, cg, h * w), slot=(buf, pad))
-        cols = _taps(xs, (ph, pw), offsets, kw, stride, w_out, 0, h_out + extra, buf)
-        return _weight_grad(cols.reshape(n, -1, groups, cg * kf, *cols.shape[-2:]),
-                            gs.reshape(n, groups, og, n_out), kt, dilation, h_out, w_out, pad)
-
     def vjp(g):
         g3 = g.reshape(b, c_out, n_out)
         gx = np.empty(x4.shape, dtype=x4.dtype)
-        gw = np.zeros_like(wt)
-        # the input gradient's flipped, group-transposed kernel, as bands
-        # where the conv is depthwise (unused where the taps fold)
-        flipped = w4.reshape(groups, og, cg, kh, kw).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
-        if depthwise:
-            w_flip = _bands(flipped.reshape(c_in, 1, kh, kw), wg, w, 1, ew - pw)
+        if fold:
+            # W^T g, then its col2im, clip by clip in a lane slot
+            wt_t = wt[0, 0].T
+            hp, wp = h + 2 * ph, w + 2 * pw
+
+            def clip_grad(c, gcols_buf, pad_buf):
+                gcols = np.matmul(wt_t, g3[c], out=pool.carve(gcols_buf, (kf, n_out), x4.dtype))
+                gcols = gcols.reshape(kf, h_out, w_out)
+                gxp = pool.zeros(pad_buf, (hp, wp), x4.dtype)
+                for a, r in enumerate(offsets):
+                    for j in range(kw):
+                        gxp[r : r + stride * h_out : stride, j : j + stride * w_out : stride] += (
+                            gcols[a * kw + j])
+                gx[c, 0] = gxp[ph : ph + h, pw : pw + w]
+
+            pool.run(clip_grad, range(b), b * n_out,
+                     (kf * n_out * x4.itemsize, hp * wp * x4.itemsize))
         else:
-            w_flip = _tap_weights(flipped.reshape(c_in, og, kh, kw), groups)
-
-        def add(prod):
-            for gw_i, prods in zip(gw, prod):
-                for clip in prods:
-                    gw_i += clip
-
-        tasks = [(x4[s : s + step], g3[s : s + step], gx[s : s + step], w_flip)
-                 for s in range(0, b, step)]
-        scratch = (step * clip_pad * x4.itemsize, step * clip_buf * x4.itemsize)
-        pool.run(chunk, tasks, b * n_out, scratch, add)
+            # the flipped, group-transposed kernel on g, padded by the
+            # kernel's reach less the pads and zero-inserted where stride > 1
+            eh, ew = dilation * (kh - 1), kw - 1
+            hg, wg = stride * (h_out - 1) + 1, stride * (w_out - 1) + 1
+            gz = g3.reshape(b, c_out, h_out, w_out)
+            if stride > 1:
+                gz = np.zeros((b, c_out, hg, wg), dtype=x4.dtype)
+                gz[:, :, ::stride, ::stride] = g3.reshape(b, c_out, h_out, w_out)
+            flipped = w4.reshape(groups, og, cg, kh, kw).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
+            if depthwise:
+                _banded(gz, _bands(flipped.reshape(c_in, 1, kh, kw), wg, w, 1, ew - pw),
+                        dilation, 1, eh - ph, h, out=gx)
+            else:
+                _dense(gz, _tap_weights(flipped.reshape(c_in, og, kh, kw), groups),
+                       (eh - ph, ew - pw), [0], kw, 1, dilation, h, w,
+                       out=gx.reshape(b, groups, cg, h * w))
+        gw = np.zeros_like(wt)
+        _weight_grad(x4, g3.reshape(b, groups, og, n_out), gw, (ph, pw), offsets, kw, stride,
+                     dilation, h_out, w_out)
         gw = gw.reshape(kt, groups, og, cg, kf).transpose(1, 2, 3, 0, 4).reshape(weight.shape)
         if bias is None:
             return gx.reshape(x.shape), gw

@@ -19,17 +19,15 @@ Scratch slots.  A job names its scratch memory as a tuple of byte sizes,
 and `run` allocates one slot of that many separate byte buffers per lane, in
 the caller's thread: buffers allocated inside the workers would grow peak
 memory with the worker count, and blocks of several MB fit the allocator's
-free blocks better apart than as one.  A job started inside a pool task
-maps its slot afresh, as the worker's malloc arena would keep it.  In a
-free-running job lane i keeps slot i for the whole job; in an in-order job
-(one with a `consume`) task k gets slot k % lanes, which task k - lanes has
-finished with.  `carve` views the front of a slot as an array of any dtype.
+free blocks better apart than as one.  In a free-running job lane i keeps
+slot i for the whole job; in an in-order job (one with a `consume`) task k
+gets slot k % lanes, which task k - lanes has finished with.  `carve` views
+the front of a slot as an array of any dtype.
 """
 from __future__ import annotations
 
 import collections
 import math
-import mmap
 import os
 import threading
 from typing import Optional
@@ -96,7 +94,7 @@ def run(fn, tasks, cols: int, scratch=(), consume=None) -> None:
     propagates only after every task in flight has finished, so none writes
     into the caller's buffers after the call returns."""
     lanes = _lanes(cols, len(tasks))
-    slots = [tuple(map(_buffer, scratch)) for _ in range(lanes)]
+    slots = [tuple(np.empty(size, dtype=np.uint8) for size in scratch) for _ in range(lanes)]
     if lanes == 1:
         for task in tasks:
             result = fn(task, *slots[0])
@@ -135,14 +133,6 @@ def run(fn, tasks, cols: int, scratch=(), consume=None) -> None:
     finally:
         for future in pending:
             future.exception()  # waits; an error already propagating wins
-
-
-def _buffer(size: int) -> np.ndarray:
-    """A scratch buffer of `size` bytes; inside a pool task, a mapping of its
-    own, unmapped when the buffer goes."""
-    if getattr(_worker, "active", False):
-        return np.frombuffer(mmap.mmap(-1, max(size, 1)), dtype=np.uint8)[:size]
-    return np.empty(size, dtype=np.uint8)
 
 
 def blocks(n: int, size: int) -> list:

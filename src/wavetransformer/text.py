@@ -82,7 +82,7 @@ class Vocabulary:
         return list(self._words)
 
 
-def build_vocab(captions: list[list[str]], min_count: int = 1) -> Vocabulary:
+def build_vocab(captions: list[list[str]]) -> Vocabulary:
     """Vocabulary over tokenized captions.
 
     Words are ordered by (descending frequency, lexicographic) after the
@@ -91,14 +91,12 @@ def build_vocab(captions: list[list[str]], min_count: int = 1) -> Vocabulary:
     counts = Counter()
     for words in captions:
         counts.update(words)
-    kept = [w for w, c in counts.items() if c >= min_count]
-    kept.sort(key=lambda w: (-counts[w], w))
-    return Vocabulary(list(RESERVED) + kept)
+    return Vocabulary(list(RESERVED) + sorted(counts, key=lambda w: (-counts[w], w)))
 
 
 @dataclass
 class TokenSequence:
-    """<sos> ... <eos> [<pad>*] caption encoding."""
+    """<sos> ... <eos> caption encoding."""
 
     indices: list[int]
 
@@ -106,14 +104,9 @@ class TokenSequence:
         return len(self.indices)
 
 
-def encode(caption: str | list[str], vocab: Vocabulary, pad_to: int | None = None) -> TokenSequence:
+def encode(caption: str | list[str], vocab: Vocabulary) -> TokenSequence:
     words = tokenize(caption) if isinstance(caption, str) else list(caption)
-    indices = [vocab.sos] + [vocab.index(w) for w in words] + [vocab.eos]
-    if pad_to is not None:
-        if pad_to < len(indices):
-            raise DataError(f"pad_to={pad_to} shorter than sequence of {len(indices)}")
-        indices = indices + [vocab.pad] * (pad_to - len(indices))
-    return TokenSequence(indices)
+    return TokenSequence([vocab.sos] + [vocab.index(w) for w in words] + [vocab.eos])
 
 
 def decode(seq: TokenSequence | list[int], vocab: Vocabulary) -> list[str]:

@@ -465,6 +465,15 @@ def train(
     result = TrainResult(best_epoch=best_epoch, epochs_run=start_epoch,
                          train_history=train_history, val_history=val_history)
 
+    def capture(epoch):
+        """Make the final checkpoint at `epoch`, the best too where it is best_epoch."""
+        result.final_checkpoint = Checkpoint.capture(
+            model, optimizer, cfg, vocab, epoch, train_history, val_history, dropout_rng,
+            first_val if val_history and numbered else None,
+        )
+        if result.best_epoch == epoch:
+            result.best_checkpoint = result.final_checkpoint
+
     for epoch in range(start_epoch + 1, cfg.max_epochs + 1):
         tr = train_epoch(model, train_items, optimizer, cfg, epoch, vocab.pad, dropout_rng)
         train_history.append(tr)
@@ -477,21 +486,11 @@ def train(
         else:
             result.best_epoch = epoch
         result.epochs_run = epoch
-        result.final_checkpoint = Checkpoint.capture(
-            model, optimizer, cfg, vocab, epoch, train_history, val_history, dropout_rng,
-            first_val if val_history and numbered else None,
-        )
-        if result.best_epoch == epoch:
-            result.best_checkpoint = result.final_checkpoint
+        capture(epoch)
         if log:
             log(epoch, tr, vl, result)
         if stop:
             break
     if result.final_checkpoint is None:  # no epoch ran
-        result.final_checkpoint = Checkpoint.capture(
-            model, optimizer, cfg, vocab, result.epochs_run, train_history, val_history,
-            dropout_rng, first_val if val_history and numbered else None,
-        )
-        if result.best_epoch == start_epoch:
-            result.best_checkpoint = result.final_checkpoint
+        capture(start_epoch)
     return result

@@ -69,17 +69,18 @@ def gradcheck(
 
 class PooledJobs(list):
     """The task counts of the pool's jobs large enough to leave the
-    caller's thread, in call order.  A job run from inside a task of one of
-    them runs inline and is not listed, so the list does not depend on the
-    worker count.
+    caller's thread, in call order.  A job started inside a task of any job
+    runs inline and is not listed, so the list does not depend on the worker
+    count; `nested` counts those jobs.
 
-    For the in-order jobs (those with a consumer): `chunks_on_pool` counts
+    For the in-order jobs (those with a consumer): `ordered_on_pool` counts
     their tasks that ran off the caller's thread, `most_in_flight` is the
     most of them started and not yet consumed at once, and `running` the
     tasks started and not yet finished.
     """
 
-    chunks_on_pool = 0
+    nested = 0
+    ordered_on_pool = 0
     most_in_flight = 0
     running = 0
 
@@ -91,9 +92,22 @@ def record_pooled_jobs(monkeypatch) -> PooledJobs:
     lock = threading.Lock()
     inside = threading.local()
 
+    def within(fn):
+        def task(*args):
+            inside.job = True
+            try:
+                return fn(*args)
+            finally:
+                inside.job = False
+        return task
+
     def spy(fn, tasks, cols, scratch=(), consume=None):
-        if getattr(inside, "job", False) or pool.inline(cols, len(tasks)):
+        if getattr(inside, "job", False):
+            with lock:
+                jobs.nested += 1
             return _RUN(fn, tasks, cols, scratch, consume)
+        if pool.inline(cols, len(tasks)):
+            return _RUN(within(fn), tasks, cols, scratch, consume)
         jobs.append(len(tasks))
         caller = threading.current_thread()
         in_flight = 0
@@ -105,12 +119,10 @@ def record_pooled_jobs(monkeypatch) -> PooledJobs:
                 if consume is not None:
                     in_flight += 1
                     jobs.most_in_flight = max(jobs.most_in_flight, in_flight)
-                    jobs.chunks_on_pool += threading.current_thread() is not caller
-            inside.job = True
+                    jobs.ordered_on_pool += threading.current_thread() is not caller
             try:
-                return fn(*args)
+                return within(fn)(*args)
             finally:
-                inside.job = False
                 with lock:
                     jobs.running -= 1
 

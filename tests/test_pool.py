@@ -25,11 +25,11 @@ CHANNEL_SHAPES = [(12, 128, 6400), (12, 128, 1600), (12, 128, 400), (1, 128, 165
 
 def conv_rows(monkeypatch):
     """The output tiles of a block-2-shaped conv at T=2584."""
-    return conv.conv_tiles(1, 1, 128, 2584, 16)
+    return conv.conv_tiles(1, 128, 2584, 16)
 
 
 def check_conv_rows(tiles, monkeypatch):
-    spans = [(r0, r1) for _, _, r0, r1 in tiles]
+    spans = [(r0, r1) for _, r0, r1 in tiles]
     assert spans[0][0] == 0 and spans[-1][1] == 2584
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
     assert all((r1 - r0) % conv.TILE_ROWS == 0 for r0, r1 in spans[:-1])
@@ -97,9 +97,6 @@ def test_tiles_depend_only_on_shapes(rule, monkeypatch):
 OWNERS = {"ops": REPO / "src/wavetransformer/tensor/ops.py",
           "conv": REPO / "src/wavetransformer/tensor/conv.py",
           "pool": REPO / "src/wavetransformer/tensor/pool.py"}
-# fault-injection spies on kernel helpers: tests wrap them to count or fail
-# their calls, which no public name can stand in for
-SPIES = {("conv", "_weight_grad")}
 # code in a string, such as a subprocess script, and prose name them too
 NAMED_IN_TEXT = re.compile(r"\b(ops|conv|pool)\.(_(?!_)\w*)")
 REFLECTION = {"setattr", "getattr", "delattr", "hasattr"}
@@ -156,7 +153,7 @@ def test_private_names_of_ops_and_pool_stay_in_their_modules():
     uses = [f"{path.relative_to(REPO)}:{line} {module}.{name}"
             for path in files
             for line, module, name in private_uses(path.read_text(encoding="utf-8"))
-            if path != OWNERS[module] and (module, name) not in SPIES]
+            if path != OWNERS[module]]
     assert uses == []
 
 

@@ -175,7 +175,7 @@ class TestConv2d:
         x = Tensor(rng.uniform(-1, 1, (8, 16, 100, 16)).astype(np.float32))
         w = Tensor(rng.uniform(-1, 1, (16, 16 // groups, 5, 5)).astype(np.float32))
         if groups == 1:
-            assert len(conv.conv_tiles(8, groups, 16 // groups, 100, 16)) == 8
+            assert len(conv.conv_tiles(8, 16 // groups, 100, 16)) == 8
         ops.conv2d(x, w, padding=2, groups=groups)  # starts the pool outside the trace
         tracemalloc.start()
         try:
@@ -195,7 +195,7 @@ class TestConv2d:
         rng = RngState(10)
         x = Tensor(rng.uniform(-1, 1, (1, 16, 1100, 16)).astype(np.float32))
         w = Tensor(rng.uniform(-1, 1, (16, 16, 5, 5)).astype(np.float32))
-        assert len(conv.conv_tiles(1, 1, 16, 1100, 16)) == 4
+        assert len(conv.conv_tiles(1, 16, 1100, 16)) == 4
         tracemalloc.start()
         try:
             out = ops.conv2d(x, w, padding=2)
@@ -215,7 +215,7 @@ class TestConv2d:
         rng = RngState(11)
         x = Tensor(rng.uniform(-1, 1, (1, 1, 1300, 16)).astype(np.float32))
         w = Tensor(rng.uniform(-1, 1, (8, 1, 5, 5)).astype(np.float32))
-        assert len(conv.conv_tiles(1, 1, 8, 1300, 16)) == 5
+        assert len(conv.conv_tiles(1, 8, 1300, 16)) == 5
         tracemalloc.start()
         try:
             out = ops.conv2d(x, w, padding=2)
@@ -226,17 +226,19 @@ class TestConv2d:
         extra = peak - out.data.nbytes
         assert extra < taps / 2, f"{extra / taps:.2f}x the K-times buffer"
 
-    def test_a_long_dense_vjp_makes_no_whole_gradient_tap_buffer(self, monkeypatch):
-        # the input gradient runs on per-tile taps of g itself: beyond the
-        # gradients (g included) the VJP holds the input's taps for the
-        # weight gradient and one row tile's taps of g, not g zero-padded
-        # and its kw-times tap buffer, which four times as many output
-        # channels as input channels make the larger
+    @pytest.mark.parametrize("c_in", [4, 16])
+    def test_a_long_dense_vjp_makes_no_whole_tap_buffer(self, c_in, monkeypatch):
+        # the input gradient copies g's taps, and the weight gradient the
+        # input's, one row tile at a time as the forward does: a clip of
+        # four row tiles, in one lane, holds beyond the gradients (g
+        # included) under half the kw-times buffer of the clip's 16 output
+        # channels, which is g's, and at C_in = 16 the input's too
         monkeypatch.setattr(pool, "WORKERS", 1)
         rng = RngState(12)
         x, w = (Tensor(rng.uniform(-1, 1, shape).astype(np.float32), requires_grad=True)
-                for shape in ((1, 4, 1100, 16), (16, 4, 5, 5)))
-        assert len(conv.conv_tiles(1, 1, 4, 1100, 16)) == 4  # the input gradient's tiles
+                for shape in ((1, c_in, 1100, 16), (16, c_in, 5, 5)))
+        # the input gradient's tiles, and the forward's and the weight gradient's
+        assert len(conv.conv_tiles(1, c_in, 1100, 16)) == len(conv.conv_tiles(1, 16, 1100, 16)) == 4
         with Tape() as tape:
             out = ops.conv2d(x, w, padding=2)
             loss = ops.tensor_sum(out)
@@ -246,9 +248,9 @@ class TestConv2d:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        grad_taps = 16 * 5 * 1104 * 16 * 4  # C_out * kw * (H + 2*pad) * W floats
+        taps = 16 * 5 * 1104 * 16 * 4  # 16 channels * kw * (H + 2*pad) * W floats
         extra = peak - out.data.nbytes - x.grad.nbytes - w.grad.nbytes
-        assert extra < grad_taps, f"{extra / grad_taps:.2f}x g's kw-times buffer"
+        assert extra < taps / 2, f"{extra / taps:.2f}x the kw-times buffer"
 
     def test_indivisible_groups_raise(self):
         with pytest.raises(DimensionError):
@@ -262,13 +264,23 @@ class TestBandedDepthwise:
     taps and padding.  Its VJP runs the flipped kernel the same way, as a
     dense conv's runs on per-tile taps of g."""
 
-    # padding 6 puts the input gradient's pads, dil*(kh-1) - pad, below zero
+    # padding 6 puts the input gradient's pads, dil*(kh-1) - pad, below zero.
+    # A clip of 40 rows, at tiles of 128 columns and of 12 rows' bytes, runs
+    # as row tiles: two of 16 and 24 rows where the conv is dense, four of
+    # 10 where it is depthwise
     @pytest.mark.parametrize("groups", [3, 1], ids=["depthwise", "dense"])
-    @pytest.mark.parametrize("stride,padding", [(1, 2), (2, 2), (1, 0), (2, 3), (1, 6)])
-    def test_matches_the_reference_and_its_adjoint(self, stride, padding, groups):
+    @pytest.mark.parametrize("stride,padding,rows", [(1, 2, 13), (2, 2, 13), (1, 0, 13),
+                                                     (2, 3, 13), (1, 6, 13), (1, 2, 40)],
+                             ids=["1-2", "2-2", "1-0", "2-3", "1-6", "1-2-row_tiles"])
+    def test_matches_the_reference_and_its_adjoint(self, stride, padding, rows, groups,
+                                                   monkeypatch):
+        if rows == 40:
+            monkeypatch.setattr(pool, "TILE_COLS", 128)
+            monkeypatch.setattr(pool, "TILE_BYTES", 12 * 3 * 7 * 8)
+            assert len(conv.conv_tiles(2, 3, 40, 7)) == 4
         with default_dtype(np.float64):
             rng = RngState(60 + 4 * stride + padding)
-            x = randt(rng, 2, 3, 13, 7)
+            x = randt(rng, 2, 3, rows, 7)
             w = randt(rng, 3, 3 // groups, 5, 5)
             b = randt(rng, 3)
             with Tape() as tape:
@@ -337,61 +349,51 @@ class TestBandedDepthwise:
         assert pooled  # the tiles ran on the pool
 
 
-class TestConvVjpChunks:
-    """The conv VJP rebuilds the input's taps over chunks of clips; no chunk
-    size may change a bit of any gradient."""
+class TestConvVjpTiles:
+    """The conv VJP runs on the forward's tiles: one tile of the whole batch,
+    or a tile per clip where the batch has pool.TILE_COLS columns.  No tile
+    may change a bit of any gradient."""
 
-    # op, input shape, weight shape, options, floats of one clip's taps in a
-    # VJP chunk: stride * C_in * kw * (H_out + dil*(kh-1)/stride) * W_out;
-    # single input channel, the kh*kw taps kh * kw * H_out * W_out
+    # op, input shape, weight shape, options
     CASES = {
-        "depthwise": (ops.conv2d, (5, 8, 12, 6), (8, 1, 5, 5),
-                      dict(padding=2, groups=8), 8 * 5 * 16 * 6),
-        "dense": (ops.conv2d, (5, 4, 12, 6), (6, 4, 5, 5),
-                  dict(padding=2), 4 * 5 * 16 * 6),
+        "depthwise": (ops.conv2d, (5, 8, 12, 6), (8, 1, 5, 5), dict(padding=2, groups=8)),
+        "dense": (ops.conv2d, (5, 4, 12, 6), (6, 4, 5, 5), dict(padding=2)),
         "stride2": (ops.conv2d, (5, 4, 13, 7), (6, 2, 5, 5),
-                    dict(stride=2, padding=1, groups=2), 2 * 4 * 5 * 8 * 3),
-        "dilated_conv1d": (ops.conv1d, (5, 4, 30), (6, 4, 3),
-                           dict(padding=3, dilation=3), 4 * 1 * 36 * 1),
-        "single_channel": (ops.conv2d, (5, 1, 12, 6), (6, 1, 5, 5),
-                           dict(padding=2), 5 * 5 * 12 * 6),
+                    dict(stride=2, padding=1, groups=2)),
+        "dilated_conv1d": (ops.conv1d, (5, 4, 30), (6, 4, 3), dict(padding=3, dilation=3)),
+        "single_channel": (ops.conv2d, (5, 1, 12, 6), (6, 1, 5, 5), dict(padding=2)),
         # padding beyond dil*(kh-1): the input gradient's pads are negative
-        "negative_offset": (ops.conv2d, (5, 4, 12, 6), (6, 4, 3, 3),
-                            dict(padding=4), 4 * 3 * 20 * 12),
-        "negative_offset_conv1d": (ops.conv1d, (5, 4, 30), (6, 4, 3),
-                                   dict(padding=3), 4 * 1 * 36 * 1),
+        "negative_offset": (ops.conv2d, (5, 4, 12, 6), (6, 4, 3, 3), dict(padding=4)),
+        "negative_offset_conv1d": (ops.conv1d, (5, 4, 30), (6, 4, 3), dict(padding=3)),
     }
 
-    def _grads(self, case, monkeypatch):
-        op, x_shape, w_shape, options, _ = self.CASES[case]
+    def _grads(self, case, tile_cols, workers, monkeypatch):
+        op, x_shape, w_shape, options = self.CASES[case]
+        monkeypatch.setattr(pool, "TILE_COLS", tile_cols)
+        monkeypatch.setattr(pool, "WORKERS", workers)
+        pooled = record_pooled_jobs(monkeypatch)
         rng = RngState(70)
         x, w, b = (Tensor(rng.uniform(-1, 1, shape).astype(np.float32), requires_grad=True)
                    for shape in (x_shape, w_shape, w_shape[:1]))
-        chunks = []
-        weight_grad = conv._weight_grad
-
-        def spy(cols, *args):
-            chunks.append(len(cols))
-            return weight_grad(cols, *args)
-
         with Tape() as tape:
-            loss = ops.tensor_sum(ops.tanh(op(x, w, b, **options)))
-        # one call per chunk, with the chunk's taps
-        monkeypatch.setattr(conv, "_weight_grad", spy)
+            out = op(x, w, b, **options)
+            loss = ops.tensor_sum(ops.tanh(out))
         backward(loss, tape)
-        monkeypatch.setattr(conv, "_weight_grad", weight_grad)
-        return (x.grad, w.grad, b.grad), chunks
+        return [a.tobytes() for a in (x.grad, w.grad, b.grad)], out.shape, pooled
 
-    @pytest.mark.parametrize("clips", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_chunked_vjp_is_bit_equal(self, case, clips, monkeypatch):
-        whole, chunks = self._grads(case, monkeypatch)
-        assert chunks == [5]
-        monkeypatch.setattr(conv, "VJP_CHUNK_BYTES", max(1, clips * 4 * self.CASES[case][-1]))
-        chunked, chunks = self._grads(case, monkeypatch)
-        assert chunks == {1: [1] * 5, 2: [2, 2, 1]}[clips]
-        for a, b in zip(whole, chunked):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    def test_bits_do_not_depend_on_the_clips_per_tile(self, case, workers, monkeypatch):
+        whole, shape, pooled = self._grads(case, 1 << 30, 1, monkeypatch)
+        assert pooled == []  # one tile of the batch, inline
+        # as many columns as a clip's output: a tile per clip, of all its rows
+        _, _, w_shape, options = self.CASES[case]
+        h_out, w_out = (*shape[2:], 1)[:2]
+        tiled, _, pooled = self._grads(case, h_out * w_out, workers, monkeypatch)
+        og = w_shape[0] // options.get("groups", 1)
+        assert len(conv.conv_tiles(5, og, h_out, w_out)) == 5
+        assert pooled.ordered_on_pool == (5 if workers == 2 else 0)
+        assert tiled == whole
 
 
 class TestConvWorkers:
@@ -421,9 +423,11 @@ class TestConvWorkers:
     }
     # below the default tile size: one tile, inline
     INLINE = {"tiny", "stride2", "stride2_groups"}
-    # convs of 4 or more clips, whose VJP runs one chunk per clip when
-    # VJP_CHUNK_BYTES is tiny
-    MANY_CHUNKS = {
+    # one tile at 128 columns too: tiles of 128 columns of "long_dense" would
+    # be under TILE_ROWS rows, so its clip is one tile
+    INLINE_AT_128 = {"tiny", "long_dense"}
+    # convs of 4 or more clips, which run a tile per clip at 128 columns
+    MANY_CLIPS = {
         "batch12": CASES["batch12"],
         "batch12_depthwise": (ops.conv2d, (12, 16, 40, 16), (16, 1, 5, 5),
                               dict(padding=2, groups=16)),
@@ -451,7 +455,7 @@ class TestConvWorkers:
             monkeypatch.setattr(pool, "TILE_COLS", tile_cols)
         spec = self.CASES[case]
         one, pooled = self._run(spec, 1, monkeypatch)
-        assert (pooled == []) == (case == "tiny" or tile_cols is None and case in self.INLINE)
+        assert (pooled == []) == (case in (self.INLINE if tile_cols is None else self.INLINE_AT_128))
         assert self._run(spec, 2, monkeypatch) == (one, pooled)
         # more workers than cores, switching threads often: a task writing
         # outside its own slice would show
@@ -462,16 +466,17 @@ class TestConvWorkers:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("case", sorted(MANY_CHUNKS))
-    def test_vjp_chunks_run_on_the_pool_with_the_same_bits(self, case, monkeypatch):
-        spec = self.MANY_CHUNKS[case]
+    @pytest.mark.parametrize("case", sorted(MANY_CLIPS))
+    def test_weight_gradient_tiles_run_on_the_pool_with_the_same_bits(self, case, monkeypatch):
+        spec = self.MANY_CLIPS[case]
         clips = spec[1][0]
-        whole, _ = self._run(spec, 1, monkeypatch)
-        monkeypatch.setattr(conv, "VJP_CHUNK_BYTES", 1)  # one clip per chunk
-        monkeypatch.setattr(pool, "TILE_COLS", 128)  # every chunk job leaves the caller
+        monkeypatch.setattr(pool, "TILE_COLS", 1 << 30)  # one tile of the batch, inline
+        whole, pooled = self._run(spec, 1, monkeypatch)
+        assert pooled == []
+        monkeypatch.setattr(pool, "TILE_COLS", 128)  # a tile per clip; every job leaves the caller
         one, pooled = self._run(spec, 1, monkeypatch)
         assert one == whole
-        assert clips in pooled and pooled.chunks_on_pool == 0
+        assert clips in pooled and pooled.ordered_on_pool == 0
         interval = sys.getswitchinterval()
         try:
             for workers in (2, 3):
@@ -479,33 +484,36 @@ class TestConvWorkers:
                     sys.setswitchinterval(1e-5)
                 bits, jobs = self._run(spec, workers, monkeypatch)
                 assert (bits, jobs) == (one, pooled)
-                assert jobs.chunks_on_pool == clips
+                assert jobs.ordered_on_pool == clips
                 assert 1 <= jobs.most_in_flight <= workers
         finally:
             sys.setswitchinterval(interval)
 
-    def test_a_failing_chunk_raises_after_the_chunks_in_flight_stop(self, monkeypatch):
-        # the second chunk's weight gradient fails inside a pool task;
-        # backward raises that error, and only after the other chunks in
-        # flight have finished with the caller's buffers
+    def test_a_failing_weight_gradient_tile_raises_after_the_tiles_in_flight_stop(self, monkeypatch):
+        # the second weight-gradient tile fails inside a pool task; backward
+        # raises that error, and only after the other tiles in flight have
+        # finished with the caller's buffers
         monkeypatch.setattr(pool, "WORKERS", 2)
-        monkeypatch.setattr(conv, "VJP_CHUNK_BYTES", 1)
         jobs = record_pooled_jobs(monkeypatch)
-        weight_grad, calls, lock = conv._weight_grad, [], threading.Lock()
+        run, calls, lock = pool.run, [], threading.Lock()
 
-        class ChunkFault(Exception):
+        class TileFault(Exception):
             pass
 
-        def faulty(*args, **kwargs):
-            with lock:
-                calls.append(threading.current_thread().name)
-                n = len(calls)
-            time.sleep(0.02)  # long enough for the other chunks to be in flight
-            if n == 2:
-                raise ChunkFault("second chunk")
-            return weight_grad(*args, **kwargs)
+        def faulty_run(fn, tasks, cols, scratch=(), consume=None):
+            def faulty(*args):
+                with lock:
+                    calls.append(threading.current_thread().name)
+                    n = len(calls)
+                time.sleep(0.02)  # long enough for the other tiles to be in flight
+                if n == 2:
+                    raise TileFault("second tile")
+                return fn(*args)
 
-        monkeypatch.setattr(conv, "_weight_grad", faulty)
+            # the weight gradient's tiles are the only job with a consumer
+            return run(fn if consume is None else faulty, tasks, cols, scratch, consume)
+
+        monkeypatch.setattr(pool, "run", faulty_run)
         op, x_shape, w_shape, options = self.CASES["batch12"]
         rng = RngState(73)
         x, w = (Tensor(rng.uniform(-1, 1, shape).astype(np.float32), requires_grad=True)
@@ -513,18 +521,18 @@ class TestConvWorkers:
         with Tape() as tape:
             loss = ops.tensor_sum(op(x, w, **options))
         assert calls == []
-        with pytest.raises(ChunkFault, match="second chunk"):
+        with pytest.raises(TileFault, match="second tile"):
             backward(loss, tape)
         seen, running = len(calls), jobs.running
-        time.sleep(0.1)  # a chunk still queued or running would call it meanwhile
+        time.sleep(0.1)  # a tile still queued or running would call it meanwhile
         assert running == 0 and len(calls) == seen
-        assert calls[1].startswith("conv-tile") and jobs.chunks_on_pool >= 2
-        assert len(calls) < x_shape[0]  # the chunks after the fault never ran
+        assert calls[1].startswith("conv-tile") and jobs.ordered_on_pool >= 2
+        assert len(calls) < x_shape[0]  # the tiles after the fault never ran
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
-    def test_vjp_chunks_in_flight_do_not_grow_peak_memory(self):
+    def test_vjp_tiles_in_flight_do_not_grow_peak_memory(self):
         # a block-2-shaped conv at the paper's batch: a second worker adds
-        # one slot of caller-owned buffers (about 6 MB); chunks that
+        # one slot of caller-owned buffers (about 6 MB); VJP tasks that
         # allocated their own buffers inside the pool threads added about
         # 15 MB
         script = (
@@ -547,22 +555,6 @@ class TestConvWorkers:
                                        capture_output=True, text=True, check=True).stdout)
                     for workers in (1, 2)]
         assert peak_kib[1] <= peak_kib[0] + 8 * 1024, f"peak RSS {peak_kib} KiB at 1 and 2 workers"
-
-    def test_a_batch_in_one_chunk_splits_for_a_second_worker(self, monkeypatch):
-        # six clips fit one VJP_CHUNK_BYTES chunk; a VJP job large enough
-        # to leave the caller's thread still runs as two chunks of three
-        # clips, one per worker, with the bits of the whole batch in one
-        spec = self.MANY_CHUNKS["single_channel_b6"]
-        clips = conv.VJP_CHUNK_BYTES // (5 * 5 * 60 * 16 * 4)
-        assert clips >= spec[1][0]
-        monkeypatch.setattr(pool, "TILE_COLS", 1 << 30)  # nothing leaves the caller
-        whole, _ = self._run(spec, 2, monkeypatch)
-        monkeypatch.undo()
-        for workers in (1, 2):
-            bits, jobs = self._run(spec, workers, monkeypatch)
-            assert bits == whole
-            assert jobs.chunks_on_pool == (2 if workers == 2 else 0)
-            assert jobs.most_in_flight == workers
 
     def test_conv_inside_a_pool_task_runs_inline_and_finishes(self, monkeypatch):
         # a conv called from a pool task must not queue tiles behind itself:

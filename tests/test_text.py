@@ -82,14 +82,9 @@ class TestEncode:
         assert seq.indices[0] == vocab.sos and seq.indices[-1] == vocab.eos
         assert len(seq) == 4
 
-    def test_padding(self, vocab):
-        seq = encode("a dog", vocab, pad_to=6)
-        assert len(seq) == 6
-        assert seq.indices[-2:] == [vocab.pad, vocab.pad]
-
     def test_round_trip(self, vocab):
         for cap in ("a dog barks", "a cat"):
-            assert decode(encode(cap, vocab, pad_to=8), vocab) == tokenize(cap)
+            assert decode(encode(cap, vocab), vocab) == tokenize(cap)
 
     def test_oov_raises(self, vocab):
         with pytest.raises(DataError, match="out-of-vocabulary"):

@@ -695,16 +695,30 @@ class TestWorkerCount:
         assert pooled, "no conv ran in tiles"
         assert self._outputs(2, monkeypatch) == (one, pooled)
 
-    def test_training_step_in_one_chunk_per_clip(self, monkeypatch):
+    def test_training_step_in_one_tile_per_clip(self, monkeypatch):
         model, feats, _ = self._setup(1, monkeypatch)
+        monkeypatch.setattr(pool, "TILE_COLS", 1 << 30)  # every conv one tile of the batch
         whole = self._step(model, feats)
-        # every conv VJP splits the batch of two into chunks of one clip,
-        # which run on the pool at two workers
-        monkeypatch.setattr(conv, "VJP_CHUNK_BYTES", 1)
+        # every conv of the batch of two runs a tile per clip, each of the
+        # clip's rows, and its VJP's weight-gradient tiles run on the pool
+        # at two workers
+        monkeypatch.setattr(conv, "TILE_ROWS", 64)
         for workers in (1, 2):
             model, feats, pooled = self._setup(workers, monkeypatch)
             assert self._step(model, feats) == whole
-            assert (pooled.chunks_on_pool > 0) == (workers == 2)
+            assert (pooled.ordered_on_pool > 0) == (workers == 2)
+
+    def test_paper_model_starts_no_job_inside_a_pool_task(self, monkeypatch):
+        # a training step and a greedy caption of the paper's model: every
+        # job, each of the conv VJP's included, starts in the caller's thread
+        monkeypatch.setattr(pool, "WORKERS", 2)
+        pooled = record_pooled_jobs(monkeypatch)
+        vocab = tiny_vocab()
+        model = CaptionModel(EncoderConfig(), DecoderConfig(vocab_size=vocab.size), seed=0)
+        feats = RngState(1).uniform(-1.0, 1.0, (2, 40, 64)).astype(np.float32)
+        self._step(model, feats)
+        decode(model.encode(feats[0]), model, vocab, DecodeConfig(max_words=4))
+        assert pooled and pooled.nested == 0
 
 
 class TestBlasThreadCount:
