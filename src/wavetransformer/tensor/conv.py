@@ -9,16 +9,20 @@ banded weights that hold the frequency taps and padding (`_banded`).  Every
 other conv copies each output tile's taps into a scratch slot of its lane
 (`_dense`): kh time taps over the kw frequency taps, split by phase mod
 stride, or, for a single input channel (the fold: the first TF block), one
-time tap whose K holds all kh*kw taps.  `_taps` is the only tap copy.
+time tap whose K holds all kh*kw taps.  `_taps` is the only tap copy.  Every
+conv runs as output tiles of one rule (`_tiles`): whole clips, or a block of
+one clip's rows, of about pool.TILE_BYTES of the tile's largest scratch
+buffer: its taps, or its tap products (a depthwise conv's only buffer) or an
+epilogue's tile where those are larger.
 
 The input gradient is the same kernel run on g itself with the flipped,
 group-transposed kernel, padded by dilation*(kh-1) - pad rows and kw-1 - pad
 columns (a negative pad crops) and zero-inserted only where stride > 1;
 where the taps fold, it is the col2im of W^T g, clip by clip.  The tape
-keeps each conv's input, from which the weight gradient copies the taps of
-the forward's tiles again, one tile at a time in a lane's slot; the caller
-adds each tile's products in batch order, as one pass would.  Every job of
-the VJP is a job of its own on the pool of `pool`: none starts inside another.
+keeps each conv's input, from which the weight gradient copies its taps
+again, one tile at a time in a lane's slot; the caller adds each tile's
+products in batch order, as one pass would.  Every job of the VJP is a job
+of its own on the pool of `pool`: none starts inside another.
 """
 from __future__ import annotations
 
@@ -73,25 +77,14 @@ def conv2d_tiles(x: Tensor, weight: Tensor, bias: Optional[Tensor], padding: int
     _conv_taps(2, x, weight, bias, 1, padding, 1, 1, epilogue)
 
 
-# A conv's output tile is one clip's block of rows: a multiple of TILE_ROWS
-# rows and at least pool.TILE_COLS columns where the clip has them, so every
-# tile but a clip's last starts and ends on the BLAS kernels' column blocks,
-# as the whole GEMM's do.  A conv with one output channel per group is a GEMV
-# per group, whose bits depend on its column count, so it is tiled by whole
-# clips instead, every GEMV whole.  Every tile holds all groups.
-TILE_ROWS = 16
-
-
-def conv_tiles(b, og, h_out, w_out) -> list:
-    """(clips, first row, end row) of each output tile; see TILE_ROWS."""
-    cols = b * h_out * w_out
-    rows = h_out
-    if og > 1 and cols >= pool.TILE_COLS:
-        # as many tiles as a clip has whole TILE_COLS, in whole TILE_ROWS, or one
-        per_clip = max(1, h_out * w_out // pool.TILE_COLS)
-        rows = h_out // per_clip // TILE_ROWS * TILE_ROWS or h_out
-    return [(c, r.start, r.stop) for c in pool.split(b, 1, cols)
-            for r in pool.blocks(h_out, rows)]
+def _tiles(b, h_out, row_bytes, extra=0) -> list:
+    """(clips, rows) of each output tile of a conv of b clips of h_out
+    output rows whose largest scratch buffer holds row_bytes per output row
+    and per tile `extra` rows more: whole clips, or a block of one clip's
+    rows (a range), of about pool.TILE_BYTES of that buffer."""
+    return [(clips, range(h_out)[rows])
+            for clips in pool.flat_tiles(b, (h_out + extra) * row_bytes)
+            for rows in pool.flat_tiles(h_out, row_bytes)]
 
 
 def _inside(first: int, step: int, n: int, size: int) -> tuple:
@@ -156,14 +149,14 @@ def _bands(w4, w, w_out, stride, pw) -> np.ndarray:
     return bands
 
 
-def _banded(x, bands, dilation, stride, ph, h_out, bias=None, out=None) -> np.ndarray:
+def _banded(x, bands, stride, ph, h_out, bias=None, out=None) -> np.ndarray:
     """The depthwise conv of x (B, C, H, W) with `bands` (kh, C, W, W_out),
     time padding ph: (B, C, h_out, W_out), into `out` if given.
 
-    Time tap i of output row o reads input row o * stride + i * dilation -
-    ph.  A tile is whole clips or a block of one clip's rows, of about
-    pool.TILE_BYTES of output; each time tap is one matmul on it, over the
-    rows whose input row lies inside x, so the input is never padded.  A
+    Time tap i of output row o reads input row o * stride + i - ph.  A tile
+    is whole clips or a block of one clip's rows (`_tiles`), of about
+    pool.TILE_BYTES of tap products; each time tap is one matmul on it, over
+    the rows whose input row lies inside x, so the input is never padded.  A
     tile adds its taps in index order, then the bias, as `_dense` does, rows
     that tap 0 does not reach starting from zero; it makes its tap products
     in a scratch slot of its lane.  In float32 the bits do not depend on the
@@ -174,10 +167,8 @@ def _banded(x, bands, dilation, stride, ph, h_out, bias=None, out=None) -> np.nd
     if out is None:
         out = np.empty((b, c, h_out, w_out), dtype=x.dtype)
     row_bytes = c * w_out * x.itemsize
-    tiles = [(clips, range(h_out)[rows])
-             for clips in pool.flat_tiles(b, h_out * row_bytes)
-             for rows in pool.flat_tiles(h_out, row_bytes)]
-    reach = [_inside(i * dilation - ph, stride, h_out, h) for i in range(kh)]
+    tiles = _tiles(b, h_out, row_bytes)
+    reach = [_inside(i - ph, stride, h_out, h) for i in range(kh)]
 
     def tile(t, prod_buf):
         clips, rows = t
@@ -185,7 +176,7 @@ def _banded(x, bands, dilation, stride, ph, h_out, bias=None, out=None) -> np.nd
         for i, (lo, hi) in enumerate(reach):
             lo = min(max(lo, rows.start), rows.stop)
             hi = max(min(hi, rows.stop), lo)
-            src = x[clips, :, _span(i * dilation - ph, stride, lo, hi)]
+            src = x[clips, :, _span(i - ph, stride, lo, hi)]
             part = o[:, :, lo - rows.start : hi - rows.start]
             if i == 0:
                 o[:, :, : lo - rows.start] = 0
@@ -211,7 +202,8 @@ def _window(cols, i, dilation, rows) -> np.ndarray:
     return window.reshape(*window.shape[:3], -1)
 
 
-def _tap_tiles(x, shape, pads, offsets, kw, stride, dilation, h_out, w_out) -> tuple:
+def _tap_tiles(x, shape, pads, offsets, kw, stride, dilation, h_out, w_out,
+               out_row=0) -> tuple:
     """The output tiles of the conv of x (B, C, H, W), zero-padded by pads,
     with tap weights of `shape` (kt, groups, og, k); taps(tile, buf), the
     tile's taps (clips, phases, groups, k, H', w_out) on the front of the
@@ -220,18 +212,22 @@ def _tap_tiles(x, shape, pads, offsets, kw, stride, dilation, h_out, w_out) -> t
     A tile's taps are those `_taps` makes at the padded row offsets, over its
     rows and the dilation*(kt-1)/len(offsets) after them: the phases mod
     stride, which the kt time taps read, or the fold's kernel rows, which one
-    time tap reads."""
-    kt, groups, og, k = shape
+    time tap reads.  The tiles (`_tiles`) are sized by the taps, or by the
+    tile's other scratch buffers, of out_row bytes per output row, where
+    those are larger."""
+    kt, groups, _, k = shape
     extra = dilation * (kt - 1) // len(offsets)
-    tiles = conv_tiles(len(x), og, h_out, w_out)
+    row_bytes = x.itemsize * len(offsets) * x.shape[1] * kw * w_out
+    tiles = _tiles(len(x), h_out, max(row_bytes, out_row), extra)
 
     def taps(t, buf):
-        clips, r0, r1 = t
-        cols = _taps(x[clips], pads, offsets, kw, stride, w_out, r0, r1 - r0 + extra, buf)
+        clips, rows = t
+        cols = _taps(x[clips], pads, offsets, kw, stride, w_out, rows.start, len(rows) + extra,
+                     buf)
         return cols.reshape(len(cols), -1, groups, k, *cols.shape[-2:])
 
-    most = max(len(range(len(x))[c]) * (r1 - r0 + extra) for c, r0, r1 in tiles)
-    return tiles, taps, x.itemsize * len(offsets) * x.shape[1] * kw * w_out * most
+    most = max(len(range(len(x))[c]) * (len(rows) + extra) for c, rows in tiles)
+    return tiles, taps, row_bytes * most
 
 
 def _dense(x, wt, pads, offsets, kw, stride, dilation, h_out, w_out, bias=None, out=None,
@@ -250,30 +246,30 @@ def _dense(x, wt, pads, offsets, kw, stride, dilation, h_out, w_out, bias=None, 
     """
     kt, groups, og, _ = wt.shape
     b = len(x)
+    out_row = x.itemsize * groups * og * w_out
     tiles, taps, tap_bytes = _tap_tiles(x, wt.shape, pads, offsets, kw, stride, dilation,
-                                        h_out, w_out)
+                                        h_out, w_out, out_row * (kt > 1 or epilogue is not None))
     if out is None and epilogue is None:
         out = np.empty((b, groups, og, h_out * w_out), dtype=x.dtype)
 
     def tile(t, tap_buf, prod_buf, tile_buf=None):
-        clips, r0, r1 = t
+        clips, rows = t
         cols = taps(t, tap_buf)
-        shape = (len(cols), groups, og, (r1 - r0) * w_out)
+        shape = (len(cols), groups, og, len(rows) * w_out)
         if epilogue is None:
-            o = out[clips, :, :, r0 * w_out : r1 * w_out]
+            o = out[clips, :, :, rows.start * w_out : rows.stop * w_out]
         else:
             o = pool.carve(tile_buf, shape, x.dtype)
-        np.matmul(wt[0], _window(cols, 0, dilation, r1 - r0), out=o)
+        np.matmul(wt[0], _window(cols, 0, dilation, len(rows)), out=o)
         for i in range(1, kt):
-            o += np.matmul(wt[i], _window(cols, i, dilation, r1 - r0),
+            o += np.matmul(wt[i], _window(cols, i, dilation, len(rows)),
                            out=pool.carve(prod_buf, shape, x.dtype))
         if bias is not None:
             o += bias.reshape(groups, og, 1)
         if epilogue is not None:
-            epilogue(o.reshape(len(o), -1, o.shape[-1]), clips, r0, r1)
+            epilogue(o.reshape(len(o), -1, o.shape[-1]), clips, rows.start, rows.stop)
 
-    tile_bytes = x.itemsize * groups * og * w_out * max(
-        len(range(b)[c]) * (r1 - r0) for c, r0, r1 in tiles)
+    tile_bytes = out_row * max(len(range(b)[c]) * len(rows) for c, rows in tiles)
     # a lane's slot: its taps, its tap products, and the tile where there is an epilogue
     scratch = (tap_bytes, tile_bytes * (kt > 1), tile_bytes * (epilogue is not None))
     pool.run(tile, tiles, b * h_out * w_out, scratch)
@@ -285,21 +281,22 @@ def _weight_grad(x, g4, gw, pads, offsets, kw, stride, dilation, h_out, w_out) -
     (B, C, H, W), zero-padded by pads, whose output has gradient g4 (B,
     groups, og, h_out * w_out).
 
-    Each output tile copies its taps as the forward's tile does
-    (`_tap_tiles`) and makes its kt tap products (clips, groups, og, k) in
-    its lane's slot; the caller adds them per time tap, clip by clip, in tile
-    order, the order of a sum over the batch axis."""
+    Each output tile copies its taps as a forward tile does (`_tap_tiles`,
+    its tiles sized by the taps alone) and makes its kt tap products
+    (clips, groups, og, k) in its lane's slot; the caller adds them per time
+    tap, clip by clip, in tile order, the order of a sum over the batch
+    axis."""
     kt, groups, og, k = gw.shape
     tiles, taps, tap_bytes = _tap_tiles(x, gw.shape, pads, offsets, kw, stride, dilation,
                                         h_out, w_out)
 
     def products(t, tap_buf, prod_buf):
-        clips, r0, r1 = t
+        clips, rows = t
         cols = taps(t, tap_buf)
         prod = pool.carve(prod_buf, (kt, len(cols), groups, og, k), x.dtype)
-        part = g4[clips, :, :, r0 * w_out : r1 * w_out]
+        part = g4[clips, :, :, rows.start * w_out : rows.stop * w_out]
         for i in range(kt):
-            np.matmul(part, _window(cols, i, dilation, r1 - r0).swapaxes(-1, -2), out=prod[i])
+            np.matmul(part, _window(cols, i, dilation, len(rows)).swapaxes(-1, -2), out=prod[i])
         return prod
 
     def add(prod):
@@ -307,7 +304,7 @@ def _weight_grad(x, g4, gw, pads, offsets, kw, stride, dilation, h_out, w_out) -
             for clip in clips:
                 gw_i += clip
 
-    most = max(len(range(len(x))[c]) for c, _, _ in tiles)
+    most = max(len(range(len(x))[c]) for c, _ in tiles)
     pool.run(products, tiles, len(x) * h_out * w_out, (tap_bytes, most * gw.nbytes), add)
 
 
@@ -353,7 +350,7 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
     wt = _tap_weights(w4.reshape(c_out, cg, kt, kf), groups)
     b_data = None if bias is None else bias.data
     if depthwise:
-        out = _banded(x4, _bands(w4, w, w_out, stride, pw), dilation, stride, ph, h_out, b_data)
+        out = _banded(x4, _bands(w4, w, w_out, stride, pw), stride, ph, h_out, b_data)
     else:
         out = _dense(x4, wt, (ph, pw), offsets, kw, stride, dilation, h_out, w_out, b_data,
                      epilogue=epilogue)
@@ -372,7 +369,8 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
             def clip_grad(c, gcols_buf, pad_buf):
                 gcols = np.matmul(wt_t, g3[c], out=pool.carve(gcols_buf, (kf, n_out), x4.dtype))
                 gcols = gcols.reshape(kf, h_out, w_out)
-                gxp = pool.zeros(pad_buf, (hp, wp), x4.dtype)
+                gxp = pool.carve(pad_buf, (hp, wp), x4.dtype)
+                gxp.fill(0)
                 for a, r in enumerate(offsets):
                     for j in range(kw):
                         gxp[r : r + stride * h_out : stride, j : j + stride * w_out : stride] += (
@@ -393,7 +391,7 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
             flipped = w4.reshape(groups, og, cg, kh, kw).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
             if depthwise:
                 _banded(gz, _bands(flipped.reshape(c_in, 1, kh, kw), wg, w, 1, ew - pw),
-                        dilation, 1, eh - ph, h, out=gx)
+                        1, eh - ph, h, out=gx)
             else:
                 _dense(gz, _tap_weights(flipped.reshape(c_in, og, kh, kw), groups),
                        (eh - ph, ew - pw), [0], kw, 1, dilation, h, w,

@@ -418,8 +418,6 @@ def max_pool_freq(x: Tensor, pool: int) -> Tensor:
     """
     f = x.shape[-1]
     _check_pool(f, pool)
-    if pool == 1:
-        return apply_op(x.data.copy(), (x,), lambda g: (g,))
     windows = x.data.reshape(-1, pool)
     tiles = tile_pool.flat_tiles(len(windows), pool * x.data.itemsize)
     out = np.empty(len(windows), dtype=x.dtype)

@@ -10,10 +10,11 @@ job runs on up to WORKERS lanes, one pool thread each.
 Tiles.  How a pass splits into tasks follows from its shapes alone, never
 from the worker count, and every task keeps the accumulation order of the
 whole pass, so results are bit-reproducible run to run and do not depend on
-the worker count.  The generic rules are here: `blocks` and `split` cut a
-range into blocks of a fixed size, and `flat_tiles` a pass into tiles of
-about TILE_BYTES, which fit one core's L2 cache with room for a second
-operand: of elements, or of whole rows, as batch norm's (clip, channel) rows.
+the worker count.  The generic rules are here: `blocks` cuts a range into
+blocks of a fixed size, and `flat_tiles` a pass into tiles of about
+TILE_BYTES, which fit one core's L2 cache with room for a second operand: of
+elements, or of whole rows, as batch norm's (clip, channel) rows and a
+conv's clips and output rows.
 
 Scratch slots.  A job names its scratch memory as a tuple of byte sizes,
 and `run` allocates one slot of that many separate byte buffers per lane, in
@@ -143,14 +144,6 @@ def blocks(n: int, size: int) -> list:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def split(n: int, size: int, cols: int) -> list:
-    """range(n) in slices of `size`, the last what is left, or whole for a
-    job of `cols` columns that runs inline."""
-    if cols < TILE_COLS:
-        return [slice(None)]
-    return [slice(k, k + size) for k in range(0, n, size)]
-
-
 def flat_tiles(n: int, unit_bytes: int) -> list:
     """range(n), of units of `unit_bytes`, in even slices of about
     TILE_BYTES (one slice if n is 0)."""
@@ -172,13 +165,3 @@ def carve(buf, shape, dtype) -> np.ndarray:
         return np.empty(shape, dtype=dtype)
     dtype = np.dtype(dtype)
     return buf[: math.prod(shape) * dtype.itemsize].view(dtype).reshape(shape)
-
-
-def zeros(buf, shape, dtype) -> np.ndarray:
-    """Zeros of `shape` on the front of the flat byte buffer `buf`, or new
-    ones if `buf` is None."""
-    if buf is None:
-        return np.zeros(shape, dtype=dtype)
-    out = carve(buf, shape, dtype)
-    out.fill(0)
-    return out

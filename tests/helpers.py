@@ -155,6 +155,22 @@ def frame_tile_rows(frames: int, monkeypatch) -> list:
     return rows
 
 
+def clip_taps(x_shape, w_shape, stride=1, padding=0, dilation=1, groups=1) -> int:
+    """The bytes of one clip's taps in the forward and the weight gradient
+    of a float32 conv of input x_shape and weight w_shape, the buffer that
+    sizes their tiles: C_in * kw * W_out floats for each output row and the
+    dilation * (kh - 1) rows after them, at stride s for each of s phases
+    and over (kh - 1) / s rows after them; for a single input channel, kh *
+    kw * W_out floats for each output row."""
+    (c, h, w), (kh, kw) = (*x_shape[1:], 1)[:3], (*w_shape[2:], 1)[:2]
+    pw = padding if len(x_shape) == 4 else 0
+    h_out = (h + 2 * padding - dilation * (kh - 1) - 1) // stride + 1
+    w_out = (w + 2 * pw - kw) // stride + 1
+    if c == 1 and groups == 1:
+        return 4 * kh * kw * w_out * h_out
+    return 4 * stride * c * kw * w_out * (h_out + dilation * (kh - 1) // stride)
+
+
 def conv1d_reference(x, w, b, stride=1, padding=0, dilation=1):
     """Direct-summation 1D cross-correlation oracle (no im2col)."""
     x = np.asarray(x, dtype=np.float64)

@@ -135,11 +135,11 @@ class TestEvalTFBlockTiles:
         monkeypatch.setattr(ops, "max_pool_freq", counted)
         return calls
 
-    @pytest.mark.parametrize("tile_cols", [None, 128])
+    @pytest.mark.parametrize("tile_bytes", [None, 1 << 14])
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-    def test_bits_are_the_three_ops_at_any_worker_count(self, geometry, tile_cols, monkeypatch):
-        if tile_cols is not None:
-            monkeypatch.setattr(pool, "TILE_COLS", tile_cols)
+    def test_bits_are_the_three_ops_at_any_worker_count(self, geometry, tile_bytes, monkeypatch):
+        if tile_bytes is not None:
+            monkeypatch.setattr(pool, "TILE_BYTES", tile_bytes)
         block, x = self.block_and_input(geometry)
         want, pre = self.unfused(block, x)
         windows = pre.data.reshape(-1, block.pool)
@@ -155,7 +155,7 @@ class TestEvalTFBlockTiles:
                 got = block(x, training=False)
                 assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()
                 assert not pools  # no full-size output was pooled
-                if workers > 1 and (tile_cols or geometry != "block3"):
+                if workers > 1 and (tile_bytes or geometry != "block3"):
                     assert jobs  # the P-CNN tiles ran on the pool
         finally:
             sys.setswitchinterval(interval)

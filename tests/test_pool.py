@@ -6,9 +6,10 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wavetransformer.tensor import conv, pool
+from wavetransformer.tensor import Tensor, conv, pool
 
 from helpers import frame_tile_rows
 
@@ -23,17 +24,87 @@ REPO = Path(__file__).resolve().parents[1]
 CHANNEL_SHAPES = [(12, 128, 6400), (12, 128, 1600), (12, 128, 400), (1, 128, 165376)]
 
 
-def conv_rows(monkeypatch):
-    """The output tiles of a block-2-shaped conv at T=2584."""
-    return conv.conv_tiles(1, 128, 2584, 16)
+# (spatial, C_in, C_out, groups, kernel, padding, dilation, W) of each conv
+# geometry of the paper's encoder: the wave blocks' conv1ds, each TF block's
+# S-CNN and P-CNN, and the merge net's conv over (z_t, z_tf)
+PAPER_CONVS = {
+    "temp.block1.t1": (1, 64, 128, 1, 1, 0, 1, 1),
+    "temp.t4": (1, 128, 128, 1, 1, 0, 1, 1),
+    "temp.t2": (1, 128, 128, 1, 3, 1, 1, 1),
+    "temp.t5": (1, 128, 128, 1, 3, 2, 2, 1),
+    "tf.block1.scnn": (2, 1, 1, 1, 5, 2, 1, 64),
+    "tf.block1.pcnn": (2, 1, 128, 1, 5, 2, 1, 64),
+    "tf.block2.scnn": (2, 128, 128, 128, 5, 2, 1, 16),
+    "tf.block2.pcnn": (2, 128, 128, 1, 5, 2, 1, 16),
+    "tf.block3.scnn": (2, 128, 128, 128, 5, 2, 1, 4),
+    "tf.block3.pcnn": (2, 128, 128, 1, 5, 2, 1, 4),
+    "merge.cnn": (2, 2, 1, 1, 5, 2, 1, 128),
+}
+# (clips, frames): a training batch of 1 s clips, a 5 s clip and a 30 s clip
+CONV_BATCHES = [(12, 100), (1, 431), (1, 2584)]
 
 
-def check_conv_rows(tiles, monkeypatch):
-    spans = [(r0, r1) for _, r0, r1 in tiles]
-    assert spans[0][0] == 0 and spans[-1][1] == 2584
-    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-    assert all((r1 - r0) % conv.TILE_ROWS == 0 for r0, r1 in spans[:-1])
-    assert all((r1 - r0) * 16 >= pool.TILE_COLS for r0, r1 in spans)
+def conv_jobs(monkeypatch):
+    """The tiled jobs of each paper conv's forward and VJP, and of each eval
+    P-CNN, their tasks not run: ((name, clips, frames), [(tiles, slot sizes)
+    of each job])."""
+    jobs, vjps = [], []
+    monkeypatch.setattr(pool, "run", lambda fn, tasks, cols, scratch=(), consume=None:
+                        jobs.append((tasks, scratch)))
+    monkeypatch.setattr(conv, "apply_op", lambda out, inputs, vjp: vjps.append(vjp))
+    runs = []
+    for name, (spatial, c_in, c_out, groups, k, pad, dil, w) in sorted(PAPER_CONVS.items()):
+        for b, t in CONV_BATCHES:
+            jobs.clear()
+            x = Tensor(np.zeros((b, c_in, t, w)[: spatial + 2], dtype=np.float32))
+            weight = Tensor(np.zeros((c_out, c_in // groups, k, k)[: spatial + 2],
+                                     dtype=np.float32), requires_grad=True)
+            if spatial == 1:
+                conv.conv1d(x, weight, padding=pad, dilation=dil)
+            else:
+                conv.conv2d(x, weight, padding=pad, groups=groups)
+            vjps.pop()(np.zeros((b, c_out, t, w), dtype=np.float32))
+            if name.endswith("pcnn"):
+                conv.conv2d_tiles(x, weight, None, pad, lambda *tile: None)
+            # the fold's col2im runs a task per clip, not conv tiles
+            runs.append(((name, b, t), [job for job in jobs if isinstance(job[0][0], tuple)]))
+    return runs
+
+
+def check_conv_jobs(runs, monkeypatch):
+    for (name, b, t), jobs in runs:
+        spatial, c_in, c_out, groups, k, _, dil, w = PAPER_CONVS[name]
+        kw = k if spatial == 2 else 1
+
+        def taps(c, c_next=0):
+            """(bytes per output row, extra rows per tile) of a tile's taps
+            of c channels, or of its c_next channels of tap products where
+            those are larger"""
+            return max(4 * c * kw * w, 4 * c_next * w), dil * (k - 1)
+
+        # each job's largest scratch buffer: forward, input gradient, weight gradient
+        if groups == 1 and c_in == 1:  # the fold: all k * kw taps in one K, no input-gradient tiles
+            rules = [(4 * k * kw * w, 0)] * 2
+        elif groups > 1:  # depthwise: tap products, then the weight gradient's taps
+            rules = [(4 * c_in * w, 0)] * 2 + [taps(c_in)]
+        else:
+            rules = [taps(c_in, c_out * (k > 1)), taps(c_out, c_in * (k > 1)), taps(c_in)]
+        if name.endswith("pcnn"):  # the eval P-CNN's taps, or the tile its epilogue gets
+            row_bytes, extra = rules[0]
+            rules.append((max(row_bytes, 4 * c_out * w), extra))
+        assert len(jobs) == len(rules), name
+        for (tiles, scratch), (row_bytes, extra) in zip(jobs, rules):
+            seen = sorted((clip, row) for clips, rows in tiles
+                          for clip in range(b)[clips] for row in rows)
+            assert seen == [(clip, row) for clip in range(b) for row in range(t)]  # each row once
+            units = []
+            for clips, rows in tiles:
+                n = len(range(b)[clips])
+                assert rows == range(t) or n == 1  # whole clips, or rows of one clip
+                units.append(n * (len(rows) + extra))
+                if len(rows) > 1 and not (n == 1 and rows == range(t)):
+                    assert units[-1] * row_bytes <= pool.TILE_BYTES + extra * row_bytes, name
+            assert max(units) * row_bytes in scratch, name  # the slot holds the largest tile
 
 
 def channels_and_flat(monkeypatch):
@@ -74,7 +145,7 @@ def check_stft_frames(tiles, monkeypatch):
 
 
 RULES = {
-    "conv_rows": (conv_rows, check_conv_rows),
+    "conv_jobs": (conv_jobs, check_conv_jobs),
     "channels_and_flat": (channels_and_flat, check_channels_and_flat),
     "stft_frames": (stft_frames, check_stft_frames),
 }
@@ -168,7 +239,7 @@ def test_the_boundary_check_sees_every_form_of_use():
         "x = wavetransformer.tensor.pool@_lanes\n"
         "script = 'ops@_TILE_COLS = 1'\n"
         "ops.conv2d(x, w); ops.__name__; getattr(ops, 'conv2d'); block._pool\n"
-        "from wavetransformer.tensor.conv import conv_tiles, _taps\n"
+        "from wavetransformer.tensor.conv import conv2d_tiles, _taps\n"
     ).replace("@", ".")
     assert sorted(private_uses(source)) == [
         (2, "ops", "_carve"), (3, "ops", "_run"), (4, "pool", "_WORKERS"),

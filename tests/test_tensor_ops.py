@@ -21,9 +21,9 @@ from wavetransformer.errors import ConfigError, DimensionError, UsageError
 from wavetransformer.tensor import (
     AdamState, ParameterStore, RngState, Tape, Tensor, adam_step, backward, default_dtype,
 )
-from wavetransformer.tensor import conv, ops, pool
+from wavetransformer.tensor import ops, pool
 
-from helpers import conv1d_reference, conv2d_reference, gradcheck, record_pooled_jobs
+from helpers import clip_taps, conv1d_reference, conv2d_reference, gradcheck, record_pooled_jobs
 
 
 def randt(rng, *shape, lo=-1.0, hi=1.0):
@@ -165,18 +165,18 @@ class TestConv2d:
     @pytest.mark.parametrize("groups", [16, 1])
     def test_forward_keeps_tap_products_in_lane_slots(self, groups, workers, monkeypatch):
         # a kh=5 forward: the dense conv runs one tile per clip, the
-        # depthwise one the row tiles of its bands.  A tile's taps and tap
+        # depthwise one tile of the batch.  A tile's taps and tap
         # products are made in its lane's scratch slot, not in arrays the
         # size of the input's taps or of the output, and no forward pads
         # its input: beyond the output it allocates a clip's taps per lane
         # and tap products of at most pool.TILE_BYTES
         monkeypatch.setattr(pool, "WORKERS", workers)
+        pooled = record_pooled_jobs(monkeypatch)
         rng = RngState(9)
         x = Tensor(rng.uniform(-1, 1, (8, 16, 100, 16)).astype(np.float32))
         w = Tensor(rng.uniform(-1, 1, (16, 16 // groups, 5, 5)).astype(np.float32))
-        if groups == 1:
-            assert len(conv.conv_tiles(8, 16 // groups, 100, 16)) == 8
         ops.conv2d(x, w, padding=2, groups=groups)  # starts the pool outside the trace
+        assert pooled == ([8] if groups == 1 else [])
         tracemalloc.start()
         try:
             out = ops.conv2d(x, w, padding=2, groups=groups)
@@ -188,20 +188,21 @@ class TestConv2d:
         assert extra < workers * clip_taps + pool.TILE_BYTES, f"{extra / clip_taps:.2f} clips' taps"
 
     def test_a_long_dense_forward_makes_no_whole_tap_buffer(self, monkeypatch):
-        # one clip of four row tiles, in one lane: beyond its output the
+        # one clip of six row tiles, in one lane: beyond its output the
         # forward holds one tile's taps and tap products, under half the
         # kw-times buffer of the zero-bordered input that it used to copy
         monkeypatch.setattr(pool, "WORKERS", 1)
+        pooled = record_pooled_jobs(monkeypatch)
         rng = RngState(10)
         x = Tensor(rng.uniform(-1, 1, (1, 16, 1100, 16)).astype(np.float32))
         w = Tensor(rng.uniform(-1, 1, (16, 16, 5, 5)).astype(np.float32))
-        assert len(conv.conv_tiles(1, 16, 1100, 16)) == 4
         tracemalloc.start()
         try:
             out = ops.conv2d(x, w, padding=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert pooled == [6]
         taps = 16 * 5 * 1104 * 16 * 4  # C_in * kw * (H + 2*pad) * W_out floats
         extra = peak - out.data.nbytes
         assert extra < taps / 2, f"{extra / taps:.2f}x the kw-times buffer"
@@ -210,35 +211,52 @@ class TestConv2d:
         # a single input channel folds all kh*kw taps into one GEMM's K: a
         # clip of five row tiles, in one lane, holds one tile's K rows of
         # taps beyond its output, under half the K-times buffer of the whole
-        # clip that it used to copy
+        # clip that it used to copy.  A row's taps are kh*kw*W_out floats;
+        # at the default tile size the clip would be two tiles
         monkeypatch.setattr(pool, "WORKERS", 1)
+        monkeypatch.setattr(pool, "TILE_BYTES", 260 * 5 * 5 * 16 * 4)
+        pooled = record_pooled_jobs(monkeypatch)
         rng = RngState(11)
         x = Tensor(rng.uniform(-1, 1, (1, 1, 1300, 16)).astype(np.float32))
         w = Tensor(rng.uniform(-1, 1, (8, 1, 5, 5)).astype(np.float32))
-        assert len(conv.conv_tiles(1, 8, 1300, 16)) == 5
         tracemalloc.start()
         try:
             out = ops.conv2d(x, w, padding=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert pooled == [5]
         taps = 5 * 5 * 1300 * 16 * 4  # kh * kw * H_out * W_out floats
         extra = peak - out.data.nbytes
         assert extra < taps / 2, f"{extra / taps:.2f}x the K-times buffer"
+
+    def test_a_long_single_channel_clip_has_the_bits_of_a_short_one(self):
+        # a 1 -> 1 conv (the first TF block's S-CNN) is a GEMV per tile.
+        # OpenBLAS rounds a GEMV of over 16,384 columns unlike a short one,
+        # and the tiles of a clip of 2,100 rows of 16 are row blocks of at
+        # most 655 rows, 10,480 columns, so the long clip's rows have the
+        # bits of a short clip's
+        rng = RngState(63)
+        x = rng.uniform(-1, 1, (1, 1, 2100, 16)).astype(np.float32)
+        w = Tensor(rng.uniform(-1, 1, (1, 1, 5, 5)).astype(np.float32))
+        b = Tensor(rng.uniform(-1, 1, (1,)).astype(np.float32))
+        full = ops.conv2d(Tensor(x), w, b, padding=2).data
+        crop = ops.conv2d(Tensor(x[:, :, 1000:1100]), w, b, padding=2).data
+        # output row o reads input rows o - 2 .. o + 2
+        np.testing.assert_array_equal(full[:, :, 1002:1098], crop[:, :, 2:98])
 
     @pytest.mark.parametrize("c_in", [4, 16])
     def test_a_long_dense_vjp_makes_no_whole_tap_buffer(self, c_in, monkeypatch):
         # the input gradient copies g's taps, and the weight gradient the
         # input's, one row tile at a time as the forward does: a clip of
-        # four row tiles, in one lane, holds beyond the gradients (g
+        # several row tiles, in one lane, holds beyond the gradients (g
         # included) under half the kw-times buffer of the clip's 16 output
         # channels, which is g's, and at C_in = 16 the input's too
         monkeypatch.setattr(pool, "WORKERS", 1)
+        pooled = record_pooled_jobs(monkeypatch)
         rng = RngState(12)
         x, w = (Tensor(rng.uniform(-1, 1, shape).astype(np.float32), requires_grad=True)
                 for shape in ((1, c_in, 1100, 16), (16, c_in, 5, 5)))
-        # the input gradient's tiles, and the forward's and the weight gradient's
-        assert len(conv.conv_tiles(1, c_in, 1100, 16)) == len(conv.conv_tiles(1, 16, 1100, 16)) == 4
         with Tape() as tape:
             out = ops.conv2d(x, w, padding=2)
             loss = ops.tensor_sum(out)
@@ -248,6 +266,9 @@ class TestConv2d:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        # the row tiles of the forward, the input gradient (of g's taps) and
+        # the weight gradient: C_in * kw * W floats of taps a row
+        assert pooled == ([6, 6, 6] if c_in == 16 else [2, 6, 2])
         taps = 16 * 5 * 1104 * 16 * 4  # 16 channels * kw * (H + 2*pad) * W floats
         extra = peak - out.data.nbytes - x.grad.nbytes - w.grad.nbytes
         assert extra < taps / 2, f"{extra / taps:.2f}x the kw-times buffer"
@@ -265,9 +286,9 @@ class TestBandedDepthwise:
     dense conv's runs on per-tile taps of g."""
 
     # padding 6 puts the input gradient's pads, dil*(kh-1) - pad, below zero.
-    # A clip of 40 rows, at tiles of 128 columns and of 12 rows' bytes, runs
-    # as row tiles: two of 16 and 24 rows where the conv is dense, four of
-    # 10 where it is depthwise
+    # A clip of 40 rows, at tiles of 12 rows' tap products, runs as row
+    # tiles: four of 10 where the depthwise conv makes tap products, and of
+    # 2 rows where a tile copies taps, kw times a row's products
     @pytest.mark.parametrize("groups", [3, 1], ids=["depthwise", "dense"])
     @pytest.mark.parametrize("stride,padding,rows", [(1, 2, 13), (2, 2, 13), (1, 0, 13),
                                                      (2, 3, 13), (1, 6, 13), (1, 2, 40)],
@@ -275,9 +296,9 @@ class TestBandedDepthwise:
     def test_matches_the_reference_and_its_adjoint(self, stride, padding, rows, groups,
                                                    monkeypatch):
         if rows == 40:
-            monkeypatch.setattr(pool, "TILE_COLS", 128)
             monkeypatch.setattr(pool, "TILE_BYTES", 12 * 3 * 7 * 8)
-            assert len(conv.conv_tiles(2, 3, 40, 7)) == 4
+            monkeypatch.setattr(pool, "TILE_COLS", 1)  # a job of 2 or more tiles leaves the caller
+        pooled = record_pooled_jobs(monkeypatch)
         with default_dtype(np.float64):
             rng = RngState(60 + 4 * stride + padding)
             x = randt(rng, 2, 3, rows, 7)
@@ -288,6 +309,8 @@ class TestBandedDepthwise:
                 g = rng.uniform(-1, 1, out.shape)
                 loss = ops.tensor_sum(ops.mul_const(out, g))
             backward(loss, tape)
+        if rows == 40:  # the forward's, the input gradient's and the weight gradient's tiles
+            assert pooled == ([8, 8, 40] if groups == 3 else [40, 40, 40])
 
         def reference(xs, ws, bs=None):
             return np.stack([conv2d_reference(c, ws, bs, stride=stride, padding=padding,
@@ -339,20 +362,27 @@ class TestBandedDepthwise:
             return [a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)]
 
         monkeypatch.setattr(pool, "WORKERS", 1)
-        whole = run()  # every clip in one tile, at the default tile size
-        # a row is 8 channels * 16 frequencies * 4 bytes: tiles of 8 rows, of 7
+        whole = run()  # the batch in one tile of tap products, at the default tile size
+        # a row of tap products is 8 channels * 16 frequencies * 4 bytes:
+        # tiles of 8 rows, of 7.  The weight gradient sums each clip over
+        # the row tiles of its taps, as a dense conv's does, so its bits
+        # follow the tile size (the float64 reference test above checks
+        # it), never the worker count
         for tile_bytes in (8 * 512, 7 * 512):
             monkeypatch.setattr(pool, "TILE_BYTES", tile_bytes)
-            for workers in (1, 2, 3):
+            monkeypatch.setattr(pool, "WORKERS", 1)
+            tiled = run()
+            assert tiled[:2] == whole[:2] and tiled[3] == whole[3]  # out, x.grad, b.grad
+            for workers in (2, 3):
                 monkeypatch.setattr(pool, "WORKERS", workers)
-                assert run() == whole
+                assert run() == tiled
         assert pooled  # the tiles ran on the pool
 
 
 class TestConvVjpTiles:
     """The conv VJP runs on the forward's tiles: one tile of the whole batch,
-    or a tile per clip where the batch has pool.TILE_COLS columns.  No tile
-    may change a bit of any gradient."""
+    or a tile per clip, no clip split into rows, where pool.TILE_BYTES is one
+    clip's taps.  No tile may change a bit of any gradient."""
 
     # op, input shape, weight shape, options
     CASES = {
@@ -367,9 +397,10 @@ class TestConvVjpTiles:
         "negative_offset_conv1d": (ops.conv1d, (5, 4, 30), (6, 4, 3), dict(padding=3)),
     }
 
-    def _grads(self, case, tile_cols, workers, monkeypatch):
+    def _grads(self, case, tile_bytes, workers, monkeypatch):
         op, x_shape, w_shape, options = self.CASES[case]
-        monkeypatch.setattr(pool, "TILE_COLS", tile_cols)
+        monkeypatch.setattr(pool, "TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(pool, "TILE_COLS", 1)  # a job of two or more tiles leaves the caller
         monkeypatch.setattr(pool, "WORKERS", workers)
         pooled = record_pooled_jobs(monkeypatch)
         rng = RngState(70)
@@ -384,14 +415,14 @@ class TestConvVjpTiles:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_bits_do_not_depend_on_the_clips_per_tile(self, case, workers, monkeypatch):
-        whole, shape, pooled = self._grads(case, 1 << 30, 1, monkeypatch)
-        assert pooled == []  # one tile of the batch, inline
-        # as many columns as a clip's output: a tile per clip, of all its rows
-        _, _, w_shape, options = self.CASES[case]
-        h_out, w_out = (*shape[2:], 1)[:2]
-        tiled, _, pooled = self._grads(case, h_out * w_out, workers, monkeypatch)
-        og = w_shape[0] // options.get("groups", 1)
-        assert len(conv.conv_tiles(5, og, h_out, w_out)) == 5
+        whole, _, pooled = self._grads(case, 1 << 30, 1, monkeypatch)
+        # one tile of the batch, inline; the fold's col2im runs clip by clip
+        assert pooled == ([5] if case == "single_channel" else [])
+        # tiles of one clip's taps: the weight gradient runs a tile per clip,
+        # of all its rows
+        _, x_shape, w_shape, options = self.CASES[case]
+        tiled, _, pooled = self._grads(case, clip_taps(x_shape, w_shape, **options), workers,
+                                       monkeypatch)
         assert pooled.ordered_on_pool == (5 if workers == 2 else 0)
         assert tiled == whole
 
@@ -402,7 +433,7 @@ class TestConvWorkers:
     or of either gradient."""
 
     # op, input shape, weight shape, options; each case runs at the default
-    # tile size and at 128 columns, where all but "tiny" run in tiles
+    # tile size and at tiles of 16 KiB, where all but "tiny" run in tiles
     CASES = {
         "tiny": (ops.conv2d, (2, 3, 9, 7), (4, 3, 3, 3), dict(padding=1)),
         "stride2": (ops.conv2d, (4, 8, 37, 16), (6, 8, 5, 5), dict(stride=2, padding=2)),
@@ -421,12 +452,13 @@ class TestConvWorkers:
         "negative_offset": (ops.conv2d, (2, 4, 300, 16), (6, 4, 3, 3), dict(padding=4)),
         "negative_offset_conv1d": (ops.conv1d, (2, 4, 5000), (6, 4, 3), dict(padding=3)),
     }
-    # below the default tile size: one tile, inline
-    INLINE = {"tiny", "stride2", "stride2_groups"}
-    # one tile at 128 columns too: tiles of 128 columns of "long_dense" would
-    # be under TILE_ROWS rows, so its clip is one tile
-    INLINE_AT_128 = {"tiny", "long_dense"}
-    # convs of 4 or more clips, which run a tile per clip at 128 columns
+    # every job one tile at the default tile size, inline
+    INLINE = {"tiny", "stride2", "stride2_groups", "dilated_conv1d", "strided_dilated_conv1d",
+              "negative_offset", "negative_offset_conv1d"}
+    # inline at 16 KiB too: under 128 output columns
+    INLINE_AT_16K = {"tiny"}
+    # convs of 4 or more clips, which run a tile per clip at tiles of one
+    # clip's taps
     MANY_CLIPS = {
         "batch12": CASES["batch12"],
         "batch12_depthwise": (ops.conv2d, (12, 16, 40, 16), (16, 1, 5, 5),
@@ -448,14 +480,16 @@ class TestConvWorkers:
         backward(loss, tape)
         return [a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)], pooled
 
-    @pytest.mark.parametrize("tile_cols", [None, 128])
+    @pytest.mark.parametrize("tile_bytes", [None, 1 << 14])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_bits_do_not_depend_on_the_worker_count(self, case, tile_cols, monkeypatch):
-        if tile_cols is not None:
-            monkeypatch.setattr(pool, "TILE_COLS", tile_cols)
+    def test_bits_do_not_depend_on_the_worker_count(self, case, tile_bytes, monkeypatch):
+        if tile_bytes is not None:
+            monkeypatch.setattr(pool, "TILE_BYTES", tile_bytes)
+            monkeypatch.setattr(pool, "TILE_COLS", 128)  # a job of 128 columns leaves the caller
         spec = self.CASES[case]
         one, pooled = self._run(spec, 1, monkeypatch)
-        assert (pooled == []) == (case in (self.INLINE if tile_cols is None else self.INLINE_AT_128))
+        inline = self.INLINE if tile_bytes is None else self.INLINE_AT_16K
+        assert (pooled == []) == (case in inline)
         assert self._run(spec, 2, monkeypatch) == (one, pooled)
         # more workers than cores, switching threads often: a task writing
         # outside its own slice would show
@@ -469,11 +503,15 @@ class TestConvWorkers:
     @pytest.mark.parametrize("case", sorted(MANY_CLIPS))
     def test_weight_gradient_tiles_run_on_the_pool_with_the_same_bits(self, case, monkeypatch):
         spec = self.MANY_CLIPS[case]
-        clips = spec[1][0]
-        monkeypatch.setattr(pool, "TILE_COLS", 1 << 30)  # one tile of the batch, inline
+        _, x_shape, w_shape, options = spec
+        clips = x_shape[0]
+        monkeypatch.setattr(pool, "TILE_COLS", 1)  # a job of two or more tasks leaves the caller
+        monkeypatch.setattr(pool, "TILE_BYTES", 1 << 30)  # one tile of the batch, inline
         whole, pooled = self._run(spec, 1, monkeypatch)
-        assert pooled == []
-        monkeypatch.setattr(pool, "TILE_COLS", 128)  # a tile per clip; every job leaves the caller
+        # the fold's col2im runs clip by clip
+        assert pooled == ([clips] if case == "single_channel_b6" else [])
+        # a tile per clip in the weight gradient
+        monkeypatch.setattr(pool, "TILE_BYTES", clip_taps(x_shape, w_shape, **options))
         one, pooled = self._run(spec, 1, monkeypatch)
         assert one == whole
         assert clips in pooled and pooled.ordered_on_pool == 0
@@ -865,9 +903,14 @@ class TestMaxPoolFreq:
         np.testing.assert_array_equal(out.data, [[[5.0, 3.0]]])
 
     def test_pool_one_identity(self):
-        x = Tensor(np.arange(8.0).reshape(1, 2, 4))
-        out = ops.max_pool_freq(x, 1)
+        x = Tensor(np.arange(8.0).reshape(1, 2, 4), requires_grad=True)
+        g = RngState(3).uniform(-1, 1, x.shape)
+        with Tape() as tape:
+            out = ops.max_pool_freq(x, 1)
+            loss = ops.tensor_sum(ops.mul_const(out, g))
+        backward(loss, tape)
         np.testing.assert_array_equal(out.data, x.data)
+        np.testing.assert_array_equal(x.grad, g)
 
     def test_time_axis_untouched(self):
         rng = RngState(4)

@@ -22,7 +22,7 @@ from wavetransformer.model import CaptionModel
 from wavetransformer.tensor import (
     AdamState, RngState, Tape, Tensor, backward, default_dtype, derive_seed,
 )
-from wavetransformer.tensor import conv, pool
+from wavetransformer.tensor import pool
 from wavetransformer.text import build_vocab, encode
 from wavetransformer.training import (
     Batch,
@@ -39,7 +39,7 @@ from wavetransformer.training import (
     train_epoch,
 )
 
-from helpers import finite_difference_grad, record_pooled_jobs, rel_err
+from helpers import clip_taps, finite_difference_grad, record_pooled_jobs, rel_err
 
 
 def tiny_model(seed=0, vocab_size=11, mode="full", channels=8, mels=4):
@@ -659,8 +659,8 @@ class TestWorkerCount:
 
     def _setup(self, workers, monkeypatch):
         monkeypatch.setattr(pool, "WORKERS", workers)
-        monkeypatch.setattr(pool, "TILE_COLS", 64)  # the tiny model's convs run in tiles
-        monkeypatch.setattr(pool, "TILE_BYTES", 256)  # and its batch norms, pools, dropouts
+        monkeypatch.setattr(pool, "TILE_COLS", 64)  # the tiny model's jobs leave the caller
+        monkeypatch.setattr(pool, "TILE_BYTES", 256)  # in tiles: its convs, batch norms, pools
         pooled = record_pooled_jobs(monkeypatch)
         tiny = tiny_model(seed=0, vocab_size=tiny_vocab().size)
         model = CaptionModel(replace(tiny.enc_cfg, dropout_tf=0.25),
@@ -697,14 +697,16 @@ class TestWorkerCount:
 
     def test_training_step_in_one_tile_per_clip(self, monkeypatch):
         model, feats, _ = self._setup(1, monkeypatch)
-        monkeypatch.setattr(pool, "TILE_COLS", 1 << 30)  # every conv one tile of the batch
+        monkeypatch.setattr(pool, "TILE_BYTES", 1 << 30)  # every pass one tile of the batch
         whole = self._step(model, feats)
-        # every conv of the batch of two runs a tile per clip, each of the
-        # clip's rows, and its VJP's weight-gradient tiles run on the pool
-        # at two workers
-        monkeypatch.setattr(conv, "TILE_ROWS", 64)
+        # at tiles of one clip's taps in the first TF block, the largest of
+        # any conv's, every conv with a clip's taps over half that runs a
+        # tile per clip, and no conv splits a clip's rows; the VJP's
+        # weight-gradient tiles run on the pool at two workers
         for workers in (1, 2):
             model, feats, pooled = self._setup(workers, monkeypatch)
+            monkeypatch.setattr(pool, "TILE_BYTES", clip_taps(feats[:, None].shape, (8, 1, 5, 5),
+                                                              padding=2))
             assert self._step(model, feats) == whole
             assert (pooled.ordered_on_pool > 0) == (workers == 2)
 
