@@ -18,10 +18,11 @@ epilogue's tile where those are larger.
 The input gradient is the same kernel run on g itself with the flipped,
 group-transposed kernel, padded by dilation*(kh-1) - pad rows and kw-1 - pad
 columns (a negative pad crops) and zero-inserted only where stride > 1;
-where the taps fold, it is the col2im of W^T g, clip by clip.  The tape
-keeps each conv's input, from which the weight gradient copies its taps
-again, one tile at a time in a lane's slot; the caller adds each tile's
-products in batch order, as one pass would.  Every job of the VJP is a job
+where the taps fold, it is the col2im of W^T g, clip by clip; where no
+tape tracks the input, there is none.  The VJP keeps each conv's input,
+from which the weight gradient copies its taps again, one tile at a time
+in a lane's slot; the caller adds each tile's products in batch order, as
+one pass would.  Every job of the VJP is a job
 of its own on the pool of `pool`: none starts inside another.
 """
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from ..errors import DimensionError
 from . import pool
-from .core import Tensor, apply_op
+from .core import Tensor, apply_op, recording
 
 
 def conv1d_out_length(t: int, k: int, stride: int, padding: int, dilation: int) -> int:
@@ -314,7 +315,7 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
     (weight (C_out, C_in/groups, kh, kw)); a 1D input is a 2D one of width 1.
 
     The weight's shape picks the layout (see the module docstring).  The
-    tape keeps the input, not its taps: the weight gradient copies them
+    VJP keeps the input, not its taps: the weight gradient copies them
     again, tile by tile (`_weight_grad`).  With `epilogue`, for a conv that
     is not depthwise, there is no output (`conv2d_tiles`).
     """
@@ -357,9 +358,9 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
     if epilogue is not None:
         return None
     out = out.reshape((*x.shape[: x.ndim - spatial - 1], c_out, h_out, w_out)[: x.ndim])
+    x_shape, w_shape, has_bias = x.shape, weight.shape, bias is not None
 
-    def vjp(g):
-        g3 = g.reshape(b, c_out, n_out)
+    def input_grad(g3):
         gx = np.empty(x4.shape, dtype=x4.dtype)
         if fold:
             # W^T g, then its col2im, clip by clip in a lane slot
@@ -396,13 +397,19 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
                 _dense(gz, _tap_weights(flipped.reshape(c_in, og, kh, kw), groups),
                        (eh - ph, ew - pw), [0], kw, 1, dilation, h, w,
                        out=gx.reshape(b, groups, cg, h * w))
+        return gx.reshape(x_shape)
+
+    want_gx = recording(x)  # no input gradient where nothing reads it
+
+    def vjp(g):
+        g3 = g.reshape(b, c_out, n_out)
+        gx = input_grad(g3) if want_gx else None
         gw = np.zeros_like(wt)
         _weight_grad(x4, g3.reshape(b, groups, og, n_out), gw, (ph, pw), offsets, kw, stride,
                      dilation, h_out, w_out)
-        gw = gw.reshape(kt, groups, og, cg, kf).transpose(1, 2, 3, 0, 4).reshape(weight.shape)
-        if bias is None:
-            return gx.reshape(x.shape), gw
-        return gx.reshape(x.shape), gw, g3.sum(axis=(0, 2))
+        gw = gw.reshape(kt, groups, og, cg, kf).transpose(1, 2, 3, 0, 4).reshape(w_shape)
+        if not has_bias:
+            return gx, gw
+        return gx, gw, g3.sum(axis=(0, 2))
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return apply_op(out, inputs, vjp)
+    return apply_op(out, (x, weight) if bias is None else (x, weight, bias), vjp)

@@ -5,9 +5,15 @@ optional gradient buffer, and every differentiable operation appends one
 entry to the currently active Tape.  Entries are appended in execution order,
 which is by construction a topological order of the data-flow graph, so
 `backward` is a single reverse sweep that visits each recorded node once.
-The sweep consumes the tape: each entry, and the arrays its VJP holds, is
-freed as soon as it has run, so a training step peaks at the forward's
-arrays, not at the forward's arrays plus every gradient.
+
+The tape holds no intermediate tensor.  An entry is (key, input refs, vjp):
+the serial key `record` stamped on the op's output, one ref per input (the
+key of an intermediate the tape tracks, the tensor itself for a
+requires_grad leaf, None for an input it does not track), and the VJP,
+which closes over only the arrays it reads.  So an intermediate that no VJP
+reads is freed as soon as the forward drops it.  The sweep consumes the
+tape: each entry, and the arrays its VJP holds, is freed as soon as it has
+run, as is each intermediate gradient once consumed.
 
 Training runs in float32.  A float64 mode (see `default_dtype`) exists for
 verification, where finite-difference checks are meaningful at much tighter
@@ -15,8 +21,9 @@ tolerances.
 """
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -55,10 +62,10 @@ class Tensor:
     `data` is always a C-contiguous float32/float64 numpy array.  `grad` is
     allocated lazily by `backward` and has the same shape and dtype as
     `data`.  Tensors are value carriers only; graph structure lives on the
-    Tape, never on the tensor itself.
+    Tape, and an op's output carries just the key the tape stamped on it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "key")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -67,6 +74,7 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
+        self.key: Optional[int] = None
 
     @property
     def shape(self) -> tuple:
@@ -106,21 +114,28 @@ class Tensor:
 # A VJP receives the output gradient and returns one gradient per recorded
 # input (None where an input needs no gradient).  It never writes into the
 # gradient it receives, and `backward` never writes into a gradient it holds,
-# so a VJP may return `g` itself or a view of it.
+# so a VJP may return `g` itself or a view of it.  It closes over the arrays
+# it reads and the shapes it needs, never over an input or output Tensor.
 Vjp = Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]
+
+# Input ref: an intermediate's key, a requires_grad leaf, or None (untracked).
+Ref = Union[int, Tensor, None]
+
+_keys = itertools.count()  # serial, never reused, unlike id() of a freed tensor
 
 
 class Tape:
     """Execution-ordered record of differentiable operations.
 
     Use as a context manager around the forward pass; while active, every op
-    whose inputs are gradient-relevant appends (output, inputs, vjp).  With
-    no tape active, ops run forward-only, which is the inference path.  A
-    tape serves one `backward`, which empties it.
+    whose inputs are gradient-relevant appends (key, input refs, vjp) and
+    stamps its output with that key (see the module docstring).  With no
+    tape active, ops run forward-only, which is the inference path.  A tape
+    serves one `backward`, which empties it.
     """
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, tuple[Tensor, ...], Vjp]] = []
+        self._entries: list[tuple[int, tuple[Ref, ...], Vjp]] = []
         self._tracked: set[int] = set()
         self._consumed = False
 
@@ -136,11 +151,17 @@ class Tape:
         assert popped is self
 
     def tracks(self, t: Tensor) -> bool:
-        return t.requires_grad or id(t) in self._tracked
+        return t.requires_grad or t.key in self._tracked
+
+    def _ref(self, t: Tensor) -> Ref:
+        if t.key in self._tracked:
+            return t.key
+        return t if t.requires_grad else None
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp: Vjp) -> None:
-        self._entries.append((out, inputs, vjp))
-        self._tracked.add(id(out))
+        out.key = next(_keys)
+        self._entries.append((out.key, tuple(self._ref(t) for t in inputs), vjp))
+        self._tracked.add(out.key)
 
 
 _tape_stack: list[Tape] = []
@@ -150,12 +171,18 @@ def active_tape() -> Optional[Tape]:
     return _tape_stack[-1] if _tape_stack else None
 
 
+def recording(*inputs: Optional[Tensor]) -> bool:
+    """Whether the active tape tracks any of `inputs` (None skipped), so that
+    an op on them is recorded and its VJP runs."""
+    tape = active_tape()
+    return tape is not None and any(tape.tracks(t) for t in inputs if t is not None)
+
+
 def apply_op(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Vjp) -> Tensor:
     """Wrap a forward result, recording it on the active tape when relevant."""
     out = Tensor(out_data)
-    tape = active_tape()
-    if tape is not None and any(tape.tracks(t) for t in inputs):
-        tape.record(out, inputs, vjp)
+    if recording(*inputs):
+        active_tape().record(out, inputs, vjp)
     return out
 
 
@@ -177,23 +204,29 @@ def backward(loss: Tensor, tape: Tape) -> None:
                          "record the forward again on a new tape")
     entries = tape._entries
     tape._consumed = True
-    pending: dict[int, list] = {id(loss): [loss, np.ones_like(loss.data)]}
+    # gradients by input ref: an intermediate's until its entry runs, a
+    # leaf's until the sweep ends (a Tensor hashes by identity, never equal
+    # to a key)
+    pending: dict = {}
+
+    def deposit(ref: Ref, g: np.ndarray) -> None:
+        if ref is None:
+            return
+        held = pending.get(ref)
+        if held is None:
+            # a strided view is copied densely: sums over it round by layout
+            pending[ref] = g if g.flags.c_contiguous else np.array(g, copy=True)
+        else:
+            pending[ref] = held + g
+
+    deposit(tape._ref(loss), np.ones_like(loss.data))
     while entries:
-        out, inputs, vjp = entries.pop()
-        item = pending.pop(id(out), None)
-        if item is None:
+        key, refs, vjp = entries.pop()
+        g = pending.pop(key, None)
+        if g is None:
             continue
-        if out.requires_grad:
-            out.accumulate_grad(item[1])
-        for t, g in zip(inputs, vjp(item[1])):
-            if g is None:
-                continue
-            held = pending.get(id(t))
-            if held is None:
-                # a strided view is copied densely: sums over it round by layout
-                pending[id(t)] = [t, g if g.flags.c_contiguous else np.array(g, copy=True)]
-            else:
-                held[1] = held[1] + g
-    for t, g in pending.values():
-        if t.requires_grad:
-            t.accumulate_grad(g)
+        for ref, gi in zip(refs, vjp(g)):
+            if gi is not None:
+                deposit(ref, gi)
+    for t, g in pending.items():
+        t.accumulate_grad(g)

@@ -1,10 +1,12 @@
 """Differentiable operations.
 
 Every function computes a forward value in numpy and registers a
-vector-Jacobian product on the active tape.  The convolutions are those of
-`conv`.  Batch norm, max-pool, leaky ReLU and dropout run as tiles on the
-thread pool of `pool`, and training batch norm recentres its input rather
-than keeping copies until backward.
+vector-Jacobian product on the active tape, which closes over only the
+arrays it reads: shapes, not tensors, where that is all it needs, and bool
+masks and a max-pool index in place of float copies.  The convolutions are
+those of `conv`.  Batch norm, max-pool, leaky ReLU and dropout run as tiles
+on the thread pool of `pool`, and training batch norm recentres its input
+rather than keeping copies until backward.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from ..errors import ConfigError, DimensionError, UsageError
 from . import conv
 from . import pool as tile_pool  # `pool` names the max-pool width in this module
 from .conv import conv1d, conv2d  # noqa: F401  (callers find them in ops)
-from .core import Tensor, active_tape, apply_op
+from .core import Tensor, apply_op, recording
 from .rng import GOLDEN, RngState, mix64
 
 
@@ -37,18 +39,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return apply_op(out, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return apply_op(out, (a, b), vjp)
 
@@ -60,12 +64,14 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def add_const(a: Tensor, c: np.ndarray) -> Tensor:
     """Add a non-differentiable constant array (broadcasting allowed)."""
-    return apply_op(a.data + c, (a,), lambda g: (_unbroadcast(g, a.shape),))
+    shape = a.shape
+    return apply_op(a.data + c, (a,), lambda g: (_unbroadcast(g, shape),))
 
 
 def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
     """Multiply by a non-differentiable constant array."""
-    return apply_op(a.data * c, (a,), lambda g: (_unbroadcast(g * c, a.shape),))
+    shape = a.shape
+    return apply_op(a.data * c, (a,), lambda g: (_unbroadcast(g * c, shape),))
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +111,12 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return apply_op(out, (a,), vjp)
 
@@ -126,11 +131,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul rank mismatch: {a.shape} @ {b.shape}")
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
+    ad, bd = a.data, b.data
+    out = np.matmul(ad, bd)
 
     def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
         return ga, gb
 
     return apply_op(out, (a, b), vjp)
@@ -147,23 +153,23 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         raise DimensionError(
             f"linear: input last dim {x.shape[-1]} != weight d_in {d_in}"
         )
-    lead = x.shape[:-1]
+    x_shape, w = x.shape, weight.data
     x2 = x.data.reshape(-1, d_in)
-    out2 = x2 @ weight.data.T
+    out2 = x2 @ w.T
     if bias is not None:
         out2 = out2 + bias.data
-    out = out2.reshape(*lead, d_out)
+    out = out2.reshape(*x_shape[:-1], d_out)
+    has_bias = bias is not None
 
     def vjp(g):
         g2 = g.reshape(-1, d_out)
-        gx = (g2 @ weight.data).reshape(x.shape)
+        gx = (g2 @ w).reshape(x_shape)
         gw = g2.T @ x2
-        if bias is None:
+        if not has_bias:
             return gx, gw
         return gx, gw, g2.sum(axis=0)
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return apply_op(out, inputs, vjp)
+    return apply_op(out, (x, weight) if bias is None else (x, weight, bias), vjp)
 
 
 def embedding(tokens: np.ndarray, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -182,26 +188,27 @@ def embedding(tokens: np.ndarray, weight: Tensor, bias: Optional[Tensor] = None)
     out = weight.data.T[tokens]
     if bias is not None:
         out = out + bias.data
+    dtype, has_bias = weight.dtype, bias is not None
 
     def vjp(g):
-        gt = np.zeros((w_count, d), dtype=weight.data.dtype)
+        gt = np.zeros((w_count, d), dtype=dtype)
         np.add.at(gt, tokens.reshape(-1), g.reshape(-1, d))
         gw = gt.T
-        if bias is None:
+        if not has_bias:
             return (gw,)
         return gw, g.reshape(-1, d).sum(axis=0)
 
-    inputs = (weight,) if bias is None else (weight, bias)
-    return apply_op(out, inputs, vjp)
+    return apply_op(out, (weight,) if bias is None else (weight, bias), vjp)
 
 
 def take_last_axis(a: Tensor, idx: np.ndarray) -> Tensor:
     """Pick one element per row along the last axis (for loss gathering)."""
     idx = np.asarray(idx)
     out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
+    shape, dtype = a.shape, a.dtype
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape, dtype=dtype)
         np.put_along_axis(ga, idx[..., None], g[..., None], axis=-1)
         return (ga,)
 
@@ -214,7 +221,8 @@ def take_last_axis(a: Tensor, idx: np.ndarray) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0)
-    return apply_op(out, (a,), lambda g: (g * (a.data > 0),))
+    # a > 0 just where max(a, 0) > 0, NaN and -0.0 included
+    return apply_op(out, (a,), lambda g: (g * (out > 0),))
 
 
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
@@ -225,12 +233,16 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     x = a.data.reshape(-1)
     tiles = tile_pool.flat_tiles(x.size, x.itemsize)
     out = np.empty_like(x)
+    up = np.empty(x.shape, dtype=bool) if recording(a) else None  # x >= 0, all the VJP reads
 
     def forward(t):
         np.multiply(x[t], x.dtype.type(slope), out=out[t])
         np.maximum(x[t], out[t], out=out[t])
+        if up is not None:
+            np.greater_equal(x[t], 0, out=up[t])
 
     tile_pool.run(forward, tiles, x.size)
+    shape = a.shape
 
     def vjp(g):
         g1 = g.reshape(-1)
@@ -240,11 +252,11 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
         def tile(t):
             # 1 where x >= 0, else (NaN too) the slope, by lookup, times g:
             # the bits of g or g * slope
-            np.take(factors, np.greater_equal(x[t], 0).view(np.uint8), out=gx[t], mode="clip")
+            np.take(factors, up[t].view(np.uint8), out=gx[t], mode="clip")
             np.multiply(gx[t], g1[t], out=gx[t])
 
-        tile_pool.run(tile, tiles, x.size)
-        return (gx.reshape(a.shape),)
+        tile_pool.run(tile, tiles, up.size)
+        return (gx.reshape(shape),)
 
     return apply_op(out.reshape(a.shape), (a,), vjp)
 
@@ -326,24 +338,30 @@ def dropout(a: Tensor, p: float, training: bool, rng: Optional[RngState] = None)
     # a tile's words are its first word plus steps = (0, 1, ...) * GOLDEN
     steps = np.arange(min(n, tiles[0].stop), dtype=np.uint64)
     steps *= GOLDEN
-    mask = np.empty_like(x)
+    mask = np.empty(n, dtype=bool)  # kept: all the VJP reads
     out = np.empty_like(x)
+
+    def factor(t, slot) -> np.ndarray:
+        """The tile's factors mask * keep (keep or 0), made in the slot."""
+        return np.multiply(mask[t], keep, out=tile_pool.carve(slot, (len(mask[t]),), keep.dtype))
 
     def forward(t, slot):
         k = len(mask[t])
         words, work = tile_pool.carve(slot, (2, k), np.uint64)
         np.add(steps[:k], np.uint64((seed + (first + t.start) * golden) & 0xFFFFFFFFFFFFFFFF),
                out=words)
-        np.multiply(mix64(words, work) >= least, keep, out=mask[t])
-        np.multiply(x[t], mask[t], out=out[t])
+        np.greater_equal(mix64(words, work), least, out=mask[t])
+        np.multiply(x[t], factor(t, slot), out=out[t])
 
     tile_pool.run(forward, tiles, n, scratch=(16 * len(steps),))
+    shape, slot_bytes = a.shape, keep.itemsize * len(steps)
 
     def vjp(g):
         g1 = g.reshape(-1)
         gx = np.empty_like(g1)
-        tile_pool.run(lambda t: np.multiply(g1[t], mask[t], out=gx[t]), tiles, n)
-        return (gx.reshape(a.shape),)
+        tile_pool.run(lambda t, slot: np.multiply(g1[t], factor(t, slot), out=gx[t]), tiles, n,
+                      scratch=(slot_bytes,))
+        return (gx.reshape(shape),)
 
     return apply_op(out.reshape(a.shape), (a,), vjp)
 
@@ -375,9 +393,7 @@ def conv2d_bn_pool(
     same values, and no full-size conv or batch-norm output is made.  A tile
     holds whole frequency rows, so no pooling window crosses a tile.
     """
-    tape = active_tape()
-    if tape is not None and any(tape.tracks(t) for t in (x, weight, bias, gamma, beta)
-                                if t is not None):
+    if recording(x, weight, bias, gamma, beta):
         s = batch_norm(conv2d(x, weight, bias, padding=padding), gamma, beta,
                        running_mean, running_var, False, eps=eps, channel_axis=-3)
         return max_pool_freq(s, pool)
@@ -403,44 +419,70 @@ def _check_pool(f: int, pool: int) -> None:
         raise DimensionError(f"max_pool_freq: F={f} not divisible by pool={pool}")
 
 
-def _max_into(windows: np.ndarray, out: np.ndarray) -> None:
-    """The maximum over the last axis of `windows`, in index order, into `out`."""
+def _max_into(windows: np.ndarray, out: np.ndarray, first=None, slot=()) -> None:
+    """The maximum over the last axis of `windows`, in index order, into
+    `out`; with `first`, also the index of each window's first maximum, or
+    the window length where the maximum is NaN, into it, working in the
+    three byte buffers of `slot`: a window slot's values, and per window a
+    step and a flag."""
     np.copyto(out, windows[..., 0])
+    if first is None:
+        for j in range(1, windows.shape[-1]):
+            np.maximum(out, windows[..., j], out=out)
+        return
+    first.fill(0)
+    col, step, flag = (tile_pool.carve(buf, out.shape, dtype)
+                       for buf, dtype in zip(slot, (out.dtype, first.dtype, np.uint8)))
+
+    def take(j):
+        # j is above every index so far, so the maximum takes it where flagged
+        np.maximum(first, np.multiply(flag, first.dtype.type(j), out=step), out=first)
+
     for j in range(1, windows.shape[-1]):
-        np.maximum(out, windows[..., j], out=out)
+        np.copyto(col, windows[..., j])  # compared in place, a strided slot is several times slower
+        np.greater(col, out, out=flag.view(bool))  # strictly, so ties keep the first
+        take(j)
+        np.maximum(out, col, out=out)
+    np.not_equal(out, out, out=flag.view(bool))
+    take(windows.shape[-1])
 
 
 def max_pool_freq(x: Tensor, pool: int) -> Tensor:
     """Max over non-overlapping windows along the last (frequency) axis.
 
     Ties route the gradient to the lowest index in the window (the first
-    maximum), keeping backward deterministic.
+    maximum), keeping backward deterministic; a window whose maximum is NaN
+    gets none.  The VJP keeps only that index, one byte a window.
     """
     f = x.shape[-1]
     _check_pool(f, pool)
     windows = x.data.reshape(-1, pool)
     tiles = tile_pool.flat_tiles(len(windows), pool * x.data.itemsize)
     out = np.empty(len(windows), dtype=x.dtype)
+    index = np.min_scalar_type(pool)  # uint8 up to a pool of 255
+    first = np.empty(len(windows), dtype=index) if recording(x) else None  # all the VJP reads
+    most = len(range(len(windows))[tiles[0]])
+    scratch = () if first is None else (most * x.data.itemsize, most * index.itemsize, most)
 
-    tile_pool.run(lambda t: _max_into(windows[t], out[t]), tiles, x.size)
+    def forward(t, *slot):
+        _max_into(windows[t], out[t], None if first is None else first[t], slot)
+
+    tile_pool.run(forward, tiles, x.size, scratch)
+    shape = x.shape
 
     def vjp(g):
         g1 = g.reshape(-1)
-        gx = np.empty_like(windows)
+        gx = np.empty((len(g1), pool), dtype=g1.dtype)
 
-        def tile(t):
-            hit = np.empty(len(out[t]), dtype=bool)
-            free = np.ones_like(hit)  # windows whose maximum no slot has taken
+        def tile(t, slot):
+            hit = tile_pool.carve(slot, (len(g1[t]),), bool)
             for j in range(pool):
-                np.equal(windows[t, j], out[t], out=hit)
-                hit &= free
-                np.multiply(g1[t], hit, out=gx[t, j])
-                free ^= hit
+                np.multiply(g1[t], np.equal(first[t], j, out=hit), out=gx[t, j])
 
-        tile_pool.run(tile, tiles, x.size)
-        return (gx.reshape(x.shape),)
+        tile_pool.run(tile, tiles, gx.size, (most,))
+        return (gx.reshape(shape),)
 
-    return apply_op(out.reshape(*x.shape[:-1], f // pool), (x,), vjp)
+    return apply_op(out.reshape(*shape[:-1], f // pool), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +587,7 @@ def batch_norm(
     src = out if training else x2  # training has centred x into out
     tile_pool.run(lambda t: _affine(src[t], scale_c[chan[t], None], shift_c[chan[t], None], out[t]),
                   tiles, x2.size)
+    shape = x.shape
 
     def vjp(g):
         # training: gx = inv*gamma*(g - sum(g)/n - xhat*sum(g*xhat)/n), from
@@ -568,7 +611,7 @@ def batch_norm(
         else:
             tile_pool.run(lambda t: np.multiply(g2[t], scale_c[chan[t], None], out=gx[t]),
                           tiles[::-1], x2.size)
-        return gx.reshape(x.shape), ggamma, gbeta
+        return gx.reshape(shape), ggamma, gbeta
 
     return apply_op(out.reshape(x.shape), (x, gamma, beta), vjp)
 
@@ -585,14 +628,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean) * inv
     out = gamma.data * xhat + beta.data
+    w, dtype, lead = gamma.data, x.dtype, tuple(range(x.ndim - 1))
 
     def vjp(g):
-        dxhat = g * gamma.data
+        dxhat = g * w
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         gx = inv * (dxhat - m1 - xhat * m2)
-        lead = tuple(range(x.ndim - 1))
-        return gx.astype(x.data.dtype, copy=False), (g * xhat).sum(axis=lead), g.sum(axis=lead)
+        return gx.astype(dtype, copy=False), (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
     return apply_op(out.astype(x.data.dtype, copy=False), (x, gamma, beta), vjp)
 

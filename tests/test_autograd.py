@@ -1,10 +1,16 @@
 """Tape/backward semantics, optimizer behavior, RNG portability."""
+import tracemalloc
+import types
 import weakref
 
 import numpy as np
 import pytest
 
+from wavetransformer.decoder import DecoderConfig
+from wavetransformer.encoder import EncoderConfig, TFBlock
 from wavetransformer.errors import UsageError
+from wavetransformer.layers import ModelSpace
+from wavetransformer.model import CaptionModel
 from wavetransformer.tensor import (
     AdamState,
     ParameterStore,
@@ -17,6 +23,7 @@ from wavetransformer.tensor import (
     derive_seed,
 )
 from wavetransformer.tensor import ops
+from wavetransformer.training import Batch, batch_loss
 
 
 class TestBackward:
@@ -100,6 +107,117 @@ class TestBackward:
         with Tape() as tape:
             ops.tanh(ops.mul(a, a))
         assert len(tape) == 0
+
+
+class TestTapeRetention:
+    """The tape holds no tensor: an entry is the output's key, a ref per
+    input and a VJP closing over only the arrays it reads."""
+
+    def test_an_intermediate_no_vjp_reads_dies_with_the_forward_reference(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            y = ops.add(x, x)  # neither this VJP nor scale's reads y
+            held = weakref.ref(y.data)
+            loss = ops.tensor_sum(ops.scale(y, 3.0))
+        del y
+        assert held() is None
+        backward(loss, tape)
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+
+    def test_gradients_hold_when_freed_intermediates_ids_are_reused(self):
+        # each step frees its intermediates, and a new untracked constant
+        # often lands on a freed intermediate's id: keyed by id(), the tape
+        # would take the constant for that intermediate
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        freed, reused = set(), 0
+        with Tape() as tape:
+            h = x
+            for _ in range(200):
+                t = ops.scale(h, 1.0)
+                freed.add(id(t))
+                h = ops.add(t, x)
+                del t
+                c = Tensor(np.zeros(2))
+                reused += id(c) in freed
+                h = ops.add(h, c)
+                del c
+            loss = ops.tensor_sum(h)
+        backward(loss, tape)
+        assert reused > 0
+        np.testing.assert_array_equal(x.grad, [201.0, 201.0])
+
+    def test_a_training_tf_block_keeps_what_its_vjps_read(self):
+        # block 1 of the paper's TF branch, 1 -> 128 channels, F = 64, pool 4:
+        # kept are the P-CNN output (bn_b's input), the block's output, a
+        # byte per pooled element for the max-pool index and the dropout
+        # mask, and the one-channel arrays before the P-CNN (leaky ReLU's
+        # mask, bn_a's input and output); not bn_b's output or the pooled one
+        b, c, t, f, pool = 2, 128, 24, 64, 4
+        block = TFBlock(ModelSpace(ParameterStore(), {}, RngState(3)), "tf.block1", 1, c, 5,
+                        pool, 0.25)
+        x = Tensor(RngState(4).uniform(-1, 1, (b, 1, t, f)).astype(np.float32))
+        rng = RngState(5)
+        pcnn_out, pooled = 4 * b * c * t * f, b * c * t * (f // pool)
+        bound = pcnn_out + 4 * pooled + 2 * pooled + 9 * x.size + (64 << 10)
+        with Tape() as tape:  # first-use set-up (the pool's threads) is not kept by a tape
+            backward(ops.tensor_sum(block(x, True, rng)), tape)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = block(x, True, rng)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (b, c, t, f // pool)
+        assert held <= bound, f"{held / 2**20:.2f} MiB kept, bound {bound / 2**20:.2f} MiB"
+        backward(ops.tensor_sum(out), tape)
+
+    @staticmethod
+    def _tensors_held(value, seen):
+        """The Tensors reachable from `value` through closures, tuples and lists."""
+        if id(value) in seen:
+            return
+        seen.add(id(value))
+        if isinstance(value, Tensor):
+            yield value
+        elif isinstance(value, types.FunctionType):
+            for cell in value.__closure__ or ():
+                try:
+                    contents = cell.cell_contents
+                except ValueError:  # a cell not yet filled
+                    continue
+                yield from TestTapeRetention._tensors_held(contents, seen)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from TestTapeRetention._tensors_held(item, seen)
+
+    def test_no_vjp_closes_over_a_tensor_that_is_not_a_parameter(self, monkeypatch):
+        # one training step of a tiny two-branch model with dropout: a VJP
+        # may keep arrays and shapes, and parameters, which live anyway
+        vjps = []
+        record = Tape.record
+
+        def spy(tape, out, inputs, vjp):
+            vjps.append(vjp)
+            return record(tape, out, inputs, vjp)
+
+        monkeypatch.setattr(Tape, "record", spy)
+        enc = EncoderConfig(n_temp_blocks=1, n_tf_blocks=2, channels=8, pool_factors=(2, 2),
+                            dropout_tf=0.25, n_mels=4)
+        model = CaptionModel(enc, DecoderConfig(vocab_size=12, n_blocks=1, n_heads=2, d_model=8,
+                                                dropout=0.25, max_len=8), seed=0)
+        feats = RngState(1).uniform(-1, 1, (2, 12, 4)).astype(np.float32)
+        tokens = np.array([[0, 4, 5, 6, 1], [0, 7, 1, 2, 2]])  # <sos> 0, <eos> 1, <pad> 2
+        with Tape() as tape:
+            loss = batch_loss(model, Batch(feats, [12, 9], tokens, [5, 3]), 2, training=True,
+                              rng=RngState(7))
+        backward(loss, tape)
+        ops_seen = {vjp.__qualname__.split(".")[0] for vjp in vjps}
+        assert {"_conv_taps", "batch_norm", "leaky_relu", "max_pool_freq", "dropout", "relu",
+                "linear", "layer_norm", "softmax", "matmul", "embedding"} <= ops_seen
+        offenders = {vjp.__qualname__ for vjp in vjps
+                     for t in self._tensors_held(vjp, set()) if not t.requires_grad}
+        assert not offenders
 
 
 class TestAdam:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wavetransformer.tensor import Tensor, conv, pool
+from wavetransformer.tensor import Tape, Tensor, conv, pool
 
 from helpers import frame_tile_rows
 
@@ -56,13 +56,16 @@ def conv_jobs(monkeypatch):
     for name, (spatial, c_in, c_out, groups, k, pad, dil, w) in sorted(PAPER_CONVS.items()):
         for b, t in CONV_BATCHES:
             jobs.clear()
-            x = Tensor(np.zeros((b, c_in, t, w)[: spatial + 2], dtype=np.float32))
+            # x tracked, so that the VJP makes the input gradient
+            x = Tensor(np.zeros((b, c_in, t, w)[: spatial + 2], dtype=np.float32),
+                       requires_grad=True)
             weight = Tensor(np.zeros((c_out, c_in // groups, k, k)[: spatial + 2],
                                      dtype=np.float32), requires_grad=True)
-            if spatial == 1:
-                conv.conv1d(x, weight, padding=pad, dilation=dil)
-            else:
-                conv.conv2d(x, weight, padding=pad, groups=groups)
+            with Tape():
+                if spatial == 1:
+                    conv.conv1d(x, weight, padding=pad, dilation=dil)
+                else:
+                    conv.conv2d(x, weight, padding=pad, groups=groups)
             vjps.pop()(np.zeros((b, c_out, t, w), dtype=np.float32))
             if name.endswith("pcnn"):
                 conv.conv2d_tiles(x, weight, None, pad, lambda *tile: None)

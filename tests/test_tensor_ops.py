@@ -427,6 +427,34 @@ class TestConvVjpTiles:
         assert tiled == whole
 
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_an_untracked_input_gets_no_input_gradient_job(self, case, monkeypatch):
+        # the first wave block's t1 and TF block 1's S-CNN take the
+        # features, which no tape tracks: their VJP skips the input
+        # gradient, the first job of a VJP, and the other gradients keep
+        # their bits
+        op, x_shape, w_shape, options = self.CASES[case]
+        monkeypatch.setattr(pool, "TILE_BYTES", 256)  # every job in tiles of a few rows
+        monkeypatch.setattr(pool, "TILE_COLS", 1)  # a job of two or more tiles leaves the caller
+        runs = []
+        for tracked in (True, False):
+            rng = RngState(71)
+            x, w, b = (Tensor(rng.uniform(-1, 1, shape).astype(np.float32), requires_grad=True)
+                       for shape in (x_shape, w_shape, w_shape[:1]))
+            x.requires_grad = tracked
+            with Tape() as tape:
+                loss = ops.tensor_sum(ops.tanh(op(x, w, b, **options)))
+            pooled = record_pooled_jobs(monkeypatch)
+            backward(loss, tape)
+            runs.append((list(pooled), x.grad, w.grad.tobytes(), b.grad.tobytes()))
+        (jobs, gx, gw, gb), (untracked_jobs, no_gx, gw_untracked, gb_untracked) = runs
+        assert gx is not None and no_gx is None
+        if case == "single_channel":
+            assert jobs[0] == x_shape[0]  # the fold's col2im, a task per clip
+        assert jobs[1:] == untracked_jobs
+        assert (gw, gb) == (gw_untracked, gb_untracked)
+
+
 class TestConvWorkers:
     """The conv GEMMs run as tiles on a thread pool.  Tiles follow from the
     conv's shapes alone, so no worker count may change a bit of the output
@@ -897,6 +925,59 @@ class TestActivations:
             ops.leaky_relu(Tensor([1.0]), slope=slope)
 
 
+    @staticmethod
+    def _grad(f, x, g):
+        """f(x) and the gradient of sum(f(x) * g)."""
+        with Tape() as tape:
+            out = f(x)
+            loss = ops.tensor_sum(ops.mul_const(out, g))
+        backward(loss, tape)
+        return out.data
+
+    EDGES = np.array([np.nan, 0.0, -0.0, 1e-45, -1e-45, -1e-40, 2.0, -2.0, np.inf, -np.inf],
+                     dtype=np.float32)
+
+    @pytest.mark.parametrize("slope", [0.01, 0.5])
+    def test_leaky_relu_gradient_at_nan_negative_zero_and_subnormals(self, slope):
+        # the kept x >= 0 mask against the lookup on x itself: the slope at
+        # NaN and at a negative subnormal, 1 at -0.0
+        x = Tensor(self.EDGES.copy(), requires_grad=True)
+        g = RngState(31).uniform(-2, 2, x.shape).astype(np.float32)
+        with np.errstate(invalid="ignore"):
+            self._grad(lambda t: ops.leaky_relu(t, slope), x, g)
+        factors = np.array([slope, 1], dtype=np.float32)
+        assert x.grad.tobytes() == (factors[(self.EDGES >= 0).view(np.uint8)] * g).tobytes()
+        assert x.grad[2] == g[2] and x.grad[5] == g[5] * np.float32(slope)
+
+    def test_relu_gradient_at_nan_and_signed_zeros(self):
+        # the sign of the output against that of the input: no gradient at
+        # NaN, 0.0 or -0.0
+        x = Tensor(self.EDGES.copy(), requires_grad=True)
+        g = RngState(32).uniform(-2, 2, x.shape).astype(np.float32)
+        with np.errstate(invalid="ignore"):
+            self._grad(ops.relu, x, g)
+        assert x.grad.tobytes() == (g * (self.EDGES > 0)).tobytes()
+        assert not x.grad[:3].any()
+
+    def test_dropout_of_values_near_the_float32_maximum(self):
+        # dropped elements give +-0 with the sign of x, never NaN, in the
+        # output and in the gradient, as x * (mask / (1 - p)) does
+        shape, p = (7, 64), 0.25
+        signs = np.where(RngState(33).uniform(0, 1, shape) < 0.5, -1, 1)
+        x = Tensor((signs * RngState(34).uniform(2.0e38, 2.5e38, shape)).astype(np.float32),
+                   requires_grad=True)
+        g = -x.data  # upstream gradients near the maximum too
+        rng, reference = RngState(35), RngState(35)
+        with np.errstate(over="ignore"):
+            out = self._grad(lambda t: ops.dropout(t, p, True, rng), x, g)
+        mask = (reference.random(shape) >= p).astype(np.float32) / np.float32(1 - p)
+        assert out.tobytes() == (x.data * mask).tobytes()
+        assert x.grad.tobytes() == (g * mask).tobytes()
+        dropped = mask == 0
+        assert dropped.any() and not np.isnan(out).any() and not np.isnan(x.grad).any()
+        assert (np.signbit(out[dropped]) == (signs[dropped] < 0)).all()
+
+
 class TestMaxPoolFreq:
     def test_basic(self):
         out = ops.max_pool_freq(Tensor(np.array([[[1.0, 5.0, 2.0, 3.0]]])), 2)
@@ -940,6 +1021,46 @@ class TestMaxPoolFreq:
         backward(loss, tape)
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
                                                 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
+
+
+    def test_index_has_the_bits_of_the_first_maximum_of_the_forward_input(self):
+        # every pattern of tied maxima over four slots, with +-0 and -inf
+        # among them, and a NaN in each slot: the kept index against the
+        # first slot equal to the window maximum, taken from the input; a
+        # NaN window's maximum equals no slot, so it gets no gradient
+        patterns = [[1.0 if (m >> j) & 1 else 0.5 for j in range(4)] for m in range(1, 16)]
+        patterns += [[-0.0, 0.0, -1.0, -0.0], [-np.inf] * 4, [0.0, -0.0, -0.0, 0.0]]
+        patterns += [[np.nan if j == k else 3.0 for j in range(4)] for k in range(4)]
+        patterns += [[2.0, np.nan, 5.0, np.nan], [np.nan] * 4]
+        windows = np.array(patterns, dtype=np.float32)
+        x = Tensor(windows.reshape(1, len(windows), 4).copy(), requires_grad=True)
+        g = RngState(36).uniform(-2, 2, (1, len(windows), 1)).astype(np.float32)
+        with Tape() as tape:
+            out = ops.max_pool_freq(x, 4)
+            loss = ops.tensor_sum(ops.mul_const(out, g))
+        backward(loss, tape)
+        maximum = windows[:, 0].copy()
+        for j in range(1, 4):
+            np.maximum(maximum, windows[:, j], out=maximum)
+        expected = np.zeros_like(windows)
+        free = np.ones(len(windows), dtype=bool)
+        for j in range(4):
+            hit = (windows[:, j] == maximum) & free
+            expected[:, j] = g.reshape(-1) * hit
+            free &= ~hit
+        assert out.data.tobytes() == maximum.reshape(out.shape).tobytes()
+        assert x.grad.tobytes() == expected.reshape(x.shape).tobytes()
+        nan_rows = np.isnan(maximum)
+        assert nan_rows.sum() == 6 and not x.grad[0, nan_rows].any()
+        assert (np.count_nonzero(x.grad[0, ~nan_rows], axis=-1) == 1).all()
+
+    def test_a_window_wider_than_a_byte_index_keeps_its_first_maximum(self):
+        x = Tensor(np.zeros((1, 300)), requires_grad=True)
+        x.data[0, [7, 299]] = 1.0
+        with Tape() as tape:
+            loss = ops.tensor_sum(ops.max_pool_freq(x, 300))
+        backward(loss, tape)
+        assert x.grad[0, 7] == 1.0 and x.grad.sum() == 1.0
 
 
 class TestPositionalEncoding:
