@@ -9,7 +9,7 @@ in a scratch slot of its lane that the pool allocates: a tile is
 windowed, transformed (`rfft(out=)`) and squared there, and feature
 extraction takes it on through the mel product and the log floor into the
 float32 feature matrix, so no whole-clip spectrum or power array is ever
-made.  Every tile has at least a fixed number of frames, set by the frame's
+made, nor a padded copy of the clip (`_framing`).  Every tile has at least a fixed number of frames, set by the frame's
 bytes alone, and every step is per frame, so the features have the bits of
 one pass over the whole clip whatever the tile or worker count.
 """
@@ -211,7 +211,16 @@ def hamming_window(n: int) -> np.ndarray:
 
 
 def _framing(clip: AudioClip, window_length: int, hop: int, n_fft: int) -> tuple:
-    """The clip's centered frames, a (T_a, n_fft) view, and the window."""
+    """The number of the clip's centered frames, and windowed(rows, out),
+    which writes the windowed frames of the slice `rows` of them into `out`,
+    (rows, n_fft).
+
+    Frame t is the n_fft samples that start at t * hop - n_fft // 2, the
+    clip reflected at its edges as numpy's "reflect" padding does.  The
+    frames inside the clip are read from it in place, and each of the few
+    that reach past an edge is assembled in `out` itself, so no padded copy
+    of the clip is made.
+    """
     if window_length > n_fft:
         raise ConfigError(f"window_length {window_length} exceeds n_fft {n_fft}")
     if window_length < 1:
@@ -228,20 +237,44 @@ def _framing(clip: AudioClip, window_length: int, hop: int, n_fft: int) -> tuple
         raise AudioFormatError(
             f"clip of {x.size} samples is too short to center {n_fft}-point frames"
         )
-    padded = np.pad(x, pad, mode="reflect")
-    n_frames = x.size // hop + 1
-    frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop][:n_frames]
+    # the frames of the clip padded by `pad` on each side: floor(len / hop) + 1,
+    # or one fewer where an odd n_fft does not fit the last
+    n_frames = min(x.size // hop + 1, (x.size + 2 * pad - n_fft) // hop + 1)
+    first = min(n_frames, -(-pad // hop))  # frames before it start before the clip
+    stop = max(first, min(n_frames, (x.size + pad - n_fft) // hop + 1))  # and from it, end after
+    inner = (np.lib.stride_tricks.sliding_window_view(x[first * hop - pad :], n_fft)[::hop]
+             if stop > first else None)
     window = np.zeros(n_fft)
     left = (n_fft - window_length) // 2
     window[left : left + window_length] = hamming_window(window_length)
-    return frames, window
+
+    def windowed(rows: slice, out: np.ndarray) -> None:
+        a, b = max(rows.start, first), min(rows.stop, stop)
+        if a < b:
+            np.multiply(inner[a - first : b - first], window, out=out[a - rows.start : b - rows.start])
+        for t in (*range(rows.start, min(rows.stop, first)), *range(max(rows.start, stop), rows.stop)):
+            frame = out[t - rows.start]
+            _reflected(x, t * hop - pad, frame)
+            np.multiply(frame, window, out=frame)
+
+    return n_frames, windowed
 
 
-def _power_tiles(frames: np.ndarray, window: np.ndarray, extra: int, finish) -> None:
-    """Call finish(tile, power, rest) for every tile of whole frames of
-    `frames` (T_a, n_fft), on the op pool: `power` holds the tile's power
-    spectra, (rows, n_fft//2 + 1) float64, and `rest` room for `extra`
-    float64 values per frame, both in the tile's scratch slot.
+def _reflected(x: np.ndarray, start: int, out: np.ndarray) -> None:
+    """x[start : start + len(out)] into `out`, x reflected at its edges
+    (x[-i] before it, x[2 len - 2 - i] after it) once at most."""
+    before, after = max(0, -start), max(0, start + out.size - x.size)
+    out[:before] = x[1 : before + 1][::-1]
+    out[before : out.size - after] = x[max(start, 0) : start + out.size - after]
+    out[out.size - after :] = x[x.size - 1 - after : x.size - 1][::-1]
+
+
+def _power_tiles(n_frames: int, n_fft: int, windowed, extra: int, finish) -> None:
+    """Call finish(tile, power, rest) for every tile of whole frames of the
+    n_frames that windowed(tile, out) writes (see `_framing`), on the op
+    pool: `power` holds the tile's power spectra, (rows, n_fft//2 + 1)
+    float64, and `rest` room for `extra` float64 values per frame, both in
+    the tile's scratch slot.
 
     A tile has as many frames as fit pool.TILE_BYTES of scratch, and the
     last one also takes the remainder (`pool.blocks`), so no tile is shorter
@@ -249,26 +282,26 @@ def _power_tiles(frames: np.ndarray, window: np.ndarray, extra: int, finish) -> 
     kernels, which round differently (OpenBLAS gives its small-matrix kernel
     a mel product of 15 frames at the paper's geometry, where a tile has 31).
     """
-    n, n_fft = frames.shape
     bins = n_fft // 2 + 1
     frame_bytes = 8 * (2 * bins + n_fft + extra)
-    tiles = pool.blocks(n, max(1, pool.TILE_BYTES // frame_bytes))
+    tiles = pool.blocks(n_frames, max(1, pool.TILE_BYTES // frame_bytes))
 
     def tile(t, slot):
-        k = len(frames[t])
+        k = t.stop - t.start
         buf = pool.carve(slot, (k * frame_bytes // 8,), np.float64)
         spectra = buf[: 2 * k * bins].view(np.complex128).reshape(k, bins)
-        windowed = buf[2 * k * bins : (2 * bins + n_fft) * k].reshape(k, n_fft)
-        np.multiply(frames[t], window, out=windowed)
-        np.fft.rfft(windowed, n=n_fft, axis=1, out=spectra)
+        frames = buf[2 * k * bins : (2 * bins + n_fft) * k].reshape(k, n_fft)
+        windowed(t, frames)
+        np.fft.rfft(frames, n=n_fft, axis=1, out=spectra)
         # real**2 + imag**2, on the front of the windowed frames
-        power = windowed.reshape(-1)[: k * bins].reshape(k, bins)
+        power = frames.reshape(-1)[: k * bins].reshape(k, bins)
         np.multiply(spectra.real, spectra.real, out=power)
         np.multiply(spectra.imag, spectra.imag, out=spectra.imag)
         np.add(power, spectra.imag, out=power)
         finish(t, power, buf[(2 * bins + n_fft) * k :])
 
-    pool.run(tile, tiles, n * n_fft, scratch=(frame_bytes * max(len(frames[t]) for t in tiles),))
+    rows = max(t.stop - t.start for t in tiles)
+    pool.run(tile, tiles, n_frames * n_fft, scratch=(frame_bytes * rows,))
 
 
 def stft_power(clip: AudioClip, window_length: int, hop: int, n_fft: int) -> np.ndarray:
@@ -278,9 +311,9 @@ def stft_power(clip: AudioClip, window_length: int, hop: int, n_fft: int) -> np.
     of `window_length` samples sits centered inside the n_fft buffer, and
     the frame count is exactly floor(len / hop) + 1.
     """
-    frames, window = _framing(clip, window_length, hop, n_fft)
-    out = np.empty((len(frames), n_fft // 2 + 1))
-    _power_tiles(frames, window, 0, lambda t, power, _: np.copyto(out[t], power))
+    n_frames, windowed = _framing(clip, window_length, hop, n_fft)
+    out = np.empty((n_frames, n_fft // 2 + 1))
+    _power_tiles(n_frames, n_fft, windowed, 0, lambda t, power, _: np.copyto(out[t], power))
     return out
 
 
@@ -339,15 +372,15 @@ def extract_features(clip: AudioClip, cfg: AudioConfig) -> FeatureMatrix:
     if clip.sample_rate != cfg.sample_rate:
         raise ConfigError(f"clip sample rate is {clip.sample_rate} Hz but the [audio] "
                           f"sample_rate is {cfg.sample_rate} Hz")
-    frames, window = _framing(clip, cfg.window_length, cfg.hop, cfg.n_fft)
+    n_frames, windowed = _framing(clip, cfg.window_length, cfg.hop, cfg.n_fft)
     fb = mel_filterbank(cfg.n_mels, cfg.n_fft, cfg.sample_rate, cfg.f_min, cfg.f_max)
-    feats = np.empty((len(frames), cfg.n_mels), dtype=np.float32)
+    feats = np.empty((n_frames, cfg.n_mels), dtype=np.float32)
 
     def finish(t, power, rest):
         mel = rest[: power.shape[0] * cfg.n_mels].reshape(-1, cfg.n_mels)
         np.copyto(feats[t], _log_mel(power, fb.weights, mel))
 
-    _power_tiles(frames, window, cfg.n_mels, finish)
+    _power_tiles(n_frames, cfg.n_fft, windowed, cfg.n_mels, finish)
     return FeatureMatrix(
         feats,
         sample_rate=float(clip.sample_rate),

@@ -12,6 +12,20 @@ Shape conventions: blocks take batch-first, channel-first tensors only,
 merge network takes (B, T, C).  The entry points (`temporal_branch`,
 `tf_branch`, `encode`) take features (T, F) or (B, T, F), treat a leading
 axis as clips, and return the same leading axes with C features per frame.
+
+Chunked eval encoding.  In eval mode every layer is local in time: each
+"same"-padded conv reaches its padding on each side of a frame, and batch
+norm, max-pool and the merge's linear map act per frame.  So a frame's
+encoding reads only the `Encoder.radius` frames on each side of it, and
+with no tape active `encode` cuts a clip of at least 2 * CHUNK_FRAMES frames
+into chunks of at least CHUNK_FRAMES (`pool.blocks`), encodes each with a
+halo of `radius` frames on each side, clipped at the clip's edges, and
+writes its interior into one output, in memory that does not grow with
+the clip beyond its input and output.  At the paper's configuration the
+bits are the whole clip's; at some small channel counts a GEMM's last bits
+depend on its column count, and a clip's last frames may differ.  The chunks run one
+after another in the caller's thread, and each op inside a chunk tiles on
+the pool as it does on a whole clip.
 """
 from __future__ import annotations
 
@@ -21,10 +35,13 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .layers import BatchNorm, Conv1d, Conv2d, Linear, ModelSpace
-from .tensor import RngState, Tensor
-from .tensor import ops
+from .tensor import RngState, Tensor, active_tape
+from .tensor import ops, pool
 
 MODES = ("full", "temp_only", "tf_only", "avg")
+# An eval encode with no tape runs a clip of at least twice this many frames
+# as chunks of at least this many (see the module docstring)
+CHUNK_FRAMES = 512
 
 
 @dataclass
@@ -168,6 +185,12 @@ class Encoder:
                 c_in = cfg.channels
         if cfg.mode == "full":
             self.merge = MergeNet(space, f"{name}.merge", cfg.channels)
+        # frames on each side of a frame that its eval encoding reads: each
+        # "same"-padded conv reaches its padding (a wave block's gates 1 and
+        # 2, a TF block's S-CNN and P-CNN 2 each, the merge conv 2)
+        temp = sum(b.t2.padding + b.t5.padding for b in self.wave_blocks)
+        tf = sum(b.scnn.padding + b.pcnn.padding for b in self.tf_blocks)
+        self.radius = max(temp, tf) + (self.merge.cnn.padding if self.merge else 0)
 
     def temporal_branch(self, features: Tensor, training: bool) -> Tensor:
         """(..., T, F) -> (..., T, C): mel bands become conv channels."""
@@ -188,6 +211,23 @@ class Encoder:
 
     def encode(self, features: Tensor, training: bool = False,
                rng: RngState | None = None) -> Tensor:
+        """(..., T, F) -> (..., T, C); in chunks in eval mode with no tape
+        active and T >= 2 * CHUNK_FRAMES (see the module docstring)."""
+        clips = _clips(features)
+        frames = clips.shape[1]
+        if training or active_tape() is not None or frames < 2 * CHUNK_FRAMES:
+            return self._encode(features, training, rng)
+        out = None
+        for part in pool.blocks(frames, CHUNK_FRAMES):
+            lo, hi = max(0, part.start - self.radius), min(frames, part.stop + self.radius)
+            z = self._encode(Tensor(clips.data[:, lo:hi]), False).data
+            if out is None:
+                out = np.empty((*clips.shape[:2], z.shape[-1]), dtype=z.dtype)
+            out[:, part] = z[:, part.start - lo : part.stop - lo]
+        return Tensor(out.reshape(*features.shape[:-1], -1))
+
+    def _encode(self, features: Tensor, training: bool, rng: RngState | None = None) -> Tensor:
+        """The whole clip at once."""
         mode = self.cfg.mode
         if mode == "temp_only":
             return self.temporal_branch(features, training)

@@ -189,7 +189,7 @@ def _banded(x, bands, stride, ph, h_out, bias=None, out=None) -> np.ndarray:
             o += bias[:, None, None]
 
     slot = row_bytes * max(len(range(b)[clips]) * len(rows) for clips, rows in tiles)
-    pool.run(tile, tiles, b * h_out * w_out, (slot,))
+    pool.run(tile, tiles, out.size, (slot,))
     return out
 
 
@@ -273,7 +273,8 @@ def _dense(x, wt, pads, offsets, kw, stride, dilation, h_out, w_out, bias=None, 
     tile_bytes = out_row * max(len(range(b)[c]) * len(rows) for c, rows in tiles)
     # a lane's slot: its taps, its tap products, and the tile where there is an epilogue
     scratch = (tap_bytes, tile_bytes * (kt > 1), tile_bytes * (epilogue is not None))
-    pool.run(tile, tiles, b * h_out * w_out, scratch)
+    # a conv job's columns are its output elements, as a memory-bound pass's are
+    pool.run(tile, tiles, b * groups * og * h_out * w_out, scratch)
     return out
 
 

@@ -284,9 +284,60 @@ class TestFeatureTiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the padded clip (10.6 MB) and a few MB of tiles; one pass over the
-        # whole clip peaked at 91 MB
+        # a few MB of tiles; one pass over the whole clip peaked at 91 MB
         assert peak <= 25e6, peak / 1e6
+
+    @staticmethod
+    def padded_extract(clip, cfg):
+        """extract_features as it was with a reflect-padded copy of the
+        clip (np.pad), whose frames the same tiles window."""
+        x, n_fft, hop = clip.samples, cfg.n_fft, cfg.hop
+        padded = np.pad(x, n_fft // 2, mode="reflect")
+        frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop][: x.size // hop + 1]
+        window = np.zeros(n_fft)
+        left = (n_fft - cfg.window_length) // 2
+        window[left : left + cfg.window_length] = hamming_window(cfg.window_length)
+        fb = mel_filterbank(cfg.n_mels, n_fft, cfg.sample_rate, cfg.f_min, cfg.f_max)
+        feats = np.empty((len(frames), cfg.n_mels), dtype=np.float32)
+
+        def finish(t, power, rest):
+            mel = rest[: power.shape[0] * cfg.n_mels].reshape(-1, cfg.n_mels)
+            np.copyto(feats[t], audio._log_mel(power, fb.weights, mel))
+
+        audio._power_tiles(len(frames), n_fft, lambda t, out: np.multiply(frames[t], window, out=out),
+                           cfg.n_mels, finish)
+        return feats, padded.nbytes
+
+    def test_thirty_second_extract_makes_no_padded_copy(self, monkeypatch):
+        monkeypatch.setattr(pool, "WORKERS", 2)
+        clip, cfg = AudioClip(np.random.default_rng(7).uniform(-1, 1, 30 * 44100), 44100), AudioConfig()
+        extract_features(clip, cfg)  # first-use allocations
+        peaks = []
+        for extract in (lambda: extract_features(clip, cfg).values, lambda: self.padded_extract(clip, cfg)):
+            tracemalloc.start()
+            try:
+                peaks.append((extract(), tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+        (got, peak), ((want, padded_bytes), padded_peak) = peaks
+        assert got.tobytes() == want.tobytes()
+        # 4 KiB for the interpreter's small objects, which differ between the two
+        assert padded_peak - peak >= padded_bytes - 4096, (peak, padded_peak, padded_bytes)
+
+    # (n_fft, hop, samples): odd n_fft, hops above half an FFT, and clips
+    # too short for any frame to lie inside them
+    @pytest.mark.parametrize("n_fft, hop, samples", [
+        (2048, 512, 1025), (2048, 512, 2048), (2048, 512, 30 * 44100 + 7), (15, 4, 37),
+        (15, 4, 8), (16, 20, 100), (16, 16, 64), (9, 3, 5), (256, 100, 9_000),
+    ])
+    def test_frames_are_those_of_the_reflect_padded_clip(self, n_fft, hop, samples):
+        x = np.random.default_rng(samples).uniform(-1, 1, samples)
+        padded = np.pad(x, n_fft // 2, mode="reflect")
+        frames = np.lib.stride_tricks.sliding_window_view(padded, n_fft)[::hop][: x.size // hop + 1]
+        spectra = np.fft.rfft(frames * hamming_window(n_fft), n=n_fft, axis=1)
+        want = spectra.real ** 2 + spectra.imag ** 2
+        got = stft_power(AudioClip(x, 8000), n_fft, hop, n_fft)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestWtf1:

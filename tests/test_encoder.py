@@ -1,16 +1,23 @@
 """Encoder: wave blocks, TF blocks, merge, modes, receptive field."""
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wavetransformer.encoder import Encoder, EncoderConfig, MergeNet, TFBlock, WaveBlock
+from wavetransformer import encoder as encoder_module
+from wavetransformer.decoder import DecoderConfig
+from wavetransformer.encoder import (
+    CHUNK_FRAMES, MODES, Encoder, EncoderConfig, MergeNet, TFBlock, WaveBlock,
+)
 from wavetransformer.errors import ConfigError, DimensionError
 from wavetransformer.layers import ModelSpace
+from wavetransformer.model import CaptionModel
 from wavetransformer.tensor import ParameterStore, RngState, Tape, Tensor, backward
 from wavetransformer.tensor import ops, pool
+from wavetransformer.training import Batch, batch_loss
 
 from helpers import record_pooled_jobs
 
@@ -353,3 +360,95 @@ class TestReceptiveField:
         expected[probe - radius : probe + radius + 1] = True
         np.testing.assert_array_equal(support, expected)
         assert support.sum() == 6 * n_temp + 1  # span 25 at n_temp=4
+
+
+def whole_clip(monkeypatch):
+    """Make every encode for the rest of the test run on the whole clip."""
+    monkeypatch.setattr(encoder_module, "CHUNK_FRAMES", sys.maxsize // 4)
+
+
+class TestChunkedEncode:
+    """In eval mode with no tape, a clip of at least 2 * CHUNK_FRAMES frames
+    is encoded in chunks with a halo of `Encoder.radius` frames on each
+    side, with the whole clip's bits."""
+
+    @pytest.mark.parametrize("mode, radius", [("full", 14), ("temp_only", 12),
+                                              ("tf_only", 12), ("avg", 12)])
+    def test_radius_at_the_defaults(self, mode, radius):
+        assert Encoder(make_space(40), EncoderConfig(mode=mode)).radius == radius
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_halo_of_radius_is_the_first_with_the_whole_clips_bits(self, mode, monkeypatch):
+        # 4 channels and chunks of 32 frames: small GEMMs that round the
+        # same in a chunk as in the whole clip
+        enc = Encoder(make_space(41), small_cfg(mode, channels=4))
+        x = Tensor(RngState(42).uniform(-1, 1, (2, 150, 4)).astype(np.float32))
+        with monkeypatch.context() as m:
+            whole_clip(m)
+            whole = enc.encode(x).data
+        monkeypatch.setattr(encoder_module, "CHUNK_FRAMES", 32)
+        radius = enc.radius
+        assert radius == {"full": 10, "temp_only": 6, "tf_only": 8, "avg": 8}[mode]
+        assert enc.encode(x).data.tobytes() == whole.tobytes()
+        enc.radius = radius - 1
+        assert enc.encode(x).data.tobytes() != whole.tobytes()
+
+    @pytest.mark.parametrize("shape", [(2584, 64), (5000, 64), (2, 2584, 64)])
+    def test_paper_encoder_bits_are_the_whole_clips(self, shape, monkeypatch):
+        enc = Encoder(make_space(43), EncoderConfig())
+        x = Tensor(RngState(44).uniform(-1, 1, shape).astype(np.float32))
+        chunked = enc.encode(x).data
+        whole_clip(monkeypatch)
+        whole = enc.encode(x).data
+        assert chunked.shape == (*shape[:-1], 128)
+        assert chunked.tobytes() == whole.tobytes()
+
+    def test_validation_loss_of_a_padded_batch_is_the_whole_clips(self, monkeypatch):
+        model = CaptionModel(EncoderConfig(), DecoderConfig(vocab_size=12), seed=0)
+        feats = RngState(45).uniform(-1, 1, (2, 1100, 64)).astype(np.float32)
+        feats[1, 900:] = np.log(1e-10)  # the second clip padded to the first's length
+        tokens = np.array([[0, 5, 6, 7, 1], [0, 8, 9, 1, 2]])
+        batch = Batch(feats, [1100, 900], tokens, [5, 4])
+        chunked = batch_loss(model, batch, 2, training=False, rng=None).data
+        whole_clip(monkeypatch)
+        whole = batch_loss(model, batch, 2, training=False, rng=None).data
+        assert chunked.tobytes() == whole.tobytes()
+
+    def test_which_encodes_run_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(encoder_module, "CHUNK_FRAMES", 16)
+        enc = Encoder(make_space(46), small_cfg("full"))
+        calls, run = [], enc._encode
+        monkeypatch.setattr(enc, "_encode", lambda x, *args: calls.append(x.shape) or run(x, *args))
+
+        def frames_encoded(frames, training=False, tape=False):
+            calls.clear()
+            x = Tensor(RngState(47).uniform(-1, 1, (frames, 4)).astype(np.float32))
+            if tape:
+                with Tape():
+                    enc.encode(x, training)
+            else:
+                enc.encode(x, training)
+            return [shape[-2] for shape in calls]
+
+        assert frames_encoded(31) == [31]  # under 2 * CHUNK_FRAMES: the whole clip
+        assert frames_encoded(32, training=True) == [32]
+        assert frames_encoded(32, tape=True) == [32]
+        # chunks of pool.blocks(T, 16), each with 10 frames of halo inside the clip
+        assert frames_encoded(32) == [26, 26]
+        assert frames_encoded(50) == [26, 36, 28]
+
+    def test_memory_grows_with_the_output_only(self):
+        enc = Encoder(make_space(48), EncoderConfig())
+        peaks = {}
+        for frames in (2584, 10336):  # 30 s and 120 s
+            x = Tensor(RngState(49).uniform(-1, 1, (frames, 64)).astype(np.float32))
+            enc.encode(Tensor(x.data[: 2 * CHUNK_FRAMES]))  # first-use allocations
+            tracemalloc.start()
+            try:
+                enc.encode(x)
+                peaks[frames] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        output_growth = (10336 - 2584) * 128 * 4
+        growth = peaks[10336] - peaks[2584]
+        assert growth <= output_growth + 0.1 * peaks[2584], (growth / 2**20, peaks[2584] / 2**20)

@@ -15,7 +15,7 @@ import pytest
 
 import wavetransformer
 from wavetransformer.decoder import DecoderConfig
-from wavetransformer.encoder import EncoderConfig
+from wavetransformer.encoder import CHUNK_FRAMES, EncoderConfig
 from wavetransformer.errors import CheckpointError, DataError, TrainingError, UsageError
 from wavetransformer.inference import DecodeConfig, decode
 from wavetransformer.model import CaptionModel
@@ -720,6 +720,16 @@ class TestWorkerCount:
         feats = RngState(1).uniform(-1.0, 1.0, (2, 40, 64)).astype(np.float32)
         self._step(model, feats)
         decode(model.encode(feats[0]), model, vocab, DecodeConfig(max_words=4))
+        assert pooled and pooled.nested == 0
+
+    def test_paper_model_long_clip_caption_starts_no_job_inside_a_pool_task(self, monkeypatch):
+        # a clip long enough to encode in chunks, one after another
+        monkeypatch.setattr(pool, "WORKERS", 2)
+        pooled = record_pooled_jobs(monkeypatch)
+        vocab = tiny_vocab()
+        model = CaptionModel(EncoderConfig(), DecoderConfig(vocab_size=vocab.size), seed=0)
+        feats = RngState(1).uniform(-1.0, 1.0, (2 * CHUNK_FRAMES, 64)).astype(np.float32)
+        decode(model.encode(feats), model, vocab, DecodeConfig(max_words=4))
         assert pooled and pooled.nested == 0
 
 
