@@ -301,7 +301,7 @@ def _power_tiles(n_frames: int, n_fft: int, windowed, extra: int, finish) -> Non
         finish(t, power, buf[(2 * bins + n_fft) * k :])
 
     rows = max(t.stop - t.start for t in tiles)
-    pool.run(tile, tiles, n_frames * n_fft, scratch=(frame_bytes * rows,))
+    pool.run(tile, tiles, scratch=(frame_bytes * rows,))
 
 
 def stft_power(clip: AudioClip, window_length: int, hop: int, n_fft: int) -> np.ndarray:

@@ -17,15 +17,15 @@ Chunked eval encoding.  In eval mode every layer is local in time: each
 "same"-padded conv reaches its padding on each side of a frame, and batch
 norm, max-pool and the merge's linear map act per frame.  So a frame's
 encoding reads only the `Encoder.radius` frames on each side of it, and
-with no tape active `encode` cuts a clip of at least 2 * CHUNK_FRAMES frames
-into chunks of at least CHUNK_FRAMES (`pool.blocks`), encodes each with a
-halo of `radius` frames on each side, clipped at the clip's edges, and
-writes its interior into one output, in memory that does not grow with
-the clip beyond its input and output.  At the paper's configuration the
-bits are the whole clip's; at some small channel counts a GEMM's last bits
-depend on its column count, and a clip's last frames may differ.  The chunks run one
-after another in the caller's thread, and each op inside a chunk tiles on
-the pool as it does on a whole clip.
+with no tape active `encode` cuts a clip into chunks of at least
+CHUNK_FRAMES frames (`pool.blocks`: one chunk under 2 * CHUNK_FRAMES),
+encodes each with a halo of `radius` frames on each side, clipped at the
+clip's edges, and writes its interior into one output, in memory that does
+not grow with the clip beyond its input and output.  At the paper's
+configuration the bits are the whole clip's; at some small channel counts
+a GEMM's last bits depend on its column count, and a clip's last frames
+may differ.  The chunks run one after another in the caller's thread, and
+each op inside a chunk tiles on the pool as it does on a whole clip.
 """
 from __future__ import annotations
 
@@ -39,8 +39,8 @@ from .tensor import RngState, Tensor, active_tape
 from .tensor import ops, pool
 
 MODES = ("full", "temp_only", "tf_only", "avg")
-# An eval encode with no tape runs a clip of at least twice this many frames
-# as chunks of at least this many (see the module docstring)
+# An eval encode with no tape runs a clip as chunks of at least this many
+# frames (see the module docstring)
 CHUNK_FRAMES = 512
 
 
@@ -212,11 +212,11 @@ class Encoder:
     def encode(self, features: Tensor, training: bool = False,
                rng: RngState | None = None) -> Tensor:
         """(..., T, F) -> (..., T, C); in chunks in eval mode with no tape
-        active and T >= 2 * CHUNK_FRAMES (see the module docstring)."""
+        active (see the module docstring)."""
         clips = _clips(features)
-        frames = clips.shape[1]
-        if training or active_tape() is not None or frames < 2 * CHUNK_FRAMES:
+        if training or active_tape() is not None:
             return self._encode(features, training, rng)
+        frames = clips.shape[1]
         out = None
         for part in pool.blocks(frames, CHUNK_FRAMES):
             lo, hi = max(0, part.start - self.radius), min(frames, part.stop + self.radius)

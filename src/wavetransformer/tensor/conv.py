@@ -189,7 +189,7 @@ def _banded(x, bands, stride, ph, h_out, bias=None, out=None) -> np.ndarray:
             o += bias[:, None, None]
 
     slot = row_bytes * max(len(range(b)[clips]) * len(rows) for clips, rows in tiles)
-    pool.run(tile, tiles, out.size, (slot,))
+    pool.run(tile, tiles, (slot,))
     return out
 
 
@@ -273,8 +273,7 @@ def _dense(x, wt, pads, offsets, kw, stride, dilation, h_out, w_out, bias=None, 
     tile_bytes = out_row * max(len(range(b)[c]) * len(rows) for c, rows in tiles)
     # a lane's slot: its taps, its tap products, and the tile where there is an epilogue
     scratch = (tap_bytes, tile_bytes * (kt > 1), tile_bytes * (epilogue is not None))
-    # a conv job's columns are its output elements, as a memory-bound pass's are
-    pool.run(tile, tiles, b * groups * og * h_out * w_out, scratch)
+    pool.run(tile, tiles, scratch)
     return out
 
 
@@ -307,7 +306,7 @@ def _weight_grad(x, g4, gw, pads, offsets, kw, stride, dilation, h_out, w_out) -
                 gw_i += clip
 
     most = max(len(range(len(x))[c]) for c, _ in tiles)
-    pool.run(products, tiles, len(x) * h_out * w_out, (tap_bytes, most * gw.nbytes), add)
+    pool.run(products, tiles, (tap_bytes, most * gw.nbytes), add)
 
 
 def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
@@ -379,8 +378,7 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
                             gcols[a * kw + j])
                 gx[c, 0] = gxp[ph : ph + h, pw : pw + w]
 
-            pool.run(clip_grad, range(b), b * n_out,
-                     (kf * n_out * x4.itemsize, hp * wp * x4.itemsize))
+            pool.run(clip_grad, range(b), (kf * n_out * x4.itemsize, hp * wp * x4.itemsize))
         else:
             # the flipped, group-transposed kernel on g, padded by the
             # kernel's reach less the pads and zero-inserted where stride > 1

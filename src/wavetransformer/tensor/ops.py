@@ -241,7 +241,7 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
         if up is not None:
             np.greater_equal(x[t], 0, out=up[t])
 
-    tile_pool.run(forward, tiles, x.size)
+    tile_pool.run(forward, tiles)
     shape = a.shape
 
     def vjp(g):
@@ -255,7 +255,7 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
             np.take(factors, up[t].view(np.uint8), out=gx[t], mode="clip")
             np.multiply(gx[t], g1[t], out=gx[t])
 
-        tile_pool.run(tile, tiles, up.size)
+        tile_pool.run(tile, tiles)
         return (gx.reshape(shape),)
 
     return apply_op(out.reshape(a.shape), (a,), vjp)
@@ -353,13 +353,13 @@ def dropout(a: Tensor, p: float, training: bool, rng: Optional[RngState] = None)
         np.greater_equal(mix64(words, work), least, out=mask[t])
         np.multiply(x[t], factor(t, slot), out=out[t])
 
-    tile_pool.run(forward, tiles, n, scratch=(16 * len(steps),))
+    tile_pool.run(forward, tiles, scratch=(16 * len(steps),))
     shape, slot_bytes = a.shape, keep.itemsize * len(steps)
 
     def vjp(g):
         g1 = g.reshape(-1)
         gx = np.empty_like(g1)
-        tile_pool.run(lambda t, slot: np.multiply(g1[t], factor(t, slot), out=gx[t]), tiles, n,
+        tile_pool.run(lambda t, slot: np.multiply(g1[t], factor(t, slot), out=gx[t]), tiles,
                       scratch=(slot_bytes,))
         return (gx.reshape(shape),)
 
@@ -467,7 +467,7 @@ def max_pool_freq(x: Tensor, pool: int) -> Tensor:
     def forward(t, *slot):
         _max_into(windows[t], out[t], None if first is None else first[t], slot)
 
-    tile_pool.run(forward, tiles, x.size, scratch)
+    tile_pool.run(forward, tiles, scratch)
     shape = x.shape
 
     def vjp(g):
@@ -479,7 +479,7 @@ def max_pool_freq(x: Tensor, pool: int) -> Tensor:
             for j in range(pool):
                 np.multiply(g1[t], np.equal(first[t], j, out=hit), out=gx[t, j])
 
-        tile_pool.run(tile, tiles, gx.size, (most,))
+        tile_pool.run(tile, tiles, (most,))
         return (gx.reshape(shape),)
 
     return apply_op(out.reshape(*shape[:-1], f // pool), (x,), vjp)
@@ -506,7 +506,7 @@ def _bn_reduce(g2, x2, centre, chan, tiles) -> tuple:
         np.sum(g2[t], axis=-1, out=sums[t])
         _row_dots(g2[t], xc[t], dots[t])
 
-    tile_pool.run(tile, tiles, x2.size)
+    tile_pool.run(tile, tiles)
     c = len(centre)
     return sums.reshape(-1, c).sum(axis=0), dots.reshape(-1, c).sum(axis=0), xc
 
@@ -566,7 +566,7 @@ def batch_norm(
     if training:
         n = x.size // c
         sums, dots = np.empty((2, len(x2)), dtype=x2.dtype)
-        tile_pool.run(lambda t: np.sum(x2[t], axis=-1, out=sums[t]), tiles, x2.size)
+        tile_pool.run(lambda t: np.sum(x2[t], axis=-1, out=sums[t]), tiles)
         mean = sums.reshape(lead, c).sum(axis=0) / n
 
         def centre(t):
@@ -574,7 +574,7 @@ def batch_norm(
             _row_dots(out[t], out[t], dots[t])
 
         # each phase starts where the one before ended, on tiles still in cache
-        tile_pool.run(centre, tiles[::-1], x2.size)
+        tile_pool.run(centre, tiles[::-1])
         var = dots.reshape(lead, c).sum(axis=0) / n
         inv = 1.0 / np.sqrt(var + eps)
         scale_c, shift_c = gamma.data * inv, beta.data
@@ -586,7 +586,7 @@ def batch_norm(
         inv, scale_c, shift_c = _bn_fold(gamma, beta, running_mean, running_var, eps)
     src = out if training else x2  # training has centred x into out
     tile_pool.run(lambda t: _affine(src[t], scale_c[chan[t], None], shift_c[chan[t], None], out[t]),
-                  tiles, x2.size)
+                  tiles)
     shape = x.shape
 
     def vjp(g):
@@ -607,10 +607,10 @@ def batch_norm(
                 np.subtract(s, o, out=o)
                 np.multiply(o, scale_c[k, None], out=o)
 
-            tile_pool.run(combine, tiles[::-1], x2.size, scratch=(max(gx[t].nbytes for t in tiles),))
+            tile_pool.run(combine, tiles[::-1], scratch=(max(gx[t].nbytes for t in tiles),))
         else:
             tile_pool.run(lambda t: np.multiply(g2[t], scale_c[chan[t], None], out=gx[t]),
-                          tiles[::-1], x2.size)
+                          tiles[::-1])
         return gx.reshape(shape), ggamma, gbeta
 
     return apply_op(out.reshape(x.shape), (x, gamma, beta), vjp)

@@ -76,7 +76,7 @@ def adam_step(
         a /= b
         p -= a
 
-    pool.run(update, tiles, params.count(), (scratch,))
+    pool.run(update, tiles, (scratch,))
 
 
 def clip_grad_norm(params: ParameterStore, max_norm: float) -> float:

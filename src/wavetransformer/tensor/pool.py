@@ -1,11 +1,11 @@
 """The one thread pool that the ops, Adam and the STFT run their work on.
 
-A job is a list of tasks over some number of output columns, given to
-`run`; each task writes its own part of buffers the caller allocated.  A job
-of fewer than TILE_COLS columns or of one task runs whole in the caller's
-thread (`inline`), as does every job at one worker and every job started
-inside a pool task, which would wait on tasks queued behind it.  Any other
-job runs on up to WORKERS lanes, one pool thread each.
+A job is a list of tasks given to `run`; each task writes its own part of
+buffers the caller allocated.  A job of one task runs whole in the caller's
+thread, as does every job at one worker and every job started inside a pool
+task, which would wait on tasks queued behind it.  Any other job runs on up
+to WORKERS lanes, one pool thread each: how finely a pass is worth cutting
+is the tile rule's to say, not the pool's.
 
 Tiles.  How a pass splits into tasks follows from its shapes alone, never
 from the worker count, and every task keeps the accumulation order of the
@@ -37,10 +37,7 @@ import numpy as np
 
 # One thread per CPU this process may use; the pool is made on first use.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# A job of fewer output columns than this runs whole, inline.
-TILE_COLS = 4096
-# A memory-bound pass runs as tiles of about this many bytes; a job's
-# elements count as its columns.
+# A memory-bound pass runs as tiles of about this many bytes.
 TILE_BYTES = 1 << 20
 
 _pool: Optional[tuple] = None  # ((pid, workers), executor)
@@ -52,15 +49,9 @@ def _mark_worker() -> None:
     _worker.active = True
 
 
-def inline(cols: int, n: int) -> bool:
-    """Whether a job of n tasks over `cols` output columns runs in the
-    caller's thread whatever the worker count."""
-    return cols < TILE_COLS or n < 2
-
-
-def _lanes(cols: int, n: int) -> int:
-    """How many of the n tasks of a job of `cols` output columns run at once."""
-    if inline(cols, n) or WORKERS < 2 or getattr(_worker, "active", False):
+def _lanes(n: int) -> int:
+    """How many of the n tasks of a job run at once."""
+    if n < 2 or WORKERS < 2 or getattr(_worker, "active", False):
         return 1
     return min(n, WORKERS)
 
@@ -82,10 +73,10 @@ def _executor():
         return _pool[1]
 
 
-def run(fn, tasks, cols: int, scratch=(), consume=None) -> None:
-    """Call fn(task, *slot) for every task of a job of `cols` output
-    columns, `slot` being the byte buffers of the sizes in `scratch` that
-    its lane holds (see the module docstring).
+def run(fn, tasks, scratch=(), consume=None) -> None:
+    """Call fn(task, *slot) for every task of a job, `slot` being the byte
+    buffers of the sizes in `scratch` that its lane holds (see the module
+    docstring).
 
     Without `consume`, each lane is one pool task that runs the next task
     not yet started until none is left, so a job of many tiles costs one
@@ -94,7 +85,7 @@ def run(fn, tasks, cols: int, scratch=(), consume=None) -> None:
     one `lanes` places before it has been consumed.  Whatever a task raises
     propagates only after every task in flight has finished, so none writes
     into the caller's buffers after the call returns."""
-    lanes = _lanes(cols, len(tasks))
+    lanes = _lanes(len(tasks))
     slots = [tuple(np.empty(size, dtype=np.uint8) for size in scratch) for _ in range(lanes)]
     if lanes == 1:
         for task in tasks:

@@ -68,10 +68,10 @@ def gradcheck(
 
 
 class PooledJobs(list):
-    """The task counts of the pool's jobs large enough to leave the
-    caller's thread, in call order.  A job started inside a task of any job
-    runs inline and is not listed, so the list does not depend on the worker
-    count; `nested` counts those jobs.
+    """The task counts of the pool's jobs of two or more tasks, those that
+    leave the caller's thread at two or more workers, in call order.  A job
+    started inside a task of any job runs inline and is not listed, so the
+    list does not depend on the worker count; `nested` counts those jobs.
 
     For the in-order jobs (those with a consumer): `ordered_on_pool` counts
     their tasks that ran off the caller's thread, `most_in_flight` is the
@@ -101,13 +101,13 @@ def record_pooled_jobs(monkeypatch) -> PooledJobs:
                 inside.job = False
         return task
 
-    def spy(fn, tasks, cols, scratch=(), consume=None):
+    def spy(fn, tasks, scratch=(), consume=None):
         if getattr(inside, "job", False):
             with lock:
                 jobs.nested += 1
-            return _RUN(fn, tasks, cols, scratch, consume)
-        if pool.inline(cols, len(tasks)):
-            return _RUN(within(fn), tasks, cols, scratch, consume)
+            return _RUN(fn, tasks, scratch, consume)
+        if len(tasks) < 2:
+            return _RUN(within(fn), tasks, scratch, consume)
         jobs.append(len(tasks))
         caller = threading.current_thread()
         in_flight = 0
@@ -132,7 +132,7 @@ def record_pooled_jobs(monkeypatch) -> PooledJobs:
             with lock:
                 in_flight -= 1
 
-        return _RUN(task, tasks, cols, scratch, consume and consumed)
+        return _RUN(task, tasks, scratch, consume and consumed)
 
     monkeypatch.setattr(pool, "run", spy)
     return jobs
@@ -143,9 +143,9 @@ def frame_tile_rows(frames: int, monkeypatch) -> list:
     `frames` frames, as `pool.run` is given them."""
     rows, run = [], pool.run
 
-    def spy(fn, tiles, cols, scratch=(), consume=None):
+    def spy(fn, tiles, scratch=(), consume=None):
         rows.extend(len(range(frames)[t]) for t in tiles)
-        return run(fn, tiles, cols, scratch, consume)
+        return run(fn, tiles, scratch, consume)
 
     cfg = AudioConfig()
     samples = np.random.default_rng(0).uniform(-1, 1, (frames - 1) * cfg.hop + 300)

@@ -368,9 +368,9 @@ def whole_clip(monkeypatch):
 
 
 class TestChunkedEncode:
-    """In eval mode with no tape, a clip of at least 2 * CHUNK_FRAMES frames
-    is encoded in chunks with a halo of `Encoder.radius` frames on each
-    side, with the whole clip's bits."""
+    """In eval mode with no tape, a clip is encoded in chunks of at least
+    CHUNK_FRAMES frames with a halo of `Encoder.radius` frames on each side,
+    with the whole clip's bits."""
 
     @pytest.mark.parametrize("mode, radius", [("full", 14), ("temp_only", 12),
                                               ("tf_only", 12), ("avg", 12)])
@@ -430,7 +430,7 @@ class TestChunkedEncode:
                 enc.encode(x, training)
             return [shape[-2] for shape in calls]
 
-        assert frames_encoded(31) == [31]  # under 2 * CHUNK_FRAMES: the whole clip
+        assert frames_encoded(31) == [31]  # under 2 * CHUNK_FRAMES: one chunk, the whole clip
         assert frames_encoded(32, training=True) == [32]
         assert frames_encoded(32, tape=True) == [32]
         # chunks of pool.blocks(T, 16), each with 10 frames of halo inside the clip

@@ -1,17 +1,18 @@
-"""The pool's tile rules, and the boundary around the private names of the
-pool, the convolutions and the ops."""
+"""The pool's tile rules, where its jobs run, and the boundary around the
+private names of the pool, the convolutions and the ops."""
 from __future__ import annotations
 
 import ast
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wavetransformer.tensor import Tape, Tensor, conv, pool
+from wavetransformer.tensor import RngState, Tape, Tensor, backward, conv, ops, pool
 
-from helpers import frame_tile_rows
+from helpers import frame_tile_rows, record_pooled_jobs
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -49,7 +50,7 @@ def conv_jobs(monkeypatch):
     P-CNN, their tasks not run: ((name, clips, frames), [(tiles, slot sizes)
     of each job])."""
     jobs, vjps = [], []
-    monkeypatch.setattr(pool, "run", lambda fn, tasks, cols, scratch=(), consume=None:
+    monkeypatch.setattr(pool, "run", lambda fn, tasks, scratch=(), consume=None:
                         jobs.append((tasks, scratch)))
     monkeypatch.setattr(conv, "apply_op", lambda out, inputs, vjp: vjps.append(vjp))
     runs = []
@@ -162,6 +163,56 @@ def test_tiles_depend_only_on_shapes(rule, monkeypatch):
         monkeypatch.setattr(pool, "WORKERS", workers)
         assert make(monkeypatch) == tiles
     check(tiles, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# placement: a job leaves the caller's thread for its task count alone
+# ---------------------------------------------------------------------------
+
+def threads_of(tasks) -> list:
+    """The thread each task of one pool job ran on."""
+    ran = [None] * len(tasks)
+    pool.run(lambda k: ran.__setitem__(k, threading.current_thread()), tasks)
+    return ran
+
+
+def test_a_job_of_two_tiny_tasks_runs_off_the_callers_thread(monkeypatch):
+    monkeypatch.setattr(pool, "WORKERS", 2)
+    caller = threading.current_thread()
+    assert all(thread is not caller for thread in threads_of(range(2)))
+
+
+def test_a_job_of_one_task_runs_on_the_callers_thread(monkeypatch):
+    monkeypatch.setattr(pool, "WORKERS", 2)
+    assert threads_of(range(1)) == [threading.current_thread()]
+
+
+def test_a_job_started_inside_a_task_runs_inline(monkeypatch):
+    monkeypatch.setattr(pool, "WORKERS", 2)
+    outer, inner = [None] * 2, {}
+
+    def task(k):
+        outer[k] = threading.current_thread()
+        inner[k] = threads_of(range(2))
+
+    pool.run(task, range(2))
+    assert all(thread is not threading.current_thread() for thread in outer)
+    assert inner == {k: [outer[k]] * 2 for k in range(2)}
+
+
+def test_a_block_3_pcnn_weight_gradient_at_a_batch_of_8_runs_on_the_pool(monkeypatch):
+    # a clip a tile: 8 tiles of only 400 positions each, on both lanes
+    monkeypatch.setattr(pool, "WORKERS", 2)
+    rng = RngState(90)
+    x = Tensor(rng.uniform(-1, 1, (8, 128, 100, 4)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.uniform(-0.05, 0.05, (128, 128, 5, 5)).astype(np.float32),
+               requires_grad=True)
+    with Tape() as tape:
+        loss = ops.tensor_sum(ops.conv2d(x, w, padding=2))
+    pooled = record_pooled_jobs(monkeypatch)
+    backward(loss, tape)
+    # the weight gradient's is the only job with a consumer
+    assert 8 in pooled and pooled.ordered_on_pool == 8
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,6 @@ class TestBandedDepthwise:
                                                    monkeypatch):
         if rows == 40:
             monkeypatch.setattr(pool, "TILE_BYTES", 12 * 3 * 7 * 8)
-            monkeypatch.setattr(pool, "TILE_COLS", 1)  # a job of 2 or more tiles leaves the caller
         pooled = record_pooled_jobs(monkeypatch)
         with default_dtype(np.float64):
             rng = RngState(60 + 4 * stride + padding)
@@ -400,7 +399,6 @@ class TestConvVjpTiles:
     def _grads(self, case, tile_bytes, workers, monkeypatch):
         op, x_shape, w_shape, options = self.CASES[case]
         monkeypatch.setattr(pool, "TILE_BYTES", tile_bytes)
-        monkeypatch.setattr(pool, "TILE_COLS", 1)  # a job of two or more tiles leaves the caller
         monkeypatch.setattr(pool, "WORKERS", workers)
         pooled = record_pooled_jobs(monkeypatch)
         rng = RngState(70)
@@ -435,7 +433,6 @@ class TestConvVjpTiles:
         # their bits
         op, x_shape, w_shape, options = self.CASES[case]
         monkeypatch.setattr(pool, "TILE_BYTES", 256)  # every job in tiles of a few rows
-        monkeypatch.setattr(pool, "TILE_COLS", 1)  # a job of two or more tiles leaves the caller
         runs = []
         for tracked in (True, False):
             rng = RngState(71)
@@ -483,7 +480,7 @@ class TestConvWorkers:
     # every job one tile at the default tile size, inline
     INLINE = {"tiny", "stride2", "stride2_groups", "dilated_conv1d", "strided_dilated_conv1d",
               "negative_offset", "negative_offset_conv1d"}
-    # inline at 16 KiB too: under 128 output columns
+    # one tile a job at 16 KiB too
     INLINE_AT_16K = {"tiny"}
     # convs of 4 or more clips, which run a tile per clip at tiles of one
     # clip's taps
@@ -513,7 +510,6 @@ class TestConvWorkers:
     def test_bits_do_not_depend_on_the_worker_count(self, case, tile_bytes, monkeypatch):
         if tile_bytes is not None:
             monkeypatch.setattr(pool, "TILE_BYTES", tile_bytes)
-            monkeypatch.setattr(pool, "TILE_COLS", 128)  # a job of 128 columns leaves the caller
         spec = self.CASES[case]
         one, pooled = self._run(spec, 1, monkeypatch)
         inline = self.INLINE if tile_bytes is None else self.INLINE_AT_16K
@@ -533,7 +529,6 @@ class TestConvWorkers:
         spec = self.MANY_CLIPS[case]
         _, x_shape, w_shape, options = spec
         clips = x_shape[0]
-        monkeypatch.setattr(pool, "TILE_COLS", 1)  # a job of two or more tasks leaves the caller
         monkeypatch.setattr(pool, "TILE_BYTES", 1 << 30)  # one tile of the batch, inline
         whole, pooled = self._run(spec, 1, monkeypatch)
         # the fold's col2im runs clip by clip
@@ -566,7 +561,7 @@ class TestConvWorkers:
         class TileFault(Exception):
             pass
 
-        def faulty_run(fn, tasks, cols, scratch=(), consume=None):
+        def faulty_run(fn, tasks, scratch=(), consume=None):
             def faulty(*args):
                 with lock:
                     calls.append(threading.current_thread().name)
@@ -577,7 +572,7 @@ class TestConvWorkers:
                 return fn(*args)
 
             # the weight gradient's tiles are the only job with a consumer
-            return run(fn if consume is None else faulty, tasks, cols, scratch, consume)
+            return run(fn if consume is None else faulty, tasks, scratch, consume)
 
         monkeypatch.setattr(pool, "run", faulty_run)
         op, x_shape, w_shape, options = self.CASES["batch12"]
@@ -637,8 +632,7 @@ class TestConvWorkers:
             done.append((threading.current_thread().name, op(x, w, b, **options).data.tobytes()))
 
         # three convs on two workers, in a thread of its own so that a hang fails
-        runner = threading.Thread(target=pool.run, args=(task, [0, 1, 2], pool.TILE_COLS),
-                                  daemon=True)
+        runner = threading.Thread(target=pool.run, args=(task, [0, 1, 2]), daemon=True)
         runner.start()
         runner.join(timeout=120)
         assert not runner.is_alive()
@@ -713,7 +707,6 @@ class TestPassWorkers:
         monkeypatch.setattr(pool, "WORKERS", workers)
         if tile_bytes is not None:
             monkeypatch.setattr(pool, "TILE_BYTES", tile_bytes)
-            monkeypatch.setattr(pool, "TILE_COLS", 16)  # every tiled pass leaves the caller
         pooled = record_pooled_jobs(monkeypatch)
         run = {"batch_norm_train": lambda: self._batch_norm(True),
                "batch_norm_eval": lambda: self._batch_norm(False),
@@ -724,7 +717,9 @@ class TestPassWorkers:
     @pytest.mark.parametrize("case", CASES)
     def test_bits_do_not_depend_on_workers_or_tiles(self, case, monkeypatch):
         whole, pooled = self._run(case, 1, None, monkeypatch)
-        assert pooled == []  # arrays below one tile: one tile, inline
+        # arrays below one tile: one tile, inline; Adam makes a tile per
+        # parameter, a job of 4 tasks a step
+        assert pooled == ([4, 4] if case == "adam_step" else [])
         # 96 bytes: one (clip, channel) row of batch norm, 24 floats, 12 draws
         tiled, pooled = self._run(case, 1, 96, monkeypatch)
         assert tiled == whole and pooled
