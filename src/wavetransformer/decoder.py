@@ -43,6 +43,8 @@ class DecoderConfig:
     max_len: int = 128
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ConfigError(f"n_heads must be >= 1, got {self.n_heads}")
         if self.d_model % self.n_heads:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"

@@ -61,6 +61,8 @@ class EncoderConfig:
             raise ConfigError(f"encoder mode must be one of {MODES}, got {self.mode!r}")
         if self.n_temp_blocks < 1 or self.n_tf_blocks < 1:
             raise ConfigError("block counts must be >= 1")
+        if self.channels < 1:
+            raise ConfigError(f"channels must be >= 1, got {self.channels}")
         if self.pcnn_kernel <= 1 or self.pcnn_kernel % 2 == 0:
             raise ConfigError(f"pcnn_kernel must be odd and > 1, got {self.pcnn_kernel}")
         if len(self.pool_factors) != self.n_tf_blocks:
@@ -92,11 +94,11 @@ class WaveBlock:
 
     def __init__(self, space: ModelSpace, name: str, c_in: int, c_out: int):
         self.t1 = Conv1d(space, f"{name}.t1", c_in, c_out, k=1)
-        self.t2 = Conv1d(space, f"{name}.t2", c_out, c_out, k=3, padding=1)
-        self.t3 = Conv1d(space, f"{name}.t3", c_out, c_out, k=3, padding=1)
+        self.t2 = Conv1d(space, f"{name}.t2", c_out, c_out, k=3)
+        self.t3 = Conv1d(space, f"{name}.t3", c_out, c_out, k=3)
         self.t4 = Conv1d(space, f"{name}.t4", c_out, c_out, k=1)
-        self.t5 = Conv1d(space, f"{name}.t5", c_out, c_out, k=3, padding=2, dilation=2)
-        self.t6 = Conv1d(space, f"{name}.t6", c_out, c_out, k=3, padding=2, dilation=2)
+        self.t5 = Conv1d(space, f"{name}.t5", c_out, c_out, k=3, dilation=2)
+        self.t6 = Conv1d(space, f"{name}.t6", c_out, c_out, k=3, dilation=2)
         self.t7 = Conv1d(space, f"{name}.t7", c_out, c_out, k=1)
         self.bn = BatchNorm(space, f"{name}.bn", c_out)
 
@@ -120,10 +122,9 @@ class TFBlock:
 
     def __init__(self, space: ModelSpace, name: str, c_in: int, c_out: int,
                  pcnn_kernel: int, pool: int, dropout: float):
-        self.scnn = Conv2d(space, f"{name}.scnn", c_in, c_in, k=5, padding=2, groups=c_in)
+        self.scnn = Conv2d(space, f"{name}.scnn", c_in, c_in, k=5, groups=c_in)
         self.bn_a = BatchNorm(space, f"{name}.bn_a", c_in)
-        self.pcnn = Conv2d(space, f"{name}.pcnn", c_in, c_out, k=pcnn_kernel,
-                           padding=(pcnn_kernel - 1) // 2)
+        self.pcnn = Conv2d(space, f"{name}.pcnn", c_in, c_out, k=pcnn_kernel)
         self.bn_b = BatchNorm(space, f"{name}.bn_b", c_out)
         self.pool = pool
         self.dropout = dropout
@@ -146,7 +147,7 @@ class MergeNet:
     then apply a time-shared linear map."""
 
     def __init__(self, space: ModelSpace, name: str, channels: int):
-        self.cnn = Conv2d(space, f"{name}.cnn", 2, 1, k=5, padding=2)
+        self.cnn = Conv2d(space, f"{name}.cnn", 2, 1, k=5)
         self.fnn = Linear(space, f"{name}.fnn", channels, channels)
 
     def __call__(self, z_t: Tensor, z_tf: Tensor) -> Tensor:

@@ -64,26 +64,33 @@ class ModelSpace:
 
 
 class Conv1d:
+    """A "same" conv along time: k taps dilation apart, padded by
+    dilation * (k - 1) // 2 on each side, so an odd k keeps the length."""
+
     def __init__(self, space: ModelSpace, name: str, c_in: int, c_out: int, k: int,
-                 stride: int = 1, padding: int = 0, dilation: int = 1):
-        self.stride, self.padding, self.dilation = stride, padding, dilation
+                 dilation: int = 1):
+        self.padding, self.dilation = dilation * (k - 1) // 2, dilation
         self.weight = space.param(f"{name}.weight", (c_out, c_in, k), fan_in=c_in * k)
         self.bias = space.param(f"{name}.bias", (c_out,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.conv1d(x, self.weight, self.bias, self.stride, self.padding, self.dilation)
+        return ops.conv1d(x, self.weight, self.bias, padding=self.padding,
+                          dilation=self.dilation)
 
 
 class Conv2d:
+    """A "same" k x k conv over (time, frequency), padded by (k - 1) // 2 on
+    each side, so an odd k keeps both lengths; groups split the channels."""
+
     def __init__(self, space: ModelSpace, name: str, c_in: int, c_out: int, k: int,
-                 stride: int = 1, padding: int = 0, groups: int = 1):
-        self.stride, self.padding, self.groups = stride, padding, groups
+                 groups: int = 1):
+        self.padding, self.groups = (k - 1) // 2, groups
         self.weight = space.param(f"{name}.weight", (c_out, c_in // groups, k, k),
                                   fan_in=(c_in // groups) * k * k)
         self.bias = space.param(f"{name}.bias", (c_out,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.conv2d(x, self.weight, self.bias, self.stride, self.padding, self.groups)
+        return ops.conv2d(x, self.weight, self.bias, padding=self.padding, groups=self.groups)
 
 
 class Linear:

@@ -6,7 +6,6 @@ from .core import (
     backward,
     default_dtype,
     get_default_dtype,
-    set_default_dtype,
 )
 from .optim import AdamState, adam_step, clip_grad_norm
 from .params import ParameterStore
@@ -25,5 +24,4 @@ __all__ = [
     "default_dtype",
     "derive_seed",
     "get_default_dtype",
-    "set_default_dtype",
 ]

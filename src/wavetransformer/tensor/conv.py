@@ -7,17 +7,18 @@ depthwise conv (one input and one output channel per group: the S-CNNs of
 the later TF blocks) multiplies the input rows each time tap reaches by
 banded weights that hold the frequency taps and padding (`_banded`).  Every
 other conv copies each output tile's taps into a scratch slot of its lane
-(`_dense`): kh time taps over the kw frequency taps, split by phase mod
-stride, or, for a single input channel (the fold: the first TF block), one
-time tap whose K holds all kh*kw taps.  `_taps` is the only tap copy.  Every
-conv runs as output tiles of one rule (`_tiles`): whole clips, or a block of
-one clip's rows, of about pool.TILE_BYTES of the tile's largest scratch
-buffer: its taps, or its tap products (a depthwise conv's only buffer) or an
-epilogue's tile where those are larger.
+(`_dense`): kh time taps over the kw frequency taps, or, for a single
+input channel (the fold: the first TF block), one time tap whose K holds
+all kh*kw taps.  `_taps` is the only tap copy.  Every conv runs as output
+tiles of one rule (`_tiles`): whole clips, or a block of one clip's rows,
+of about pool.TILE_BYTES of the tile's largest scratch buffer: its taps,
+or its tap products (a depthwise conv's only buffer) or an epilogue's tile
+where those are larger.
 
-The input gradient is the same kernel run on g itself with the flipped,
-group-transposed kernel, padded by dilation*(kh-1) - pad rows and kw-1 - pad
-columns (a negative pad crops) and zero-inserted only where stride > 1;
+Output row o and column f of every conv read padded row o and column f
+on: no conv skips rows or columns.  The input gradient is the same kernel
+run on g itself with the flipped, group-transposed kernel, padded by
+dilation*(kh-1) - pad rows and kw-1 - pad columns (a negative pad crops);
 where the taps fold, it is the col2im of W^T g, clip by clip; where no
 tape tracks the input, there is none.  The VJP keeps each conv's input,
 from which the weight gradient copies its taps again, one tile at a time
@@ -36,27 +37,27 @@ from . import pool
 from .core import Tensor, apply_op, recording
 
 
-def conv1d_out_length(t: int, k: int, stride: int, padding: int, dilation: int) -> int:
-    return (t + 2 * padding - dilation * (k - 1) - 1) // stride + 1
+def conv1d_out_length(t: int, k: int, padding: int, dilation: int) -> int:
+    return t + 2 * padding - dilation * (k - 1)
 
 
 def conv1d(
     x: Tensor,
     weight: Tensor,
     bias: Optional[Tensor] = None,
-    stride: int = 1,
+    *,
     padding: int = 0,
     dilation: int = 1,
 ) -> Tensor:
     """Cross-correlation along the last axis; input (C, T) or (B, C, T)."""
-    return _conv_taps(1, x, weight, bias, stride, padding, dilation, 1)
+    return _conv_taps(1, x, weight, bias, padding, dilation, 1)
 
 
 def conv2d(
     x: Tensor,
     weight: Tensor,
     bias: Optional[Tensor] = None,
-    stride: int = 1,
+    *,
     padding: int = 0,
     groups: int = 1,
 ) -> Tensor:
@@ -64,7 +65,7 @@ def conv2d(
 
     groups == C_in with C_out == C_in is the depthwise case.
     """
-    return _conv_taps(2, x, weight, bias, stride, padding, 1, groups)
+    return _conv_taps(2, x, weight, bias, padding, 1, groups)
 
 
 def conv2d_tiles(x: Tensor, weight: Tensor, bias: Optional[Tensor], padding: int,
@@ -75,7 +76,7 @@ def conv2d_tiles(x: Tensor, weight: Tensor, bias: Optional[Tensor], padding: int
     r0, r1), the tile (clips, C_out, (r1 - r0) * W_out) holding output rows
     r0..r1 of those clips.  A tile holds whole rows.  No output is made and
     no tape records."""
-    _conv_taps(2, x, weight, bias, 1, padding, 1, 1, epilogue)
+    _conv_taps(2, x, weight, bias, padding, 1, 1, epilogue)
 
 
 def _tiles(b, h_out, row_bytes, extra=0) -> list:
@@ -88,41 +89,35 @@ def _tiles(b, h_out, row_bytes, extra=0) -> list:
             for rows in pool.flat_tiles(h_out, row_bytes)]
 
 
-def _inside(first: int, step: int, n: int, size: int) -> tuple:
-    """(lo, hi), lo <= hi: first + k * step lies in range(size), for k in
-    range(n), just when lo <= k < hi."""
-    lo = min(n, max(0, -(first // step)))
-    return lo, max(lo, min(n, -((first - size) // step)))
+def _inside(first: int, n: int, size: int) -> tuple:
+    """(lo, hi), lo <= hi: first + k lies in range(size), for k in range(n),
+    just when lo <= k < hi."""
+    lo = min(n, max(0, -first))
+    return lo, max(lo, min(n, size - first))
 
 
-def _span(first: int, step: int, lo: int, hi: int) -> slice:
-    """first + k * step for lo <= k < hi, as a slice of an axis that holds them."""
-    return slice(first + lo * step, first + hi * step, step)
-
-
-def _taps(x, pads, offsets, kw, stride, w_out, r0, n, buf) -> np.ndarray:
+def _taps(x, pads, offsets, kw, w_out, r0, n, buf) -> np.ndarray:
     """The taps of x (B, C, H, W) zero-padded by pads = (ph, pw), n rows of
     them from row r0 at each padded row offset: (B, len(offsets), C, kw, n,
     W_out), on the front of the flat byte buffer `buf` if given.  [:, a, :,
-    j, r, f] is padded column j + stride * f of padded row offsets[a] + (r0 +
-    r) * stride, zero outside x; a pad may be negative.  It runs in the
-    caller's lane."""
+    j, r, f] is padded column j + f of padded row offsets[a] + r0 + r, zero
+    outside x; a pad may be negative.  It runs in the caller's lane."""
     h, w = x.shape[-2:]
     ph, pw = pads
     cols = pool.carve(buf, (len(x), len(offsets), x.shape[1], kw, n, w_out), x.dtype)
     for a, offset in enumerate(offsets):
-        first = offset + r0 * stride - ph  # x's row of tap row 0
-        lo, hi = _inside(first, stride, n, h)
+        first = offset + r0 - ph  # x's row of tap row 0
+        lo, hi = _inside(first, n, h)
         dst = cols[:, a]
         dst[..., :lo, :] = 0
         dst[..., hi:, :] = 0
-        src = x[:, :, _span(first, stride, lo, hi)]
+        src = x[:, :, first + lo : first + hi]
         for j in range(kw):
-            f0, f1 = _inside(j - pw, stride, w_out, w)
+            f0, f1 = _inside(j - pw, w_out, w)
             tap = dst[:, :, j, lo:hi]
             tap[..., :f0] = 0
             tap[..., f1:] = 0
-            tap[..., f0:f1] = src[..., _span(j - pw, stride, f0, f1)]
+            tap[..., f0:f1] = src[..., j - pw + f0 : j - pw + f1]
     return cols
 
 
@@ -135,26 +130,26 @@ def _tap_weights(w4, groups) -> np.ndarray:
     ).reshape(kh, groups, og, cg * kw)
 
 
-def _bands(w4, w, w_out, stride, pw) -> np.ndarray:
+def _bands(w4, w, w_out, pw) -> np.ndarray:
     """Depthwise weights w4 (C, 1, kh, kw) as bands (kh, C, W, W_out):
-    [i, c, q, f] = w4[c, 0, i, q + pw - stride * f] where that tap exists,
-    else 0, so that a row of width W times bands[i, c] is time tap i of
-    channel c along that row, its frequency padding included."""
+    [i, c, q, f] = w4[c, 0, i, q + pw - f] where that tap exists, else 0,
+    so that a row of width W times bands[i, c] is time tap i of channel c
+    along that row, its frequency padding included."""
     c, _, kh, kw = w4.shape
     bands = np.zeros((kh, c, w, w_out), dtype=w4.dtype)
     f = np.arange(w_out)
     for j in range(kw):
-        q = stride * f + j - pw
+        q = f + j - pw
         inside = (q >= 0) & (q < w)
         bands[:, :, q[inside], f[inside]] = w4[:, 0, :, j].T[:, :, None]
     return bands
 
 
-def _banded(x, bands, stride, ph, h_out, bias=None, out=None) -> np.ndarray:
+def _banded(x, bands, ph, h_out, bias=None, out=None) -> np.ndarray:
     """The depthwise conv of x (B, C, H, W) with `bands` (kh, C, W, W_out),
     time padding ph: (B, C, h_out, W_out), into `out` if given.
 
-    Time tap i of output row o reads input row o * stride + i - ph.  A tile
+    Time tap i of output row o reads input row o + i - ph.  A tile
     is whole clips or a block of one clip's rows (`_tiles`), of about
     pool.TILE_BYTES of tap products; each time tap is one matmul on it, over
     the rows whose input row lies inside x, so the input is never padded.  A
@@ -169,7 +164,7 @@ def _banded(x, bands, stride, ph, h_out, bias=None, out=None) -> np.ndarray:
         out = np.empty((b, c, h_out, w_out), dtype=x.dtype)
     row_bytes = c * w_out * x.itemsize
     tiles = _tiles(b, h_out, row_bytes)
-    reach = [_inside(i - ph, stride, h_out, h) for i in range(kh)]
+    reach = [_inside(i - ph, h_out, h) for i in range(kh)]
 
     def tile(t, prod_buf):
         clips, rows = t
@@ -177,7 +172,7 @@ def _banded(x, bands, stride, ph, h_out, bias=None, out=None) -> np.ndarray:
         for i, (lo, hi) in enumerate(reach):
             lo = min(max(lo, rows.start), rows.stop)
             hi = max(min(hi, rows.stop), lo)
-            src = x[clips, :, _span(i - ph, stride, lo, hi)]
+            src = x[clips, :, i - ph + lo : i - ph + hi]
             part = o[:, :, lo - rows.start : hi - rows.start]
             if i == 0:
                 o[:, :, : lo - rows.start] = 0
@@ -194,44 +189,40 @@ def _banded(x, bands, stride, ph, h_out, bias=None, out=None) -> np.ndarray:
 
 
 def _window(cols, i, dilation, rows) -> np.ndarray:
-    """Time tap i's view of the first `rows` output rows in cols (n, stride,
-    groups, k, H', W_out): (n, groups, k, rows * W_out).  Output row o reads
-    padded row i*dilation + o*stride, which is row (i*dilation)//stride + o
-    of phase (i*dilation) % stride."""
-    q, a = divmod(i * dilation, cols.shape[1])
-    window = cols[:, a, :, :, q : q + rows]
+    """Time tap i's view of the first `rows` output rows in cols (n, groups,
+    k, H', W_out): (n, groups, k, rows * W_out).  Output row o reads tap row
+    i*dilation + o."""
+    window = cols[:, :, :, i * dilation : i * dilation + rows]
     return window.reshape(*window.shape[:3], -1)
 
 
-def _tap_tiles(x, shape, pads, offsets, kw, stride, dilation, h_out, w_out,
-               out_row=0) -> tuple:
+def _tap_tiles(x, shape, pads, offsets, kw, dilation, h_out, w_out, out_row=0) -> tuple:
     """The output tiles of the conv of x (B, C, H, W), zero-padded by pads,
     with tap weights of `shape` (kt, groups, og, k); taps(tile, buf), the
-    tile's taps (clips, phases, groups, k, H', w_out) on the front of the
-    flat byte buffer buf; and the bytes of the largest tile's taps.
+    tile's taps (clips, groups, k, H', w_out) on the front of the flat byte
+    buffer buf; and the bytes of the largest tile's taps.
 
     A tile's taps are those `_taps` makes at the padded row offsets, over its
-    rows and the dilation*(kt-1)/len(offsets) after them: the phases mod
-    stride, which the kt time taps read, or the fold's kernel rows, which one
-    time tap reads.  The tiles (`_tiles`) are sized by the taps, or by the
-    tile's other scratch buffers, of out_row bytes per output row, where
-    those are larger."""
+    rows and the dilation*(kt-1) after them: offset 0, which the kt time taps
+    read at their dilated rows, or the fold's kernel rows, which one time tap
+    reads.  The tiles (`_tiles`) are sized by the taps, or by the tile's
+    other scratch buffers, of out_row bytes per output row, where those are
+    larger."""
     kt, groups, _, k = shape
-    extra = dilation * (kt - 1) // len(offsets)
+    extra = dilation * (kt - 1)
     row_bytes = x.itemsize * len(offsets) * x.shape[1] * kw * w_out
     tiles = _tiles(len(x), h_out, max(row_bytes, out_row), extra)
 
     def taps(t, buf):
         clips, rows = t
-        cols = _taps(x[clips], pads, offsets, kw, stride, w_out, rows.start, len(rows) + extra,
-                     buf)
-        return cols.reshape(len(cols), -1, groups, k, *cols.shape[-2:])
+        cols = _taps(x[clips], pads, offsets, kw, w_out, rows.start, len(rows) + extra, buf)
+        return cols.reshape(len(cols), groups, k, *cols.shape[-2:])
 
     most = max(len(range(len(x))[c]) * (len(rows) + extra) for c, rows in tiles)
     return tiles, taps, row_bytes * most
 
 
-def _dense(x, wt, pads, offsets, kw, stride, dilation, h_out, w_out, bias=None, out=None,
+def _dense(x, wt, pads, offsets, kw, dilation, h_out, w_out, bias=None, out=None,
            epilogue=None) -> Optional[np.ndarray]:
     """Convolve x (B, C, H, W), zero-padded by pads, with tap weights wt
     (kt, groups, og, k): (B, groups, og, h_out * w_out), into `out` if given.
@@ -248,8 +239,8 @@ def _dense(x, wt, pads, offsets, kw, stride, dilation, h_out, w_out, bias=None, 
     kt, groups, og, _ = wt.shape
     b = len(x)
     out_row = x.itemsize * groups * og * w_out
-    tiles, taps, tap_bytes = _tap_tiles(x, wt.shape, pads, offsets, kw, stride, dilation,
-                                        h_out, w_out, out_row * (kt > 1 or epilogue is not None))
+    tiles, taps, tap_bytes = _tap_tiles(x, wt.shape, pads, offsets, kw, dilation, h_out, w_out,
+                                        out_row * (kt > 1 or epilogue is not None))
     if out is None and epilogue is None:
         out = np.empty((b, groups, og, h_out * w_out), dtype=x.dtype)
 
@@ -277,7 +268,7 @@ def _dense(x, wt, pads, offsets, kw, stride, dilation, h_out, w_out, bias=None, 
     return out
 
 
-def _weight_grad(x, g4, gw, pads, offsets, kw, stride, dilation, h_out, w_out) -> None:
+def _weight_grad(x, g4, gw, pads, offsets, kw, dilation, h_out, w_out) -> None:
     """Add to gw (kt, groups, og, k) the weight gradient of the conv of x
     (B, C, H, W), zero-padded by pads, whose output has gradient g4 (B,
     groups, og, h_out * w_out).
@@ -288,8 +279,7 @@ def _weight_grad(x, g4, gw, pads, offsets, kw, stride, dilation, h_out, w_out) -
     tap, clip by clip, in tile order, the order of a sum over the batch
     axis."""
     kt, groups, og, k = gw.shape
-    tiles, taps, tap_bytes = _tap_tiles(x, gw.shape, pads, offsets, kw, stride, dilation,
-                                        h_out, w_out)
+    tiles, taps, tap_bytes = _tap_tiles(x, gw.shape, pads, offsets, kw, dilation, h_out, w_out)
 
     def products(t, tap_buf, prod_buf):
         clips, rows = t
@@ -309,7 +299,7 @@ def _weight_grad(x, g4, gw, pads, offsets, kw, stride, dilation, h_out, w_out) -
     pool.run(products, tiles, (tap_bytes, most * gw.nbytes), add)
 
 
-def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
+def _conv_taps(spatial, x, weight, bias, padding, dilation, groups,
                epilogue=None) -> Optional[Tensor]:
     """The one convolution kernel, for 1D (weight (C_out, C_in, k)) and 2D
     (weight (C_out, C_in/groups, kh, kw)); a 1D input is a 2D one of width 1.
@@ -332,12 +322,12 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
         )
     og = c_out // groups
     ph, pw = (padding, padding if spatial == 2 else 0)
-    h_out = conv1d_out_length(h, kh, stride, ph, dilation)
-    w_out = conv1d_out_length(w, kw, stride, pw, 1)
+    h_out = conv1d_out_length(h, kh, ph, dilation)
+    w_out = conv1d_out_length(w, kw, pw, 1)
     if h_out < 1 or w_out < 1:
         raise DimensionError(
             f"{name}: empty output for input {x.shape}, kernel {weight.shape}, "
-            f"stride={stride}, pad={padding}, dilation={dilation}"
+            f"pad={padding}, dilation={dilation}"
         )
     n_out = h_out * w_out
     fold = groups == 1 and c_in == 1
@@ -346,14 +336,14 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
         # one time tap (kt) whose K holds all kh*kw taps, at each kernel row's offset
         kt, kf, offsets = 1, kh * kw, [i * dilation for i in range(kh)]
     else:
-        # kh time taps over the padded rows of each phase mod stride
-        kt, kf, offsets = kh, kw, range(stride)
+        # kh time taps over the padded rows from offset 0
+        kt, kf, offsets = kh, kw, [0]
     wt = _tap_weights(w4.reshape(c_out, cg, kt, kf), groups)
     b_data = None if bias is None else bias.data
     if depthwise:
-        out = _banded(x4, _bands(w4, w, w_out, stride, pw), stride, ph, h_out, b_data)
+        out = _banded(x4, _bands(w4, w, w_out, pw), ph, h_out, b_data)
     else:
-        out = _dense(x4, wt, (ph, pw), offsets, kw, stride, dilation, h_out, w_out, b_data,
+        out = _dense(x4, wt, (ph, pw), offsets, kw, dilation, h_out, w_out, b_data,
                      epilogue=epilogue)
     if epilogue is not None:
         return None
@@ -374,27 +364,22 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
                 gxp.fill(0)
                 for a, r in enumerate(offsets):
                     for j in range(kw):
-                        gxp[r : r + stride * h_out : stride, j : j + stride * w_out : stride] += (
-                            gcols[a * kw + j])
+                        gxp[r : r + h_out, j : j + w_out] += gcols[a * kw + j]
                 gx[c, 0] = gxp[ph : ph + h, pw : pw + w]
 
             pool.run(clip_grad, range(b), (kf * n_out * x4.itemsize, hp * wp * x4.itemsize))
         else:
             # the flipped, group-transposed kernel on g, padded by the
-            # kernel's reach less the pads and zero-inserted where stride > 1
+            # kernel's reach less the pads
             eh, ew = dilation * (kh - 1), kw - 1
-            hg, wg = stride * (h_out - 1) + 1, stride * (w_out - 1) + 1
-            gz = g3.reshape(b, c_out, h_out, w_out)
-            if stride > 1:
-                gz = np.zeros((b, c_out, hg, wg), dtype=x4.dtype)
-                gz[:, :, ::stride, ::stride] = g3.reshape(b, c_out, h_out, w_out)
+            g4 = g3.reshape(b, c_out, h_out, w_out)
             flipped = w4.reshape(groups, og, cg, kh, kw).transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
             if depthwise:
-                _banded(gz, _bands(flipped.reshape(c_in, 1, kh, kw), wg, w, 1, ew - pw),
-                        1, eh - ph, h, out=gx)
+                _banded(g4, _bands(flipped.reshape(c_in, 1, kh, kw), w_out, w, ew - pw),
+                        eh - ph, h, out=gx)
             else:
-                _dense(gz, _tap_weights(flipped.reshape(c_in, og, kh, kw), groups),
-                       (eh - ph, ew - pw), [0], kw, 1, dilation, h, w,
+                _dense(g4, _tap_weights(flipped.reshape(c_in, og, kh, kw), groups),
+                       (eh - ph, ew - pw), [0], kw, dilation, h, w,
                        out=gx.reshape(b, groups, cg, h * w))
         return gx.reshape(x_shape)
 
@@ -404,8 +389,8 @@ def _conv_taps(spatial, x, weight, bias, stride, padding, dilation, groups,
         g3 = g.reshape(b, c_out, n_out)
         gx = input_grad(g3) if want_gx else None
         gw = np.zeros_like(wt)
-        _weight_grad(x4, g3.reshape(b, groups, og, n_out), gw, (ph, pw), offsets, kw, stride,
-                     dilation, h_out, w_out)
+        _weight_grad(x4, g3.reshape(b, groups, og, n_out), gw, (ph, pw), offsets, kw, dilation,
+                     h_out, w_out)
         gw = gw.reshape(kt, groups, og, cg, kf).transpose(1, 2, 3, 0, 4).reshape(w_shape)
         if not has_bias:
             return gx, gw

@@ -38,22 +38,17 @@ def get_default_dtype() -> type:
     return _default_dtype
 
 
-def set_default_dtype(dtype) -> None:
-    if dtype not in _FLOAT_DTYPES:
-        raise UsageError(f"unsupported tensor dtype {dtype!r}; use float32 or float64")
-    global _default_dtype
-    _default_dtype = dtype
-
-
 @contextmanager
 def default_dtype(dtype) -> Iterator[None]:
     """Temporarily switch the dtype used for newly created tensors."""
-    previous = _default_dtype
-    set_default_dtype(dtype)
+    global _default_dtype
+    if dtype not in _FLOAT_DTYPES:
+        raise UsageError(f"unsupported tensor dtype {dtype!r}; use float32 or float64")
+    previous, _default_dtype = _default_dtype, dtype
     try:
         yield
     finally:
-        set_default_dtype(previous)
+        _default_dtype = previous
 
 
 class Tensor:

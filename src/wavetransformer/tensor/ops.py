@@ -400,7 +400,7 @@ def conv2d_bn_pool(
     c_out = weight.shape[0]
     _check_bn(c_out, gamma, beta, running_mean, running_var, eps)
     _, scale_c, shift_c = _bn_fold(gamma, beta, running_mean, running_var, eps)
-    h_out, w_out = (conv.conv1d_out_length(n, k, 1, padding, 1)
+    h_out, w_out = (conv.conv1d_out_length(n, k, padding, 1)
                     for n, k in zip(x.shape[-2:], weight.shape[-2:]))
     _check_pool(w_out, pool)
     w_pooled = w_out // pool

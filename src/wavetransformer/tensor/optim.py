@@ -29,7 +29,6 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-    step: int | None = None,
 ) -> None:
     """One bias-corrected Adam update over every parameter in the store.
 
@@ -38,8 +37,7 @@ def adam_step(
     is elementwise, so it runs on the op pool as flat tiles of each
     parameter (`pool.flat_tiles`), each in two scratch arrays of its lane.
     """
-    if step is None:
-        step = state.step + 1
+    step = state.step + 1  # a restored checkpoint's step is not checked before this
     if step < 1:
         raise UsageError(f"adam step counter must be >= 1, got {step}")
     state.step = step

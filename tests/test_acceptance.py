@@ -105,7 +105,9 @@ def _op_cases(rng: RngState):
         return Tensor(data, requires_grad=True)
 
     k = 1 + rng.randint(3)
-    stride = 1 + rng.randint(2)
+    # the conv1d stride was drawn here: the draw stays, so that every later
+    # draw, and so every other configuration of the 50, is as it was
+    rng.randint(2)
     dil = 1 + rng.randint(2)
     t_len = 6 + rng.randint(6)
     pad = rng.randint(3)
@@ -113,9 +115,9 @@ def _op_cases(rng: RngState):
     x1 = rt(c_in, t_len)
     w1 = rt(c_out, c_in, k)
     b1 = rt(c_out)
-    if (t_len + 2 * pad - dil * (k - 1) - 1) // stride + 1 >= 1:
+    if t_len + 2 * pad - dil * (k - 1) >= 1:
         yield "conv1d", (lambda: ops.tensor_sum(ops.tanh(
-            ops.conv1d(x1, w1, b1, stride, pad, dil)))), [x1, w1, b1]
+            ops.conv1d(x1, w1, b1, padding=pad, dilation=dil)))), [x1, w1, b1]
 
     g = 1 + rng.randint(2)
     cg_in, cg_out = g * (1 + rng.randint(2)), g * (1 + rng.randint(2))
@@ -125,7 +127,7 @@ def _op_cases(rng: RngState):
     w2 = rt(cg_out, cg_in // g, k2, k2)
     b2 = rt(cg_out)
     yield "conv2d", (lambda: ops.tensor_sum(ops.sigmoid(
-        ops.conv2d(x2, w2, b2, 1, k2 // 2, g)))), [x2, w2, b2]
+        ops.conv2d(x2, w2, b2, padding=k2 // 2, groups=g)))), [x2, w2, b2]
 
     d_in, d_out = 2 + rng.randint(4), 2 + rng.randint(4)
     x3, w3, b3 = rt(3, d_in), rt(d_out, d_in), rt(d_out)

@@ -20,7 +20,9 @@ from wavetransformer.tensor import (
     adam_step,
     backward,
     clip_grad_norm,
+    default_dtype,
     derive_seed,
+    get_default_dtype,
 )
 from wavetransformer.tensor import ops
 from wavetransformer.training import Batch, batch_loss
@@ -107,6 +109,16 @@ class TestBackward:
         with Tape() as tape:
             ops.tanh(ops.mul(a, a))
         assert len(tape) == 0
+
+
+class TestDefaultDtype:
+    def test_an_unsupported_dtype_raises_and_leaves_the_dtype(self):
+        with default_dtype(np.float64):
+            with pytest.raises(UsageError, match="float16"):
+                with default_dtype(np.float16):
+                    pass
+            assert get_default_dtype() is np.float64
+        assert get_default_dtype() is np.float32
 
 
 class TestTapeRetention:
@@ -254,9 +266,12 @@ class TestAdam:
         np.testing.assert_array_equal(results[0], results[1])
 
     def test_bad_step_rejected(self):
+        # a checkpoint's step reaches the state unchecked (restore_optimizer)
         store = self._store([1.0])
-        with pytest.raises(UsageError):
-            adam_step(store, AdamState(), lr=1e-3, step=0)
+        state = AdamState()
+        state.step = -1
+        with pytest.raises(UsageError, match="got 0"):
+            adam_step(store, state, lr=1e-3)
 
     def test_in_place_update_has_the_bits_of_the_expression(self):
         # the update as one expression per array, with its temporaries; the

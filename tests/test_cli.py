@@ -194,6 +194,14 @@ class TestConfigTable:
         cfg = load_config(write_cfg(tmp_path, "[encoder]\nchannels = 96\n[decoder]\nn_heads = 3\n"))
         assert cfg.decoder.d_model == 96
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("encoder", "channels", 0), ("encoder", "channels", -4),
+        ("decoder", "n_heads", 0), ("decoder", "n_heads", -1),
+    ])
+    def test_no_channels_or_heads_rejected_at_load(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} must be >= 1, got {value}"):
+            load_config(overrides={(section, key): value})
+
     @pytest.mark.parametrize("order", ["[run]\nseed = 5\n[train]\nlr = 0.01\n",
                                        "[train]\nlr = 0.01\n[run]\nseed = 5\n"])
     def test_one_seed_whatever_the_section_order(self, tmp_path, monkeypatch, order):
@@ -318,6 +326,17 @@ class TestPipeline:
                      "--out", str(run_dir), "--config", str(cfg)]) == 2
         assert "no training items" in capsys.readouterr().err
         assert not any(run_dir.glob("*.wtck")) and not (run_dir / "loss_log.csv").exists()
+
+    def test_train_with_no_channels_exits_2_naming_the_section(self, tmp_path, capsys):
+        audio_dir, caps, cfg = make_corpus_dir(tmp_path)
+        feat_dir, run_dir = tmp_path / "features", tmp_path / "run"
+        assert main(["extract", "--audio-dir", str(audio_dir),
+                     "--out-dir", str(feat_dir), "--config", str(cfg)]) == 0
+        cfg.write_text(TINY_CONFIG.replace("channels = 8", "channels = 0"))
+        assert main(["train", "--features", str(feat_dir), "--captions", str(caps),
+                     "--out", str(run_dir), "--config", str(cfg)]) == 2
+        assert "[encoder] channels must be >= 1" in capsys.readouterr().err
+        assert not any(run_dir.glob("*.wtck"))
 
     def test_caption_verbose_prints_encode_and_decode_time(self, tmp_path, capsys):
         audio_dir, caps, cfg = make_corpus_dir(tmp_path)

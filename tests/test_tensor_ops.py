@@ -42,25 +42,25 @@ class TestConv1d:
         x = Tensor([[1.0, 0.0, 0.0, 1.0]])
         w = Tensor([[[1.0, 1.0, 1.0]]])
         b = Tensor([0.0])
-        out = ops.conv1d(x, w, b, stride=1, padding=1)
-        ref = conv1d_reference(x.data, w.data, b.data, stride=1, padding=1)
+        out = ops.conv1d(x, w, b, padding=1)
+        ref = conv1d_reference(x.data, w.data, b.data, padding=1)
         np.testing.assert_allclose(out.data, ref)
         np.testing.assert_array_equal(out.data, [[1.0, 1.0, 1.0, 1.0]])
 
     def test_dilated_length_preserved(self):
         x = Tensor(np.arange(5.0)[None, :])
         w = Tensor(np.ones((1, 1, 3)))
-        out = ops.conv1d(x, w, None, stride=1, padding=2, dilation=2)
+        out = ops.conv1d(x, w, None, padding=2, dilation=2)
         assert out.shape == (1, 5)
 
-    @pytest.mark.parametrize("stride,pad,dil,k", [(1, 0, 1, 1), (1, 1, 1, 3), (2, 1, 1, 3), (1, 2, 2, 3), (3, 4, 2, 4)])
-    def test_random_matches_reference(self, stride, pad, dil, k):
-        rng = RngState(11 + k + stride)
+    @pytest.mark.parametrize("pad,dil,k", [(0, 1, 1), (1, 1, 3), (2, 2, 3), (4, 2, 4)])
+    def test_random_matches_reference(self, pad, dil, k):
+        rng = RngState(12 + k)
         x = rng.uniform(-1, 1, (3, 17))
         w = rng.uniform(-1, 1, (2, 3, k))
         b = rng.uniform(-1, 1, (2,))
-        out = ops.conv1d(Tensor(x), Tensor(w), Tensor(b), stride, pad, dil)
-        ref = conv1d_reference(x, w, b, stride, pad, dil)
+        out = ops.conv1d(Tensor(x), Tensor(w), Tensor(b), padding=pad, dilation=dil)
+        ref = conv1d_reference(x, w, b, padding=pad, dilation=dil)
         np.testing.assert_allclose(out.data, ref, rtol=1e-5, atol=1e-6)
 
     def test_batched_equals_per_sample(self):
@@ -113,24 +113,23 @@ class TestConv2d:
         x = rng.uniform(-1, 1, (4, 5, 6))
         w = rng.uniform(-1, 1, (6, 2, 3, 3))
         b = rng.uniform(-1, 1, (6,))
-        out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, padding=1, groups=2)
-        ref = conv2d_reference(x, w, b, stride=2, padding=1, groups=2)
+        out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1, groups=2)
+        ref = conv2d_reference(x, w, b, padding=1, groups=2)
         np.testing.assert_allclose(out.data, ref, rtol=1e-5, atol=1e-6)
 
     # the TF branch's geometry: (B, C, T, F) with T != F, 5x5 kernels, padding 2
     MODEL_CASES = {"depthwise": (3, 3, 3), "dense_1_to_c": (1, 3, 1), "dense_c_to_c": (3, 3, 1)}
 
-    @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("case", sorted(MODEL_CASES))
-    def test_model_geometry_matches_reference(self, case, stride):
+    def test_model_geometry_matches_reference(self, case):
         c_in, c_out, groups = self.MODEL_CASES[case]
-        rng = RngState(50 + c_in + stride)
+        rng = RngState(51 + c_in)
         x = rng.uniform(-1, 1, (2, c_in, 11, 6))
         w = rng.uniform(-1, 1, (c_out, c_in // groups, 5, 5))
         b = rng.uniform(-1, 1, (c_out,))
-        out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=2, groups=groups)
+        out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=2, groups=groups)
         for i in range(2):
-            ref = conv2d_reference(x[i], w, b, stride=stride, padding=2, groups=groups)
+            ref = conv2d_reference(x[i], w, b, padding=2, groups=groups)
             np.testing.assert_allclose(out.data[i], ref, rtol=1e-5, atol=1e-6)
 
     def test_batched_equals_per_sample(self):
@@ -290,21 +289,19 @@ class TestBandedDepthwise:
     # tiles: four of 10 where the depthwise conv makes tap products, and of
     # 2 rows where a tile copies taps, kw times a row's products
     @pytest.mark.parametrize("groups", [3, 1], ids=["depthwise", "dense"])
-    @pytest.mark.parametrize("stride,padding,rows", [(1, 2, 13), (2, 2, 13), (1, 0, 13),
-                                                     (2, 3, 13), (1, 6, 13), (1, 2, 40)],
-                             ids=["1-2", "2-2", "1-0", "2-3", "1-6", "1-2-row_tiles"])
-    def test_matches_the_reference_and_its_adjoint(self, stride, padding, rows, groups,
-                                                   monkeypatch):
+    @pytest.mark.parametrize("padding,rows", [(2, 13), (0, 13), (3, 13), (6, 13), (2, 40)],
+                             ids=["2", "0", "3", "6", "2-row_tiles"])
+    def test_matches_the_reference_and_its_adjoint(self, padding, rows, groups, monkeypatch):
         if rows == 40:
             monkeypatch.setattr(pool, "TILE_BYTES", 12 * 3 * 7 * 8)
         pooled = record_pooled_jobs(monkeypatch)
         with default_dtype(np.float64):
-            rng = RngState(60 + 4 * stride + padding)
+            rng = RngState(64 + padding)
             x = randt(rng, 2, 3, rows, 7)
             w = randt(rng, 3, 3 // groups, 5, 5)
             b = randt(rng, 3)
             with Tape() as tape:
-                out = ops.conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
+                out = ops.conv2d(x, w, b, padding=padding, groups=groups)
                 g = rng.uniform(-1, 1, out.shape)
                 loss = ops.tensor_sum(ops.mul_const(out, g))
             backward(loss, tape)
@@ -312,8 +309,8 @@ class TestBandedDepthwise:
             assert pooled == ([8, 8, 40] if groups == 3 else [40, 40, 40])
 
         def reference(xs, ws, bs=None):
-            return np.stack([conv2d_reference(c, ws, bs, stride=stride, padding=padding,
-                                              groups=groups) for c in xs])
+            return np.stack([conv2d_reference(c, ws, bs, padding=padding, groups=groups)
+                             for c in xs])
 
         np.testing.assert_allclose(out.data, reference(x.data, w.data, b.data), rtol=1e-12, atol=1e-12)
         # the conv less its bias is linear in x and in w, so <g, reference(e, w)>
@@ -324,8 +321,7 @@ class TestBandedDepthwise:
             assert np.vdot(g, reference(x.data, e_w)) == pytest.approx(np.vdot(w.grad, e_w), rel=1e-12)
         np.testing.assert_allclose(b.grad, g.sum(axis=(0, 2, 3)), rtol=1e-12)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_a_long_clip_has_the_bits_of_a_short_one(self, stride):
+    def test_a_long_clip_has_the_bits_of_a_short_one(self):
         # 2100 rows of 16 frequencies, 33,600 columns per channel: past
         # 32,768 a whole-channel GEMV rounds differently from a short one,
         # while a banded tap's rows do not depend on the clip's length
@@ -333,19 +329,16 @@ class TestBandedDepthwise:
         x = rng.uniform(-1, 1, (1, 4, 2100, 16)).astype(np.float32)
         w = Tensor(rng.uniform(-1, 1, (4, 1, 5, 5)).astype(np.float32))
         b = Tensor(rng.uniform(-1, 1, (4,)).astype(np.float32))
-        full = ops.conv2d(Tensor(x), w, b, stride=stride, padding=2, groups=4).data
-        crop = ops.conv2d(Tensor(x[:, :, 1000:1100]), w, b, stride=stride, padding=2, groups=4).data
-        # output row o reads input rows o*stride - 2 .. o*stride + 2
-        o0 = 1000 // stride
-        np.testing.assert_array_equal(full[:, :, o0 + 2 : o0 + 48], crop[:, :, 2:48])
+        full = ops.conv2d(Tensor(x), w, b, padding=2, groups=4).data
+        crop = ops.conv2d(Tensor(x[:, :, 1000:1100]), w, b, padding=2, groups=4).data
+        # output row o reads input rows o - 2 .. o + 2
+        np.testing.assert_array_equal(full[:, :, 1002:1048], crop[:, :, 2:48])
         # and the reference on rows 998..1102, whose output row k is row
-        # k + 998 / stride of the clip's
-        ref = conv2d_reference(x[0, :, 998:1102], w.data, b.data, stride=stride, padding=2, groups=4)
-        k0 = 2 // stride
-        np.testing.assert_allclose(full[0, :, o0 : o0 + 50], ref[:, k0 : k0 + 50], rtol=1e-5, atol=1e-5)
+        # k + 998 of the clip's
+        ref = conv2d_reference(x[0, :, 998:1102], w.data, b.data, padding=2, groups=4)
+        np.testing.assert_allclose(full[0, :, 1000:1050], ref[:, 2:52], rtol=1e-5, atol=1e-5)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_bits_do_not_depend_on_the_row_tile_or_the_worker_count(self, stride, monkeypatch):
+    def test_bits_do_not_depend_on_the_row_tile_or_the_worker_count(self, monkeypatch):
         pooled = record_pooled_jobs(monkeypatch)
         rng = RngState(62)
         x, w, b = (Tensor(rng.uniform(-1, 1, s).astype(np.float32), requires_grad=True)
@@ -355,7 +348,7 @@ class TestBandedDepthwise:
             for t in (x, w, b):
                 t.zero_grad()
             with Tape() as tape:
-                out = ops.conv2d(x, w, b, stride=stride, padding=2, groups=8)
+                out = ops.conv2d(x, w, b, padding=2, groups=8)
                 loss = ops.tensor_sum(ops.tanh(out))
             backward(loss, tape)
             return [a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)]
@@ -387,8 +380,7 @@ class TestConvVjpTiles:
     CASES = {
         "depthwise": (ops.conv2d, (5, 8, 12, 6), (8, 1, 5, 5), dict(padding=2, groups=8)),
         "dense": (ops.conv2d, (5, 4, 12, 6), (6, 4, 5, 5), dict(padding=2)),
-        "stride2": (ops.conv2d, (5, 4, 13, 7), (6, 2, 5, 5),
-                    dict(stride=2, padding=1, groups=2)),
+        "grouped": (ops.conv2d, (5, 4, 13, 7), (6, 2, 5, 5), dict(padding=1, groups=2)),
         "dilated_conv1d": (ops.conv1d, (5, 4, 30), (6, 4, 3), dict(padding=3, dilation=3)),
         "single_channel": (ops.conv2d, (5, 1, 12, 6), (6, 1, 5, 5), dict(padding=2)),
         # padding beyond dil*(kh-1): the input gradient's pads are negative
@@ -461,9 +453,8 @@ class TestConvWorkers:
     # tile size and at tiles of 16 KiB, where all but "tiny" run in tiles
     CASES = {
         "tiny": (ops.conv2d, (2, 3, 9, 7), (4, 3, 3, 3), dict(padding=1)),
-        "stride2": (ops.conv2d, (4, 8, 37, 16), (6, 8, 5, 5), dict(stride=2, padding=2)),
-        "stride2_groups": (ops.conv2d, (4, 8, 37, 16), (6, 4, 5, 5),
-                           dict(stride=2, padding=1, groups=2)),
+        "dense_8_to_6": (ops.conv2d, (4, 8, 37, 16), (6, 8, 5, 5), dict(padding=2)),
+        "grouped": (ops.conv2d, (4, 8, 37, 16), (6, 4, 5, 5), dict(padding=1, groups=2)),
         "long_dense": (ops.conv2d, (1, 8, 1100, 16), (8, 8, 5, 5), dict(padding=2)),
         "long_depthwise": (ops.conv2d, (1, 40, 1300, 16), (40, 1, 5, 5),
                            dict(padding=2, groups=40)),
@@ -471,14 +462,14 @@ class TestConvWorkers:
         "single_channel": (ops.conv2d, (2, 1, 300, 16), (8, 1, 5, 5), dict(padding=2)),
         "single_channel_1to1": (ops.conv2d, (2, 1, 1300, 16), (1, 1, 5, 5), dict(padding=2)),
         "dilated_conv1d": (ops.conv1d, (2, 4, 5000), (6, 4, 3), dict(padding=3, dilation=3)),
-        "strided_dilated_conv1d": (ops.conv1d, (1, 4, 13001), (4, 4, 7),
-                                   dict(stride=3, padding=3, dilation=2)),
+        "long_dilated_conv1d": (ops.conv1d, (1, 4, 13001), (4, 4, 7),
+                                dict(padding=3, dilation=2)),
         # padding beyond dil*(kh-1): the input gradient's pads are negative
         "negative_offset": (ops.conv2d, (2, 4, 300, 16), (6, 4, 3, 3), dict(padding=4)),
         "negative_offset_conv1d": (ops.conv1d, (2, 4, 5000), (6, 4, 3), dict(padding=3)),
     }
     # every job one tile at the default tile size, inline
-    INLINE = {"tiny", "stride2", "stride2_groups", "dilated_conv1d", "strided_dilated_conv1d",
+    INLINE = {"tiny", "dense_8_to_6", "grouped", "dilated_conv1d", "long_dilated_conv1d",
               "negative_offset", "negative_offset_conv1d"}
     # one tile a job at 16 KiB too
     INLINE_AT_16K = {"tiny"}
@@ -488,7 +479,7 @@ class TestConvWorkers:
         "batch12": CASES["batch12"],
         "batch12_depthwise": (ops.conv2d, (12, 16, 40, 16), (16, 1, 5, 5),
                               dict(padding=2, groups=16)),
-        "stride2": CASES["stride2"],
+        "dense_8_to_6": CASES["dense_8_to_6"],
         "single_channel_b6": (ops.conv2d, (6, 1, 60, 16), (8, 1, 5, 5), dict(padding=2)),
     }
 
@@ -1089,7 +1080,7 @@ class TestGradients:
             x = randt(rng, 2, 11)
             w = randt(rng, 3, 2, 3)
             b = randt(rng, 3)
-            gradcheck(lambda: ops.tensor_sum(ops.tanh(ops.conv1d(x, w, b, stride=2, padding=2, dilation=2))), [x, w, b])
+            gradcheck(lambda: ops.tensor_sum(ops.tanh(ops.conv1d(x, w, b, padding=2, dilation=2))), [x, w, b])
 
     def test_conv2d_grad(self):
         with default_dtype(np.float64):
@@ -1099,18 +1090,16 @@ class TestGradients:
             b = randt(rng, 4)
             gradcheck(lambda: ops.tensor_sum(ops.sigmoid(ops.conv2d(x, w, b, padding=1, groups=2))), [x, w, b])
 
-    @pytest.mark.parametrize("c_in,c_out,groups,stride", [
-        pytest.param(*case, stride, id="-".join(map(str, case)) + ("" if stride == 1 else "-stride2"))
-        for stride in (1, 2) for case in ((3, 3, 3), (1, 3, 1), (3, 3, 1))
-    ])
-    def test_conv2d_model_geometry_grad(self, c_in, c_out, groups, stride):
+    @pytest.mark.parametrize("c_in,c_out,groups", [(3, 3, 3), (1, 3, 1), (3, 3, 1)],
+                             ids=["3-3-3", "1-3-1", "3-3-1"])
+    def test_conv2d_model_geometry_grad(self, c_in, c_out, groups):
         with default_dtype(np.float64):
             rng = RngState(42 + c_in + groups)
             x = randt(rng, 2, c_in, 7, 4)
             w = randt(rng, c_out, c_in // groups, 5, 5)
             b = randt(rng, c_out)
             gradcheck(lambda: ops.tensor_sum(ops.sigmoid(
-                ops.conv2d(x, w, b, stride=stride, padding=2, groups=groups))), [x, w, b])
+                ops.conv2d(x, w, b, padding=2, groups=groups))), [x, w, b])
 
     def test_linear_grad(self):
         with default_dtype(np.float64):
