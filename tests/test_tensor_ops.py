@@ -132,6 +132,21 @@ class TestConv2d:
             ref = conv2d_reference(x[i], w, b, padding=2, groups=groups)
             np.testing.assert_allclose(out.data[i], ref, rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("case", sorted(MODEL_CASES))
+    def test_a_clip_shorter_than_the_kernel_matches_reference(self, case):
+        # 3 frames under a 5-row kernel: every output row reads padding, and
+        # the "same" conv still keeps one row per frame
+        c_in, c_out, groups = self.MODEL_CASES[case]
+        rng = RngState(56 + c_in)
+        x = rng.uniform(-1, 1, (2, c_in, 3, 6))
+        w = rng.uniform(-1, 1, (c_out, c_in // groups, 5, 5))
+        b = rng.uniform(-1, 1, (c_out,))
+        out = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=2, groups=groups)
+        assert out.shape == (2, c_out, 3, 6)
+        for i in range(2):
+            ref = conv2d_reference(x[i], w, b, padding=2, groups=groups)
+            np.testing.assert_allclose(out.data[i], ref, rtol=1e-5, atol=1e-6)
+
     def test_batched_equals_per_sample(self):
         rng = RngState(6)
         x = rng.uniform(-1, 1, (3, 4, 9, 5))
@@ -1096,6 +1111,19 @@ class TestGradients:
         with default_dtype(np.float64):
             rng = RngState(42 + c_in + groups)
             x = randt(rng, 2, c_in, 7, 4)
+            w = randt(rng, c_out, c_in // groups, 5, 5)
+            b = randt(rng, c_out)
+            gradcheck(lambda: ops.tensor_sum(ops.sigmoid(
+                ops.conv2d(x, w, b, padding=2, groups=groups))), [x, w, b])
+
+    @pytest.mark.parametrize("c_in,c_out,groups", [(3, 3, 3), (1, 3, 1), (3, 3, 1)],
+                             ids=["3-3-3", "1-3-1", "3-3-1"])
+    def test_conv2d_grad_on_a_clip_shorter_than_the_kernel(self, c_in, c_out, groups):
+        # 3 frames under a 5-row kernel: each input row's gradient reads
+        # output rows that lie partly in the padding
+        with default_dtype(np.float64):
+            rng = RngState(47 + c_in + groups)
+            x = randt(rng, 2, c_in, 3, 4)
             w = randt(rng, c_out, c_in // groups, 5, 5)
             b = randt(rng, c_out)
             gradcheck(lambda: ops.tensor_sum(ops.sigmoid(
